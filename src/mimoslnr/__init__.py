@@ -24,6 +24,7 @@ from .channel import (
     CorrelationProfile,
     SystemConfig,
     build_correlation,
+    eta_from_snr_db,
     sample_channel,
     sum_correlations,
     trial_rng,
@@ -60,10 +61,7 @@ from .loading import (
 )
 from .precoding import (
     MetricsPerUser,
-    PrecodedSystem,
-    build_precoded_system,
     compute_metrics,
-    default_beta,
     power_control,
     rzf_precode,
     sinr_instantaneous,
@@ -84,16 +82,14 @@ __all__ = [
     "LoadingConstants",
     "LoadingSolution",
     "MetricsPerUser",
-    "PrecodedSystem",
     "SystemConfig",
     "build_correlation",
-    "build_precoded_system",
     "brute_force_optimal_x",
     "check_common_r_bound",
     "compute_metrics",
-    "default_beta",
     "dfdx",
     "empirical_cdf",
+    "eta_from_snr_db",
     "eta_threshold",
     "gamma_common_r",
     "gamma_uncorrelated",

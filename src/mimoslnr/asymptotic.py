@@ -48,7 +48,6 @@ class AsymptoticSolution:
     gamma: np.ndarray
     iterations: int
     residual: float
-    converged: bool
 
 
 def solve_fixed_point(R, eta, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, gamma0=None):
@@ -97,9 +96,7 @@ def solve_fixed_point(R, eta, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, gamma0
         threshold = tol * (1.0 + float(np.max(gamma)))
         gamma = gamma_new
         if residual <= threshold:
-            return AsymptoticSolution(
-                gamma=gamma, iterations=it, residual=residual, converged=True
-            )
+            return AsymptoticSolution(gamma=gamma, iterations=it, residual=residual)
     raise FixedPointError(
         f"fixed point did not converge within {max_iter} iterations "
         f"(last residual {residual:.3e}, tol {tol:.1e})",

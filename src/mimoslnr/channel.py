@@ -10,6 +10,7 @@ which is Hermitian with a unit diagonal, so ``trace(R_k) == N`` holds by
 construction for every profile kind.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,7 @@ __all__ = [
     "CorrelationProfile",
     "SystemConfig",
     "ChannelRealization",
+    "eta_from_snr_db",
     "build_correlation",
     "sum_correlations",
     "sample_channel",
@@ -32,6 +34,30 @@ __all__ = [
 #   exp-random  theta_k uniform on [0, 2*pi), drawn from the caller's rng
 #   exp-common  one fixed theta shared by every user
 PROFILE_KINDS = ("identity", "exp-even", "exp-random", "exp-common")
+
+
+def eta_from_snr_db(snr_db):
+    """Inverse SNR ``eta = 10**(-snr_db/10)`` of a scalar or an array of dB values.
+
+    A scalar gives a Python float, an array an array of the same shape.
+    Raises ``ValueError`` when ``snr_db`` is not finite or its ``eta``
+    overflows or underflows to zero.
+    """
+    if np.ndim(snr_db) == 0:
+        try:
+            eta = 10.0 ** (-float(snr_db) / 10.0)
+        except OverflowError:
+            eta = math.inf
+        ok = 0.0 < eta < math.inf
+    else:
+        with np.errstate(over="ignore"):
+            eta = 10.0 ** (-np.asarray(snr_db, dtype=float) / 10.0)
+        ok = bool(np.all((eta > 0.0) & (eta < np.inf)))
+    if not ok:
+        raise ValueError(
+            f"snr_db must give a positive finite eta = 10**(-snr_db/10), got {snr_db!r}"
+        )
+    return eta
 
 
 @dataclass(frozen=True)
@@ -77,6 +103,7 @@ class SystemConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
+        eta_from_snr_db(self.snr_db)  # raises on a non-finite or out-of-range SNR
         if (self.profile.N, self.profile.K) != (self.N, self.K):
             raise ValueError(
                 f"profile dimensions ({self.profile.N}, {self.profile.K}) do not match "
@@ -86,7 +113,7 @@ class SystemConfig:
     @property
     def eta(self):
         """Inverse SNR (noise power over transmit power)."""
-        return 10.0 ** (-self.snr_db / 10.0)
+        return eta_from_snr_db(self.snr_db)
 
     @classmethod
     def make(cls, N, K, snr_db, kind="identity", rho=0.0, theta=0.0, trials=1, seed=0):
@@ -102,7 +129,6 @@ class ChannelRealization:
     H: np.ndarray
     R: list = field(repr=False)
     Rsqrt: list = field(repr=False)
-    seed_used: int = 0
     trial: int = 0
 
 
@@ -183,4 +209,4 @@ def sample_channel(config, trial):
         H = Hw
     else:
         H = np.column_stack([Rsqrt[k] @ Hw[:, k] for k in range(K)])
-    return ChannelRealization(H=H, R=R, Rsqrt=Rsqrt, seed_used=config.seed, trial=trial)
+    return ChannelRealization(H=H, R=R, Rsqrt=Rsqrt, trial=trial)

@@ -19,7 +19,14 @@ from .asymptotic import (
     gamma_uncorrelated,
     solve_fixed_point,
 )
-from .channel import PROFILE_KINDS, SystemConfig, build_correlation, sample_channel, trial_rng
+from .channel import (
+    PROFILE_KINDS,
+    SystemConfig,
+    build_correlation,
+    eta_from_snr_db,
+    sample_channel,
+    trial_rng,
+)
 from .experiments import (
     run_cdf_experiment,
     run_correlation_sweep,
@@ -45,41 +52,27 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 
-_NUMERICAL_ERRORS = (FixedPointError, BracketError, NotPsdError, EigConvergenceError)
+_NUMERICAL_ERRORS = (
+    FixedPointError, BracketError, NotPsdError, EigConvergenceError, np.linalg.LinAlgError
+)
 
-# Defaults for every resolvable key; flags and config files override these.
-_DEFAULTS = {
-    "n": 64,
-    "k": 32,
-    "snr_db": 20.0,
-    "profile": "identity",
-    "rho": 0.0,
-    "theta": 0.0,
-    "trials": 100,
-    "seed": 0,
-    "tol": 1e-12,
-    "rate_units": "nats",
-    "out": None,
-    "rho_grid": "0.0:0.9:10",
-    "snr_grid": "0.0:40.0:81",
-    "theta_draws": 20,
-}
-
-_KEY_TYPES = {
-    "n": int,
-    "k": int,
-    "snr_db": float,
-    "profile": str,
-    "rho": float,
-    "theta": float,
-    "trials": int,
-    "seed": int,
-    "tol": float,
-    "rate_units": str,
-    "out": str,
-    "rho_grid": str,
-    "snr_grid": str,
-    "theta_draws": int,
+# Type and default of every resolvable key; flags and config files override
+# the defaults.
+_KEYS = {
+    "n": (int, 64),
+    "k": (int, 32),
+    "snr_db": (float, 20.0),
+    "profile": (str, "identity"),
+    "rho": (float, 0.0),
+    "theta": (float, 0.0),
+    "trials": (int, 100),
+    "seed": (int, 0),
+    "tol": (float, 1e-12),
+    "rate_units": (str, "nats"),
+    "out": (str, None),
+    "rho_grid": (str, "0.0:0.9:10"),
+    "snr_grid": (str, "0.0:40.0:81"),
+    "theta_draws": (int, 20),
 }
 
 
@@ -149,7 +142,7 @@ def _parse_config_file(path):
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
         value = value.strip()
-        if key not in _DEFAULTS:
+        if key not in _KEYS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = value
     return values
@@ -157,17 +150,17 @@ def _parse_config_file(path):
 
 def _coerce(key, value):
     try:
-        return _KEY_TYPES[key](value)
+        return _KEYS[key][0](value)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid value for {key!r}: {value!r}") from exc
 
 
 def _resolve(args):
-    resolved = dict(_DEFAULTS)
+    resolved = {key: default for key, (_, default) in _KEYS.items()}
     if args.config:
         for key, value in _parse_config_file(args.config).items():
             resolved[key] = _coerce(key, value)
-    for key in _DEFAULTS:
+    for key in _KEYS:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             resolved[key] = flag_value
@@ -259,7 +252,7 @@ def _cmd_metrics(resolved):
 
 
 def _cmd_loading(resolved):
-    eta = 10.0 ** (-resolved["snr_db"] / 10.0)
+    eta = eta_from_snr_db(resolved["snr_db"])
     units = resolved["rate_units"]
     solution = optimal_x_exact(eta, tol=min(resolved["tol"], 1e-10))
     eta_o = eta_threshold()
@@ -337,7 +330,7 @@ def _selftest_checks():
 
     def closed_form_vs_fixed_point():
         for x, snr_db in [(1.0, 0.0), (2.0, 10.0), (4.0, 25.0)]:
-            eta = 10.0 ** (-snr_db / 10.0)
+            eta = eta_from_snr_db(snr_db)
             K = 8
             N = int(x * K)
             R = [np.eye(N, dtype=complex)] * K

@@ -14,15 +14,13 @@ import numpy as np
 
 from . import __version__
 from .asymptotic import gamma_common_r, gamma_uncorrelated, solve_fixed_point
-from .channel import CorrelationProfile, build_correlation, sample_channel, trial_rng
+from .channel import CorrelationProfile, build_correlation, eta_from_snr_db, sample_channel, trial_rng
 from .linalg import herm_eig
 from .loading import eta_threshold, objective_f, optimal_x_exact, optimal_x_high_snr, optimal_x_low_snr
 from .precoding import compute_metrics
 
 __all__ = [
     "ExperimentResult",
-    "DEFAULT_CDF_N",
-    "DEFAULT_CDF_ALPHAS",
     "empirical_cdf",
     "run_cdf_experiment",
     "run_correlation_sweep",
@@ -30,12 +28,6 @@ __all__ = [
     "brute_force_optimal_x",
     "write_csv",
 ]
-
-# Antenna counts and loading fractions used by the demo CDF study; the
-# runner itself takes whatever single (N, K) the config specifies.
-DEFAULT_CDF_N = (16, 64, 256)
-DEFAULT_CDF_ALPHAS = (0.25, 0.5, 0.75)
-
 
 @dataclass
 class ExperimentResult:
@@ -118,7 +110,7 @@ def run_correlation_sweep(
     """
     start = time.perf_counter()
     K = int(round(alpha * N))
-    eta = 10.0 ** (-snr_db / 10.0)
+    eta = eta_from_snr_db(snr_db)
     rho_grid = np.asarray(rho_grid, dtype=float)
     ref = gamma_uncorrelated(N / K, eta)
 
@@ -193,7 +185,7 @@ def run_loading_sweep(snr_db_grid, tol=1e-10, brute_step=1e-4):
     snr_db_grid = np.asarray(snr_db_grid, dtype=float)
     eta_o = eta_threshold()
 
-    etas = 10.0 ** (-snr_db_grid / 10.0)
+    etas = eta_from_snr_db(snr_db_grid)
     x_exact = np.empty(snr_db_grid.size)
     clamped = np.empty(snr_db_grid.size)
     alpha_brute = np.empty(snr_db_grid.size)

@@ -7,8 +7,10 @@ the per-user SLNR collapses to the quadratic form
 
     SLNR_k = q_k / (1 - q_k),     q_k = h_k* (H H* + K eta I)^{-1} h_k,
 
-which this module uses as the default O(N^3 + K N^2) route. The direct
-leave-one-out evaluation is kept alongside as an independent oracle.
+so ``q_k = Re(h_k* f_k)`` reads off the precoder itself: one factorization
+per realization serves the precoder and every user's SLNR. The direct
+leave-one-out evaluation and the plain leakage ratio are kept alongside as
+independent oracles.
 """
 
 from dataclasses import dataclass
@@ -18,17 +20,14 @@ import numpy as np
 from .linalg import shifted_gram_solve
 
 __all__ = [
-    "PrecodedSystem",
     "MetricsPerUser",
     "DegenerateUserError",
-    "default_beta",
     "rzf_precode",
     "power_control",
     "slnr_instantaneous",
     "slnr_leave_one_out",
     "slnr_ratio",
     "sinr_instantaneous",
-    "build_precoded_system",
     "compute_metrics",
 ]
 
@@ -41,28 +40,12 @@ class DegenerateUserError(ValueError):
 
 
 @dataclass
-class PrecodedSystem:
-    """Precoder, power scalars, and the parameters they were built from."""
-
-    F: np.ndarray
-    p: np.ndarray
-    beta: float
-    eta: float
-    ptx: float = 1.0
-
-
-@dataclass
 class MetricsPerUser:
     """Per-user instantaneous metrics for one channel realization."""
 
     slnr: np.ndarray
     sinr: np.ndarray
     power_sq: np.ndarray
-
-
-def default_beta(K, eta):
-    """Regularization that balances interference suppression against noise."""
-    return K * eta
 
 
 def rzf_precode(H, beta):
@@ -90,6 +73,17 @@ def power_control(H, F, ptx=1.0):
     return np.sqrt(ptx / (K * norms_sq))
 
 
+def _slnr_from_precoder(H, F):
+    """SLNR lemma ``q_k / (1 - q_k)`` with ``q_k = Re(h_k* f_k)``.
+
+    Valid for ``F = rzf_precode(H, K * eta)``, whose columns are the
+    resolvent ``(H H* + K eta I)^{-1}`` applied to each ``h_k``.
+    """
+    q = np.sum(H.conj() * F, axis=0).real
+    q = np.clip(q, 0.0, _Q_CLAMP)
+    return q / (1.0 - q)
+
+
 def slnr_instantaneous(H, eta):
     """Per-user SLNR of the RZF precoder at regularization ``K * eta``.
 
@@ -100,11 +94,7 @@ def slnr_instantaneous(H, eta):
     H = np.asarray(H, dtype=complex)
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta!r}")
-    K = H.shape[1]
-    X = shifted_gram_solve(H, K * eta, H)
-    q = np.sum(H.conj() * X, axis=0).real
-    q = np.clip(q, 0.0, _Q_CLAMP)
-    return q / (1.0 - q)
+    return _slnr_from_precoder(H, rzf_precode(H, H.shape[1] * eta))
 
 
 def slnr_leave_one_out(H, eta):
@@ -162,19 +152,17 @@ def sinr_instantaneous(H, F, p, eta, ptx=1.0):
     return sig / (interference + sigma_sq)
 
 
-def build_precoded_system(H, eta, ptx=1.0, beta=None):
-    """RZF precoder plus equal-share power control for one realization."""
-    H = np.asarray(H, dtype=complex)
-    if beta is None:
-        beta = default_beta(H.shape[1], eta)
-    F = rzf_precode(H, beta)
-    p = power_control(H, F, ptx)
-    return PrecodedSystem(F=F, p=p, beta=float(beta), eta=float(eta), ptx=float(ptx))
-
-
 def compute_metrics(H, eta, ptx=1.0):
-    """SLNR, SINR, and squared power scalars for one channel realization."""
-    sys = build_precoded_system(H, eta, ptx)
-    slnr = slnr_instantaneous(H, eta)
-    sinr = sinr_instantaneous(H, sys.F, sys.p, eta, ptx)
-    return MetricsPerUser(slnr=slnr, sinr=sinr, power_sq=sys.p**2)
+    """SLNR, SINR, and squared power scalars for one channel realization.
+
+    One factorization per realization: the precoder at ``beta = K * eta``
+    also yields the SLNR quadratic forms.
+    """
+    H = np.asarray(H, dtype=complex)
+    F = rzf_precode(H, H.shape[1] * eta)
+    p = power_control(H, F, ptx)
+    return MetricsPerUser(
+        slnr=_slnr_from_precoder(H, F),
+        sinr=sinr_instantaneous(H, F, p, eta, ptx),
+        power_sq=p**2,
+    )

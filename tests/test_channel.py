@@ -5,6 +5,7 @@ from mimoslnr.channel import (
     CorrelationProfile,
     SystemConfig,
     build_correlation,
+    eta_from_snr_db,
     sample_channel,
     sum_correlations,
     trial_rng,
@@ -114,6 +115,25 @@ class TestSystemConfig:
             SystemConfig.make(N=8, K=4, snr_db=0.0, seed=-1)
         with pytest.raises(ValueError):
             SystemConfig(N=8, K=4, snr_db=0.0, profile=profile("identity", 8, 2))
+
+
+class TestEtaFromSnrDb:
+    def test_scalar_is_python_float(self):
+        eta = eta_from_snr_db(np.float64(17.5))
+        assert type(eta) is float and eta == 10.0 ** (-17.5 / 10.0)
+
+    def test_array_matches_elementwise_power(self):
+        grid = np.linspace(0.0, 40.0, 81)
+        assert np.array_equal(eta_from_snr_db(grid), 10.0 ** (-grid / 10.0))
+
+    @pytest.mark.parametrize("snr_db", [np.nan, np.inf, -np.inf, -4000.0, 4000.0])
+    def test_rejects_out_of_range(self, snr_db):
+        with pytest.raises(ValueError, match="snr_db"):
+            eta_from_snr_db(snr_db)
+        with pytest.raises(ValueError, match="snr_db"):
+            eta_from_snr_db(np.array([10.0, snr_db]))
+        with pytest.raises(ValueError, match="snr_db"):
+            SystemConfig.make(N=8, K=4, snr_db=snr_db)
 
 
 class TestSampleChannel:

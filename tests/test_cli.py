@@ -152,6 +152,23 @@ class TestErrorPaths:
         assert code == EXIT_NUMERICAL
         assert "did not converge" in err
 
+    def test_singular_gram_is_numerical_failure(self, capsys):
+        # At 400 dB the shift K*eta vanishes against the rank-K Gram matrix
+        # H H* (N > K), so the Cholesky factorization fails: exit 2, not 1.
+        code, _, err = run_cli(capsys, "metrics", "--n", "8", "--k", "4", "--snr-db", "400")
+        assert code == EXIT_NUMERICAL
+        assert "not positive definite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("loading", "--snr-db", "nan"),
+        ("metrics", "--n", "8", "--k", "4", "--snr-db", "-4000"),
+        ("asymptotic", "--n", "8", "--k", "4", "--snr-db", "nan"),
+    ])
+    def test_invalid_snr_named(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert "snr_db" in err
+
 
 class TestSelftest:
     def test_passes_on_clean_build(self, capsys):

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mimoslnr.channel import SystemConfig, sample_channel
+from mimoslnr import precoding
+from mimoslnr.channel import SystemConfig, eta_from_snr_db, sample_channel
+from mimoslnr.linalg import shifted_gram_solve
 from mimoslnr.precoding import (
     DegenerateUserError,
-    build_precoded_system,
     compute_metrics,
-    default_beta,
     power_control,
     rzf_precode,
     sinr_instantaneous,
@@ -106,7 +108,7 @@ class TestSlnr:
             eta = float(10 ** (-rng.uniform(0, 25) / 10))
             H = random_channel(N, K)
             quad = slnr_instantaneous(H, eta)
-            F = rzf_precode(H, default_beta(K, eta))
+            F = rzf_precode(H, K * eta)
             p = power_control(H, F)
             ratio = slnr_ratio(H, F, p, eta)
             assert np.max(np.abs(ratio - quad) / quad) <= 1e-8
@@ -116,17 +118,19 @@ class TestSinr:
     def test_single_user_no_interference(self):
         H = random_channel(6, 1)
         eta = 0.1
-        sys = build_precoded_system(H, eta)
-        sinr = sinr_instantaneous(H, sys.F, sys.p, eta)
-        expected = np.abs(np.vdot(H[:, 0], sys.F[:, 0]) * sys.p[0]) ** 2 / eta
+        F = rzf_precode(H, eta)
+        p = power_control(H, F)
+        sinr = sinr_instantaneous(H, F, p, eta)
+        expected = np.abs(np.vdot(H[:, 0], F[:, 0]) * p[0]) ** 2 / eta
         np.testing.assert_allclose(sinr, [expected], rtol=1e-12)
 
     def test_orthogonal_equal_norm_sinr_equals_slnr(self):
         H = orthogonal_channel(8, 4, gain=3.0)
         eta = 0.05
-        sys = build_precoded_system(H, eta)
-        sinr = sinr_instantaneous(H, sys.F, sys.p, eta)
-        ratio = slnr_ratio(H, sys.F, sys.p, eta)
+        F = rzf_precode(H, 4 * eta)
+        p = power_control(H, F)
+        sinr = sinr_instantaneous(H, F, p, eta)
+        ratio = slnr_ratio(H, F, p, eta)
         # Cross terms vanish exactly, so the two ratios are the same floats.
         assert np.array_equal(sinr, ratio)
         quad = slnr_instantaneous(H, eta)
@@ -136,7 +140,7 @@ class TestSinr:
         # |h_k* f_i|^2 == |h_i* f_k|^2: both collapse to the same resolvent
         # quadratic form.
         H = random_channel(16, 8)
-        F = rzf_precode(H, default_beta(8, 0.01))
+        F = rzf_precode(H, 8 * 0.01)
         G2 = np.abs(H.conj().T @ F) ** 2
         off = ~np.eye(8, dtype=bool)
         assert np.max(np.abs(G2 - G2.T)[off] / G2[off]) <= 1e-10
@@ -159,7 +163,8 @@ class TestPowerConcentration:
             cfg = SystemConfig.make(N=N, K=N // 2, snr_db=10.0, trials=20, seed=7)
             pool = []
             for t in range(cfg.trials):
-                pool.append(build_precoded_system(sample_channel(cfg, t).H, cfg.eta).p ** 2)
+                H = sample_channel(cfg, t).H
+                pool.append(power_control(H, rzf_precode(H, cfg.K * cfg.eta)) ** 2)
             pool = np.concatenate(pool)
             spreads[N] = float(pool.max() / pool.min())
         assert spreads[256] < spreads[64]
@@ -176,7 +181,8 @@ class TestPowerConcentration:
         cfg = SystemConfig.make(N=256, K=128, snr_db=10.0, trials=50, seed=7)
         pool = []
         for t in range(cfg.trials):
-            pool.append(build_precoded_system(sample_channel(cfg, t).H, cfg.eta).p ** 2)
+            H = sample_channel(cfg, t).H
+            pool.append(power_control(H, rzf_precode(H, cfg.K * cfg.eta)) ** 2)
         pool = np.concatenate(pool)
         spread = float(pool.max() / pool.min())
         assert spread < 1.2, f"pooled p^2 spread {spread:.4f} is not below 1.2"
@@ -192,11 +198,47 @@ class TestMetrics:
 
     def test_equal_per_user_power_share(self):
         H = random_channel(12, 6)
-        sys = build_precoded_system(H, 0.1, ptx=2.0)
-        shares = sys.p**2 * np.sum(np.abs(sys.F) ** 2, axis=0)
+        F = rzf_precode(H, 6 * 0.1)
+        p = power_control(H, F, ptx=2.0)
+        shares = p**2 * np.sum(np.abs(F) ** 2, axis=0)
         np.testing.assert_allclose(shares, np.full(6, 2.0 / 6), rtol=1e-9)
 
     def test_default_beta(self):
-        assert default_beta(8, 0.01) == pytest.approx(0.08)
+        # compute_metrics regularizes at beta = K * eta.
         H = random_channel(8, 4)
-        assert build_precoded_system(H, 0.5).beta == pytest.approx(2.0)
+        m = compute_metrics(H, 0.5)
+        assert np.array_equal(m.power_sq, power_control(H, rzf_precode(H, 4 * 0.5)) ** 2)
+
+    def test_slnr_is_slnr_instantaneous(self):
+        H = random_channel(16, 8)
+        assert np.array_equal(compute_metrics(H, 0.01).slnr, slnr_instantaneous(H, 0.01))
+
+    def test_one_factorization_per_realization(self, monkeypatch):
+        calls = []
+
+        def counting_solve(*args, **kwargs):
+            calls.append(args)
+            return shifted_gram_solve(*args, **kwargs)
+
+        monkeypatch.setattr(precoding, "shifted_gram_solve", counting_solve)
+        compute_metrics(random_channel(16, 8), 0.01)
+        assert len(calls) == 1
+
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(
+        N=st.integers(1, 32),
+        snr_db=st.floats(-300.0, 300.0),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_finite_or_linalg_error(self, N, snr_db, seed, data):
+        # Extreme SNR either stays finite or fails with a typed LinAlgError.
+        K = data.draw(st.integers(1, N), label="K")
+        r = np.random.default_rng(seed)
+        H = (r.standard_normal((N, K)) + 1j * r.standard_normal((N, K))) / np.sqrt(2.0)
+        try:
+            m = compute_metrics(H, eta_from_snr_db(snr_db))
+        except np.linalg.LinAlgError:
+            return
+        for arr in (m.slnr, m.sinr, m.power_sq):
+            assert np.all(np.isfinite(arr))
