@@ -26,7 +26,6 @@ from .channel import (
     build_correlation,
     eta_from_snr_db,
     sample_channel,
-    sum_correlations,
     trial_rng,
 )
 from .experiments import (
@@ -44,7 +43,6 @@ from .linalg import (
     hermitian_part,
     psd_sqrt,
     shifted_gram_solve,
-    trace_real,
 )
 from .loading import (
     LoadingConstants,
@@ -114,8 +112,6 @@ __all__ = [
     "slnr_leave_one_out",
     "slnr_ratio",
     "solve_fixed_point",
-    "sum_correlations",
-    "trace_real",
     "trial_rng",
     "write_csv",
     "x_upper_tight",

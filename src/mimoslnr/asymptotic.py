@@ -13,10 +13,13 @@ its eigenvalues (:func:`gamma_common_r`), whose value never exceeds the
 uncorrelated one.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+from .channel import check_count, check_positive_finite
 
 __all__ = [
     "AsymptoticSolution",
@@ -33,7 +36,7 @@ DEFAULT_MAX_ITER = 10000
 
 
 class FixedPointError(RuntimeError):
-    """Fixed-point iteration hit the iteration cap before converging."""
+    """Fixed-point iteration hit the iteration cap or a non-finite iterate."""
 
     def __init__(self, message, residual, iterations):
         super().__init__(message)
@@ -58,12 +61,15 @@ def solve_fixed_point(R, eta, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, gamma0
     R : sequence of (N, N) arrays
         Per-user correlation matrices (K of them).
     eta : float
-        Inverse SNR; must be positive so the resolvent stays definite.
+        Inverse SNR; must be positive and finite so the resolvent stays
+        definite.
     tol : float
-        Relative stopping tolerance: iteration ends once
+        Positive finite relative stopping tolerance: iteration ends once
         ``max_k |gamma_new_k - gamma_k| <= tol * (1 + max_k gamma_k)``.
     max_iter : int
-        Iteration cap; exceeding it raises :class:`FixedPointError`.
+        Iteration cap; exceeding it, or an iterate that is not finite
+        (say from a NaN or inf entry of ``R``), raises
+        :class:`FixedPointError`.
     gamma0 : array_like, optional
         Starting point, default all zeros. The solution is unique and
         nonnegative, so any nonnegative start converges to the same values;
@@ -73,8 +79,8 @@ def solve_fixed_point(R, eta, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, gamma0
     -------
     AsymptoticSolution
     """
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta!r}")
+    check_positive_finite(eta, "eta")
+    check_positive_finite(tol, "tol")
     Rs = np.asarray(R, dtype=complex)
     if Rs.ndim != 3 or Rs.shape[1] != Rs.shape[2]:
         raise ValueError(f"R must be K square matrices of equal size, got shape {Rs.shape}")
@@ -93,6 +99,12 @@ def solve_fixed_point(R, eta, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, gamma0
         Minv = np.linalg.solve(M, eye)
         gamma_new = np.einsum("kij,ji->k", Rs, Minv).real
         residual = float(np.max(np.abs(gamma_new - gamma)))
+        if not math.isfinite(residual):
+            raise FixedPointError(
+                f"fixed point iterate is not finite at iteration {it}",
+                residual=residual,
+                iterations=it,
+            )
         threshold = tol * (1.0 + float(np.max(gamma)))
         gamma = gamma_new
         if residual <= threshold:
@@ -121,8 +133,7 @@ def gamma_uncorrelated(x, eta):
     eta_arr = np.asarray(eta, dtype=float)
     if np.any(x_arr < 0):
         raise ValueError("x must be nonnegative")
-    if np.any(eta_arr <= 0):
-        raise ValueError("eta must be positive")
+    check_positive_finite(eta, "eta")
     b = eta_arr - x_arr + 1.0
     disc = np.sqrt(b * b + 4.0 * eta_arr * x_arr)
     # Where b > 0 the direct numerator -b + disc cancels; multiply through
@@ -155,10 +166,9 @@ def gamma_common_r(eigenvalues, K, eta, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_IT
     total = float(np.sum(lam))
     if abs(total - N) > 1e-6 * N:
         raise ValueError(f"eigenvalues must sum to N={N} (trace normalization), got {total!r}")
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta!r}")
+    check_count(K, "K")
+    check_positive_finite(eta, "eta")
+    check_positive_finite(tol, "tol")
 
     pos = lam[lam > 0.0]
     gamma = 0.0

@@ -22,9 +22,10 @@ __all__ = [
     "CorrelationProfile",
     "SystemConfig",
     "ChannelRealization",
+    "check_positive_finite",
+    "check_count",
     "eta_from_snr_db",
     "build_correlation",
-    "sum_correlations",
     "sample_channel",
     "trial_rng",
 ]
@@ -34,6 +35,30 @@ __all__ = [
 #   exp-random  theta_k uniform on [0, 2*pi), drawn from the caller's rng
 #   exp-common  one fixed theta shared by every user
 PROFILE_KINDS = ("identity", "exp-even", "exp-random", "exp-common")
+
+
+def check_positive_finite(value, name):
+    """Return ``value`` if it is positive and finite, else raise ``ValueError`` naming ``name``.
+
+    The one check for an inverse SNR ``eta`` and a solver tolerance ``tol``.
+    A scalar is tested with plain comparisons (callers such as ``dfdx`` run
+    in tight loops); an array must hold only positive finite entries.
+    """
+    if np.ndim(value) == 0:
+        ok = 0.0 < value < math.inf
+    else:
+        arr = np.asarray(value, dtype=float)
+        ok = bool(np.all((arr > 0.0) & (arr < np.inf)))
+    if not ok:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
+def check_count(value, name):
+    """Return ``value`` if it is at least 1, else raise ``ValueError`` naming ``name``."""
+    if not value >= 1:
+        raise ValueError(f"{name} must be >= 1, got {value!r}")
+    return value
 
 
 def eta_from_snr_db(snr_db):
@@ -48,16 +73,15 @@ def eta_from_snr_db(snr_db):
             eta = 10.0 ** (-float(snr_db) / 10.0)
         except OverflowError:
             eta = math.inf
-        ok = 0.0 < eta < math.inf
     else:
         with np.errstate(over="ignore"):
             eta = 10.0 ** (-np.asarray(snr_db, dtype=float) / 10.0)
-        ok = bool(np.all((eta > 0.0) & (eta < np.inf)))
-    if not ok:
+    try:
+        return check_positive_finite(eta, "eta")
+    except ValueError:
         raise ValueError(
             f"snr_db must give a positive finite eta = 10**(-snr_db/10), got {snr_db!r}"
-        )
-    return eta
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -75,10 +99,8 @@ class CorrelationProfile:
             raise ValueError(f"profile kind must be one of {PROFILE_KINDS}, got {self.kind!r}")
         if not 0.0 <= self.rho < 1.0:
             raise ValueError(f"rho must lie in [0, 1), got {self.rho!r}")
-        if self.N < 1:
-            raise ValueError(f"N must be >= 1, got {self.N}")
-        if self.K < 1:
-            raise ValueError(f"K must be >= 1, got {self.K}")
+        check_count(self.N, "N")
+        check_count(self.K, "K")
 
 
 @dataclass(frozen=True)
@@ -97,10 +119,8 @@ class SystemConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.N < 1 or self.K < 1:
-            raise ValueError(f"N and K must be >= 1, got N={self.N}, K={self.K}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        # N and K are checked by the profile, whose dimensions must match.
+        check_count(self.trials, "trials")
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         eta_from_snr_db(self.snr_db)  # raises on a non-finite or out-of-range SNR
@@ -154,18 +174,6 @@ def build_correlation(profile, k, rng=None):
     d = np.subtract.outer(np.arange(N), np.arange(N))
     R = profile.rho ** np.abs(d) * np.exp(1j * d * theta)
     return hermitian_part(R)
-
-
-def sum_correlations(mats):
-    """Entrywise sum of same-sized correlation matrices."""
-    mats = [np.asarray(M, dtype=complex) for M in mats]
-    if not mats:
-        raise ValueError("need at least one matrix to sum")
-    shape = mats[0].shape
-    for i, M in enumerate(mats):
-        if M.shape != shape:
-            raise ValueError(f"matrix {i} has shape {M.shape}, expected {shape}")
-    return np.sum(mats, axis=0)
 
 
 def trial_rng(seed, trial):

@@ -23,6 +23,8 @@ from .channel import (
     PROFILE_KINDS,
     SystemConfig,
     build_correlation,
+    check_count,
+    check_positive_finite,
     eta_from_snr_db,
     sample_channel,
     trial_rng,
@@ -56,23 +58,24 @@ _NUMERICAL_ERRORS = (
     FixedPointError, BracketError, NotPsdError, EigConvergenceError, np.linalg.LinAlgError
 )
 
-# Type and default of every resolvable key; flags and config files override
-# the defaults.
+# Every resolvable key: type, default, help text and allowed choices (None
+# for any value). Each key is a flag ``--key-name`` and a config-file key;
+# flags override the config file, which overrides the defaults.
 _KEYS = {
-    "n": (int, 64),
-    "k": (int, 32),
-    "snr_db": (float, 20.0),
-    "profile": (str, "identity"),
-    "rho": (float, 0.0),
-    "theta": (float, 0.0),
-    "trials": (int, 100),
-    "seed": (int, 0),
-    "tol": (float, 1e-12),
-    "rate_units": (str, "nats"),
-    "out": (str, None),
-    "rho_grid": (str, "0.0:0.9:10"),
-    "snr_grid": (str, "0.0:40.0:81"),
-    "theta_draws": (int, 20),
+    "n": (int, 64, "antenna count N", None),
+    "k": (int, 32, "user count K", None),
+    "snr_db": (float, 20.0, "SNR in dB", None),
+    "profile": (str, "identity", "correlation profile kind", PROFILE_KINDS),
+    "rho": (float, 0.0, "correlation coefficient in [0,1)", None),
+    "theta": (float, 0.0, "common phase in radians", None),
+    "trials": (int, 100, "Monte Carlo trials", None),
+    "seed": (int, 0, "random seed", None),
+    "out": (str, None, "output CSV path (sweep commands)", None),
+    "tol": (float, 1e-12, "solver tolerance", None),
+    "rate_units": (str, "nats", "units of reported rates", ("nats", "bits")),
+    "rho_grid": (str, "0.0:0.9:10", "rho grid lo:hi:count", None),
+    "snr_grid": (str, "0.0:40.0:81", "SNR grid lo:hi:count", None),
+    "theta_draws": (int, 20, "independent theta draws for exp-random averaging", None),
 }
 
 
@@ -88,25 +91,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_flags(sub):
     sub.add_argument("--config", default=None, help="key = value config file")
-    sub.add_argument("--n", type=int, default=None, help="antenna count N")
-    sub.add_argument("--k", type=int, default=None, help="user count K")
-    sub.add_argument("--snr-db", dest="snr_db", type=float, default=None, help="SNR in dB")
-    sub.add_argument("--profile", choices=PROFILE_KINDS, default=None)
-    sub.add_argument("--rho", type=float, default=None, help="correlation coefficient in [0,1)")
-    sub.add_argument("--theta", type=float, default=None, help="common phase in radians")
-    sub.add_argument("--trials", type=int, default=None)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--out", default=None, help="output CSV path (sweep commands)")
-    sub.add_argument("--tol", type=float, default=None, help="solver tolerance")
-    sub.add_argument(
-        "--rate-units", dest="rate_units", choices=("nats", "bits"), default=None
-    )
-    sub.add_argument("--rho-grid", dest="rho_grid", default=None, help="rho grid lo:hi:count")
-    sub.add_argument("--snr-grid", dest="snr_grid", default=None, help="SNR grid lo:hi:count")
-    sub.add_argument(
-        "--theta-draws", dest="theta_draws", type=int, default=None,
-        help="independent theta draws for exp-random averaging",
-    )
+    for key, (kind, _, help_text, choices) in _KEYS.items():
+        sub.add_argument(
+            "--" + key.replace("_", "-"), dest=key, type=kind, choices=choices,
+            default=None, help=help_text,
+        )
 
 
 def _build_parser():
@@ -149,14 +138,24 @@ def _parse_config_file(path):
 
 
 def _coerce(key, value):
+    kind, _, _, choices = _KEYS[key]
     try:
-        return _KEYS[key][0](value)
+        value = kind(value)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid value for {key!r}: {value!r}") from exc
+    if choices is not None and value not in choices:
+        raise UsageError(f"invalid value for {key!r}: {value!r} (choose from {', '.join(choices)})")
+    return value
 
 
 def _resolve(args):
-    resolved = {key: default for key, (_, default) in _KEYS.items()}
+    """Resolved key values and the :class:`SystemConfig` built from them.
+
+    ``SystemConfig`` validates the system keys. ``tol`` and ``theta_draws``,
+    which it does not hold, go through the checks the library applies to
+    them, so every command rejects the same values.
+    """
+    resolved = {key: default for key, (_, default, _, _) in _KEYS.items()}
     if args.config:
         for key, value in _parse_config_file(args.config).items():
             resolved[key] = _coerce(key, value)
@@ -164,29 +163,19 @@ def _resolve(args):
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             resolved[key] = flag_value
-    _validate(resolved)
-    return resolved
-
-
-def _validate(resolved):
-    if resolved["n"] < 1:
-        raise UsageError(f"n must be >= 1, got {resolved['n']}")
-    if resolved["k"] < 1:
-        raise UsageError(f"k must be >= 1, got {resolved['k']}")
-    if not 0.0 <= resolved["rho"] < 1.0:
-        raise UsageError(f"rho must lie in [0, 1), got {resolved['rho']}")
-    if resolved["trials"] < 1:
-        raise UsageError(f"trials must be >= 1, got {resolved['trials']}")
-    if resolved["seed"] < 0:
-        raise UsageError(f"seed must be nonnegative, got {resolved['seed']}")
-    if resolved["tol"] <= 0.0:
-        raise UsageError(f"tol must be positive, got {resolved['tol']}")
-    if resolved["profile"] not in PROFILE_KINDS:
-        raise UsageError(f"profile must be one of {PROFILE_KINDS}, got {resolved['profile']}")
-    if resolved["rate_units"] not in ("nats", "bits"):
-        raise UsageError(f"rate_units must be nats or bits, got {resolved['rate_units']}")
-    if resolved["theta_draws"] < 1:
-        raise UsageError(f"theta_draws must be >= 1, got {resolved['theta_draws']}")
+    config = SystemConfig.make(
+        N=resolved["n"],
+        K=resolved["k"],
+        snr_db=resolved["snr_db"],
+        kind=resolved["profile"],
+        rho=resolved["rho"],
+        theta=resolved["theta"],
+        trials=resolved["trials"],
+        seed=resolved["seed"],
+    )
+    check_positive_finite(resolved["tol"], "tol")
+    check_count(resolved["theta_draws"], "theta_draws")
+    return resolved, config
 
 
 def _parse_grid(text, key):
@@ -209,28 +198,11 @@ def _echo(resolved):
         print(f"# {key} = {value}")
 
 
-def _system_config(resolved):
-    try:
-        return SystemConfig.make(
-            N=resolved["n"],
-            K=resolved["k"],
-            snr_db=resolved["snr_db"],
-            kind=resolved["profile"],
-            rho=resolved["rho"],
-            theta=resolved["theta"],
-            trials=resolved["trials"],
-            seed=resolved["seed"],
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _rate(value, units):
     return value if units == "nats" else value / math.log(2.0)
 
 
-def _cmd_asymptotic(resolved):
-    config = _system_config(resolved)
+def _cmd_asymptotic(resolved, config):
     rng = trial_rng(config.seed, 0)
     R = [build_correlation(config.profile, k, rng) for k in range(config.K)]
     solution = solve_fixed_point(R, config.eta, tol=resolved["tol"])
@@ -241,8 +213,7 @@ def _cmd_asymptotic(resolved):
     return EXIT_OK
 
 
-def _cmd_metrics(resolved):
-    config = _system_config(resolved)
+def _cmd_metrics(resolved, config):
     realization = sample_channel(config, 0)
     metrics = compute_metrics(realization.H, config.eta)
     print("user,slnr,sinr,power_sq")
@@ -251,8 +222,8 @@ def _cmd_metrics(resolved):
     return EXIT_OK
 
 
-def _cmd_loading(resolved):
-    eta = eta_from_snr_db(resolved["snr_db"])
+def _cmd_loading(resolved, config):
+    eta = config.eta
     units = resolved["rate_units"]
     solution = optimal_x_exact(eta, tol=min(resolved["tol"], 1e-10))
     eta_o = eta_threshold()
@@ -281,34 +252,30 @@ def _merge_resolved(result, resolved):
     # Every CSV carries the full resolved configuration; experiment-specific
     # entries written by the runner take precedence over the echo.
     for key in sorted(resolved):
-        if key in ("out",) or resolved[key] is None:
+        if key == "out" or resolved[key] is None:
             continue
         result.metadata.setdefault(key, resolved[key])
     return result
 
 
-def _cmd_sweep_cdf(resolved):
+def _cmd_sweep_cdf(resolved, config):
     out = _require_out(resolved)
-    config = _system_config(resolved)
     result = run_cdf_experiment(config)
     write_csv(_merge_resolved(result, resolved), out)
     print(f"# wrote {out} ({len(result.columns['cdf_level'])} rows)")
     return EXIT_OK
 
 
-def _cmd_sweep_correlation(resolved):
+def _cmd_sweep_correlation(resolved, config):
     out = _require_out(resolved)
     rho_grid = _parse_grid(resolved["rho_grid"], "rho_grid")
-    if np.any(rho_grid < 0.0) or np.any(rho_grid >= 1.0):
-        raise UsageError("rho_grid values must lie in [0, 1)")
-    alpha = resolved["k"] / resolved["n"]
     result = run_correlation_sweep(
-        N=resolved["n"],
-        alpha=alpha,
-        snr_db=resolved["snr_db"],
+        N=config.N,
+        alpha=config.K / config.N,
+        snr_db=config.snr_db,
         rho_grid=rho_grid,
         trials_for_random_theta=resolved["theta_draws"],
-        seed=resolved["seed"],
+        seed=config.seed,
         tol=resolved["tol"],
     )
     write_csv(_merge_resolved(result, resolved), out)
@@ -316,7 +283,7 @@ def _cmd_sweep_correlation(resolved):
     return EXIT_OK
 
 
-def _cmd_sweep_loading(resolved):
+def _cmd_sweep_loading(resolved, config):
     out = _require_out(resolved)
     snr_grid = _parse_grid(resolved["snr_grid"], "snr_grid")
     result = run_loading_sweep(snr_grid)
@@ -360,10 +327,10 @@ def _selftest_checks():
         assert np.max(np.abs(fast - slow) / slow) <= 1e-8
 
     def even_theta_sum_identity():
-        from .channel import CorrelationProfile, sum_correlations
+        from .channel import CorrelationProfile
 
         profile = CorrelationProfile(kind="exp-even", N=8, K=8, rho=0.5)
-        total = sum_correlations([build_correlation(profile, k) for k in range(8)])
+        total = np.sum([build_correlation(profile, k) for k in range(8)], axis=0)
         assert np.max(np.abs(total - 8.0 * np.eye(8))) <= 1e-9
 
     def exact_vs_brute_force():
@@ -390,7 +357,7 @@ def _selftest_checks():
     ]
 
 
-def _cmd_selftest(resolved):
+def _cmd_selftest(resolved, config):
     failures = 0
     for name, check in _selftest_checks():
         try:
@@ -423,9 +390,9 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        resolved = _resolve(args)
+        resolved, config = _resolve(args)
         _echo(resolved)
-        return _COMMANDS[args.command](resolved)
+        return _COMMANDS[args.command](resolved, config)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -14,7 +14,9 @@ import numpy as np
 
 from . import __version__
 from .asymptotic import gamma_common_r, gamma_uncorrelated, solve_fixed_point
-from .channel import CorrelationProfile, build_correlation, eta_from_snr_db, sample_channel, trial_rng
+from .channel import (
+    CorrelationProfile, build_correlation, check_count, eta_from_snr_db, sample_channel, trial_rng
+)
 from .linalg import herm_eig
 from .loading import eta_threshold, objective_f, optimal_x_exact, optimal_x_high_snr, optimal_x_low_snr
 from .precoding import compute_metrics
@@ -109,9 +111,17 @@ def run_correlation_sweep(
     reference line.
     """
     start = time.perf_counter()
-    K = int(round(alpha * N))
+    check_count(N, "N")
+    K = check_count(int(round(alpha * N)), "round(alpha * N)")
+    check_count(trials_for_random_theta, "trials_for_random_theta")
     eta = eta_from_snr_db(snr_db)
     rho_grid = np.asarray(rho_grid, dtype=float)
+    # Every profile is built before the first solve, so a bad rho fails fast.
+    kinds = ("exp-even", "exp-random", "exp-common")
+    try:
+        profiles = [[CorrelationProfile(kind=kind, N=N, K=K, rho=rho) for kind in kinds] for rho in rho_grid]
+    except ValueError as exc:
+        raise ValueError(f"rho_grid: {exc}") from None
     ref = gamma_uncorrelated(N / K, eta)
 
     even_col = np.empty(rho_grid.size)
@@ -119,12 +129,10 @@ def run_correlation_sweep(
     random_single_col = np.empty(rho_grid.size)
     common_col = np.empty(rho_grid.size)
 
-    for i, rho in enumerate(rho_grid):
-        even_profile = CorrelationProfile(kind="exp-even", N=N, K=K, rho=rho)
+    for i, (even_profile, random_profile, common_profile) in enumerate(profiles):
         R_even = [build_correlation(even_profile, k) for k in range(K)]
         even_col[i] = float(np.mean(solve_fixed_point(R_even, eta, tol=tol).gamma))
 
-        random_profile = CorrelationProfile(kind="exp-random", N=N, K=K, rho=rho)
         draw_means = np.empty(trials_for_random_theta)
         for draw in range(trials_for_random_theta):
             rng = trial_rng(seed, draw)
@@ -133,7 +141,6 @@ def run_correlation_sweep(
         random_avg_col[i] = float(np.mean(draw_means))
         random_single_col[i] = draw_means[0]
 
-        common_profile = CorrelationProfile(kind="exp-common", N=N, K=K, rho=rho, theta=0.0)
         lam = herm_eig(build_correlation(common_profile, 0)).eigenvalues
         common_col[i] = gamma_common_r(lam, K, eta, tol=tol)
 

@@ -22,7 +22,6 @@ __all__ = [
     "herm_eig",
     "psd_sqrt",
     "shifted_gram_solve",
-    "trace_real",
 ]
 
 # Relative asymmetry allowed before a matrix is rejected as non-Hermitian.
@@ -150,9 +149,10 @@ def shifted_gram_solve(H, beta, B):
     H : array_like, shape (n, k)
         Channel-style matrix whose Gram matrix shifts the identity.
     beta : float
-        Positive shift; makes the system Hermitian positive definite.
+        Positive finite shift; makes the system Hermitian positive definite.
     B : array_like, shape (n, m)
         Right-hand side (a vector is accepted and treated as one column).
+        ``H`` and ``B`` must be finite.
 
     Returns
     -------
@@ -170,8 +170,12 @@ def shifted_gram_solve(H, beta, B):
     B = np.asarray(B, dtype=complex)
     if H.ndim != 2:
         raise ValueError(f"H must be a matrix, got shape {H.shape}")
-    if not (np.isrealobj(beta) or np.isscalar(beta)) or not float(beta) > 0.0:
-        raise ValueError(f"beta must be positive, got {beta!r}")
+    if not (np.isrealobj(beta) or np.isscalar(beta)) or not 0.0 < float(beta) < np.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta!r}")
+    # Checked here, on O(n k + n m) entries, so the O(n^2) Gram matrix and
+    # its factorization can skip scipy's own finiteness checks.
+    if not (np.all(np.isfinite(H)) and np.all(np.isfinite(B))):
+        raise ValueError("H and B must be finite")
     n = H.shape[0]
     vector_rhs = B.ndim == 1
     if vector_rhs:
@@ -187,11 +191,3 @@ def shifted_gram_solve(H, beta, B):
     X = cho_solve(factor, B, check_finite=False)
     return X[:, 0] if vector_rhs else X
 
-
-def trace_real(A):
-    """Real part of the trace of a square matrix.
-
-    For Hermitian inputs the diagonal is real, so this is the exact trace.
-    """
-    A = _as_square(A)
-    return float(np.trace(A).real)

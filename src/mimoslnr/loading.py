@@ -23,6 +23,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from .asymptotic import gamma_uncorrelated
+from .channel import check_positive_finite
 
 __all__ = [
     "LoadingSolution",
@@ -100,10 +101,9 @@ def dfdx(x, eta):
     ``eta > 0``, so the expression is defined on the whole region of
     interest.
     """
+    check_positive_finite(eta, "eta")
     x_arr = np.asarray(x, dtype=float)
     eta_arr = np.asarray(eta, dtype=float)
-    if np.any(eta_arr <= 0):
-        raise ValueError("eta must be positive")
     u = x_arr + eta_arr - 1.0
     s = np.sqrt(u * u + 4.0 * eta_arr)
     out = 1.0 / (x_arr * s) - np.log((u + s) / (2.0 * eta_arr)) / (x_arr * x_arr)
@@ -134,10 +134,11 @@ def optimal_x_exact(eta, tol=1e-10):
     If the derivative at ``x = 1`` is already nonpositive the optimum is
     clamped at 1. Otherwise the unique root of df/dx lies strictly inside
     ``[1, 3*(2*sqrt(3) - 3)]``, giving a guaranteed sign bracket; bisection
-    runs until the interval is shorter than ``tol``.
+    runs until the interval is shorter than ``tol`` or, for a ``tol`` below
+    the float spacing there, until the midpoint rounds onto an endpoint.
     """
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta!r}")
+    check_positive_finite(eta, "eta")
+    check_positive_finite(tol, "tol")
     if dfdx(1.0, eta) <= 0.0:
         return LoadingSolution(
             x_star=1.0,
@@ -153,6 +154,8 @@ def optimal_x_exact(eta, tol=1e-10):
         )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if dfdx(mid, eta) > 0.0:
             lo = mid
         else:
@@ -174,8 +177,7 @@ def optimal_x_low_snr(eta):
     ``c = 1 - sqrt(eta^2 + 4 eta) * log((eta + sqrt(eta^2 + 4 eta)) /
     (2 eta)) / 2``. At the threshold ``c = 1/2`` and the value is exactly 1.
     """
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta!r}")
+    check_positive_finite(eta, "eta")
     s = math.sqrt(eta * eta + 4.0 * eta)
     c = 1.0 - 0.5 * s * math.log((eta + s) / (2.0 * eta))
     disc = c * c - (1.0 - 2.0 * c) * (eta + 3.0)

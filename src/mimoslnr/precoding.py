@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import check_positive_finite
 from .linalg import shifted_gram_solve
 
 __all__ = [
@@ -92,8 +93,7 @@ def slnr_instantaneous(H, eta):
     ``H H* + K eta I`` serves all K users.
     """
     H = np.asarray(H, dtype=complex)
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta!r}")
+    check_positive_finite(eta, "eta")
     return _slnr_from_precoder(H, rzf_precode(H, H.shape[1] * eta))
 
 
@@ -104,8 +104,7 @@ def slnr_leave_one_out(H, eta):
     for every user.
     """
     H = np.asarray(H, dtype=complex)
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta!r}")
+    check_positive_finite(eta, "eta")
     K = H.shape[1]
     out = np.empty(K)
     for k in range(K):
@@ -159,6 +158,7 @@ def compute_metrics(H, eta, ptx=1.0):
     also yields the SLNR quadratic forms.
     """
     H = np.asarray(H, dtype=complex)
+    check_positive_finite(eta, "eta")
     F = rzf_precode(H, H.shape[1] * eta)
     p = power_control(H, F, ptx)
     return MetricsPerUser(

@@ -65,6 +65,14 @@ class TestSolveFixedPoint:
         assert excinfo.value.iterations == 3
         assert excinfo.value.residual > 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_stops_at_first_non_finite_iterate(self, bad):
+        R = np.array(identity_profile(3, 4))
+        R[1, 2, 2] = bad
+        with pytest.raises(FixedPointError, match="not finite") as excinfo:
+            solve_fixed_point(R, eta=0.1)
+        assert excinfo.value.iterations == 1
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             solve_fixed_point(identity_profile(4, 4), eta=0.0)

@@ -7,7 +7,6 @@ from mimoslnr.channel import (
     build_correlation,
     eta_from_snr_db,
     sample_channel,
-    sum_correlations,
     trial_rng,
 )
 
@@ -65,37 +64,25 @@ class TestBuildCorrelation:
 
 
 class TestSumCorrelations:
-    def test_identity_copies(self):
-        total = sum_correlations([np.eye(4)] * 7)
-        np.testing.assert_array_equal(total, 7.0 * np.eye(4))
-
-    def test_single_matrix(self):
-        M = np.diag([1.0, 2.0])
-        np.testing.assert_array_equal(sum_correlations([M]), M)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            sum_correlations([np.eye(2), np.eye(3)])
-
     def test_even_theta_average_is_identity(self):
         # The evenly spaced phases cancel every off-diagonal lag:
         # sum_k exp(1j*2*pi*q*k/K) = 0 for 0 < q < K. With N <= K all lags
         # stay below K, so the user average is exactly the identity.
         p = profile("exp-even", 8, 8, rho=0.5)
-        total = sum_correlations([build_correlation(p, k) for k in range(8)])
+        total = np.sum([build_correlation(p, k) for k in range(8)], axis=0)
         assert np.max(np.abs(total - 8.0 * np.eye(8))) <= 1e-9
 
     @pytest.mark.parametrize("K,rho", [(2, 0.9), (3, 0.3), (17, 0.999)])
     def test_even_theta_average_identity_any_rho(self, K, rho):
         p = profile("exp-even", K, K, rho=rho)
-        total = sum_correlations([build_correlation(p, k) for k in range(K)])
+        total = np.sum([build_correlation(p, k) for k in range(K)], axis=0)
         assert np.max(np.abs(total / K - np.eye(K))) <= 1e-9
 
     def test_even_theta_average_wide_array_small_rho(self):
         # For N > K the lag-K entries survive with weight rho^K; they only
         # stay under the tolerance when rho^K is itself negligible.
         p = profile("exp-even", 24, 16, rho=0.25)
-        total = sum_correlations([build_correlation(p, k) for k in range(16)])
+        total = np.sum([build_correlation(p, k) for k in range(16)], axis=0)
         assert np.max(np.abs(total / 16 - np.eye(24))) <= 1e-9
 
 

@@ -169,6 +169,53 @@ class TestErrorPaths:
         assert code == EXIT_USAGE
         assert "snr_db" in err
 
+    def test_invalid_snr_rejected_by_sweep_loading(self, capsys, tmp_path):
+        out_path = tmp_path / "loading.csv"
+        code, _, err = run_cli(capsys, "sweep-loading", "--snr-db", "nan", "--out", str(out_path))
+        assert code == EXIT_USAGE
+        assert "snr_db" in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("loading", "--snr-db", "20", "--tol", "nan"),
+        ("asymptotic", "--n", "8", "--k", "4", "--tol", "nan"),
+    ])
+    def test_nan_tol_named(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert "tol" in err
+
+    def test_tol_below_float_spacing(self, capsys):
+        code, out, _ = run_cli(capsys, "loading", "--snr-db", "20", "--tol", "1e-300")
+        assert code == EXIT_OK
+        assert "x_star = 1.299883" in out
+
+    @pytest.mark.parametrize("flag,value,key", [
+        ("--tol", "nan", "tol"),
+        ("--tol", "-1", "tol"),
+        ("--theta-draws", "0", "theta_draws"),
+        ("--snr-db", "nan", "snr_db"),
+    ])
+    @pytest.mark.parametrize("command", [
+        "asymptotic", "metrics", "loading", "sweep-cdf", "sweep-correlation", "sweep-loading",
+        "selftest",
+    ])
+    def test_every_command_rejects_the_same_values(self, capsys, command, flag, value, key):
+        code, _, err = run_cli(capsys, command, "--n", "8", "--k", "4", flag, value)
+        assert code == EXIT_USAGE
+        assert key in err
+
+    @pytest.mark.parametrize("line,key", [
+        ("profile = gaussian", "profile"),
+        ("rate_units = furlongs", "rate_units"),
+    ])
+    def test_config_file_choices_named(self, capsys, tmp_path, line, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code, _, err = run_cli(capsys, "loading", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert key in err
+
 
 class TestSelftest:
     def test_passes_on_clean_build(self, capsys):

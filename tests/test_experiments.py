@@ -214,6 +214,19 @@ class TestCsvOutput:
         assert "wall" not in path.read_text()
 
 
+@pytest.mark.parametrize("kwargs,name", [
+    (dict(N=0, alpha=0.75), "N"),
+    (dict(N=8, alpha=0.01), "alpha"),
+    (dict(N=8, alpha=0.75, trials_for_random_theta=0), "trials_for_random_theta"),
+    (dict(N=8, alpha=0.75, rho_grid=[0.3, 1.5]), "rho_grid"),
+    (dict(N=8, alpha=0.75, rho_grid=[np.nan]), "rho_grid"),
+])
+def test_correlation_sweep_rejects_bad_arguments(kwargs, name):
+    kwargs = {"snr_db": 20.0, "rho_grid": [0.3], **kwargs}
+    with pytest.raises(ValueError, match=name):
+        run_correlation_sweep(**kwargs)
+
+
 def test_experiment_result_rejects_ragged_columns():
     with pytest.raises(ValueError):
         ExperimentResult(name="x", columns={"a": np.zeros(3), "b": np.zeros(2)})

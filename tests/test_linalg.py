@@ -9,7 +9,6 @@ from mimoslnr.linalg import (
     hermitian_part,
     psd_sqrt,
     shifted_gram_solve,
-    trace_real,
 )
 
 rng = np.random.default_rng(1234)
@@ -53,7 +52,7 @@ class TestHermEig:
     def test_trace_preservation(self, n):
         A = random_hermitian(n)
         w, _ = herm_eig(A)
-        assert abs(np.sum(w) - trace_real(A)) <= 1e-9 * np.linalg.norm(A)
+        assert abs(np.sum(w) - np.trace(A).real) <= 1e-9 * np.linalg.norm(A)
 
     def test_rejects_non_hermitian(self):
         A = np.array([[1.0, 2.0], [0.0, 1.0]])
@@ -64,6 +63,10 @@ class TestHermEig:
         A = np.array([[np.inf, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
             herm_eig(A)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            herm_eig(np.zeros((2, 3)))
 
 
 class TestHermitianPart:
@@ -142,23 +145,17 @@ class TestShiftedGramSolve:
         with pytest.raises(ValueError):
             shifted_gram_solve(np.zeros((2, 2)), 0.0, np.eye(2))
 
-
-class TestTraceReal:
-    def test_identity(self):
-        assert trace_real(np.eye(5)) == 5.0
-
-    def test_complex_diagonal(self):
-        assert trace_real(np.diag([1.0 + 0j, 2.0 + 0j])) == 3.0
-
-    def test_eigenvalue_sum_oracle(self):
-        lam = rng.uniform(0.1, 3.0, size=12)
-        Q, _ = np.linalg.qr(rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)))
-        A = (Q * lam) @ Q.conj().T
-        assert abs(trace_real(A) - lam.sum()) <= 1e-10 * max(1.0, lam.sum())
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            trace_real(np.zeros((2, 3)))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_input(self, bad):
+        H = np.ones((3, 2), dtype=complex)
+        H_bad = H.copy()
+        H_bad[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            shifted_gram_solve(H_bad, 1.0, np.eye(3))
+        with pytest.raises(ValueError, match="finite"):
+            shifted_gram_solve(H, 1.0, H_bad)
+        with pytest.raises(ValueError, match="beta"):
+            shifted_gram_solve(H, bad, np.eye(3))
 
 
 def test_eig_convergence_error_is_runtime_error():

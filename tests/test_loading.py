@@ -95,6 +95,12 @@ class TestOptimalXExact:
         assert sol.x_star == 1.0 and sol.alpha_star == 1.0
         assert sol.method == CLAMPED_AT_ONE
 
+    def test_tol_below_float_spacing_terminates(self):
+        # The bracket cannot shrink below one float spacing, so the bisection
+        # stops once the midpoint rounds onto an endpoint.
+        tight = optimal_x_exact(0.01, tol=1e-12).x_star
+        assert abs(optimal_x_exact(0.01, tol=1e-300).x_star - tight) <= 1e-12
+
     def test_interior_root_below_threshold(self):
         sol = optimal_x_exact(0.1)
         assert sol.method == EXACT_ROOT_FIND

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimoslnr import precoding
-from mimoslnr.channel import SystemConfig, eta_from_snr_db, sample_channel
+from mimoslnr.channel import SystemConfig, sample_channel
 from mimoslnr.linalg import shifted_gram_solve
 from mimoslnr.precoding import (
     DegenerateUserError,
@@ -228,16 +228,18 @@ class TestMetrics:
     @given(
         N=st.integers(1, 32),
         snr_db=st.floats(-300.0, 300.0),
+        rho=st.floats(0.0, 0.99),
         seed=st.integers(0, 2**32 - 1),
         data=st.data(),
     )
-    def test_finite_or_linalg_error(self, N, snr_db, seed, data):
-        # Extreme SNR either stays finite or fails with a typed LinAlgError.
+    def test_finite_or_linalg_error(self, N, snr_db, rho, seed, data):
+        # Extreme SNR and correlation either stay finite or fail with a typed
+        # LinAlgError.
         K = data.draw(st.integers(1, N), label="K")
-        r = np.random.default_rng(seed)
-        H = (r.standard_normal((N, K)) + 1j * r.standard_normal((N, K))) / np.sqrt(2.0)
+        config = SystemConfig.make(N=N, K=K, snr_db=snr_db, kind="exp-random", rho=rho, seed=seed)
+        H = sample_channel(config, 0).H
         try:
-            m = compute_metrics(H, eta_from_snr_db(snr_db))
+            m = compute_metrics(H, config.eta)
         except np.linalg.LinAlgError:
             return
         for arr in (m.slnr, m.sinr, m.power_sq):
