@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .channel import check_count, check_positive_finite
 
 __all__ = [
@@ -53,6 +54,7 @@ class AsymptoticSolution:
     residual: float
 
 
+@one_blas_thread
 def solve_fixed_point(R, eta, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, gamma0=None):
     """Solve the coupled SLNR fixed-point system by Picard iteration.
 
@@ -158,6 +160,8 @@ def gamma_common_r(eigenvalues, K, eta, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_IT
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.ndim != 1 or lam.size < 1:
         raise ValueError("eigenvalues must be a nonempty 1-D array")
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("eigenvalues must be finite")
     N = lam.size
     spectral = float(np.max(np.abs(lam))) if lam.size else 0.0
     if np.any(lam < -1e-10 * max(spectral, 1.0)):

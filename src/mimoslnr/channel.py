@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .linalg import hermitian_part, psd_sqrt
 
 __all__ = [
@@ -186,6 +187,7 @@ def trial_rng(seed, trial):
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(trial))))
 
 
+@one_blas_thread
 def sample_channel(config, trial):
     """Draw the channel realization for one trial of ``config``.
 

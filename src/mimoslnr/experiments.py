@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
+from ._blas import one_blas_thread
 from .asymptotic import gamma_common_r, gamma_uncorrelated, solve_fixed_point
 from .channel import (
     CorrelationProfile, build_correlation, check_count, eta_from_snr_db, sample_channel, trial_rng
@@ -60,6 +61,7 @@ def empirical_cdf(samples):
     return values, levels
 
 
+@one_blas_thread
 def run_cdf_experiment(config):
     """Pool instantaneous SLNR/SINR over users and trials against the limit.
 
@@ -97,6 +99,7 @@ def run_cdf_experiment(config):
     )
 
 
+@one_blas_thread
 def run_correlation_sweep(
     N, alpha, snr_db, rho_grid, trials_for_random_theta=20, seed=0, tol=1e-12
 ):

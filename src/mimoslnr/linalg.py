@@ -6,12 +6,19 @@ symmetrized exactly, so downstream code can rely on ``A == A.conj().T``
 bit-for-bit. All other tolerances in this module are likewise relative to
 the Frobenius or spectral norm of the input, never absolute, because SNR
 sweeps move matrix scales by orders of magnitude.
+
+The kernels run on one BLAS thread (``mimoslnr._blas.one_blas_thread``) and
+restore the caller's thread count afterwards: at these sizes a second
+thread costs more than it saves, and a threaded Cholesky would make the
+results depend on the core count.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+
+from ._blas import one_blas_thread
 
 __all__ = [
     "EigDecomposition",
@@ -95,6 +102,7 @@ def hermitian_part(A, rtol=HERMITIAN_RTOL):
     return H
 
 
+@one_blas_thread
 def herm_eig(A):
     """Eigendecomposition of a Hermitian matrix.
 
@@ -118,6 +126,7 @@ def herm_eig(A):
     return EigDecomposition(eigenvalues=w, eigenvectors=U)
 
 
+@one_blas_thread
 def psd_sqrt(A):
     """Hermitian PSD square root ``S`` with ``S @ S == A`` up to rounding.
 
@@ -141,6 +150,7 @@ def psd_sqrt(A):
     return S
 
 
+@one_blas_thread
 def shifted_gram_solve(H, beta, B):
     """Solve ``(H H* + beta I) X = B`` for ``X``.
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .channel import check_positive_finite
 from .linalg import shifted_gram_solve
 
@@ -64,8 +65,7 @@ def power_control(H, F, ptx=1.0):
     F = np.asarray(F, dtype=complex)
     if H.shape != F.shape:
         raise ValueError(f"F has shape {F.shape}, expected {H.shape} to match H")
-    if ptx <= 0:
-        raise ValueError(f"ptx must be positive, got {ptx!r}")
+    check_positive_finite(ptx, "ptx")
     K = F.shape[1]
     norms_sq = np.sum(np.abs(F) ** 2, axis=0)
     if np.any(norms_sq == 0.0):
@@ -115,6 +115,7 @@ def slnr_leave_one_out(H, eta):
     return out
 
 
+@one_blas_thread
 def _cross_gram(H, F):
     """G[k, i] = h_k* f_i."""
     return H.conj().T @ F
@@ -151,6 +152,7 @@ def sinr_instantaneous(H, F, p, eta, ptx=1.0):
     return sig / (interference + sigma_sq)
 
 
+@one_blas_thread
 def compute_metrics(H, eta, ptx=1.0):
     """SLNR, SINR, and squared power scalars for one channel realization.
 

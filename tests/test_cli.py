@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import mimoslnr
 from mimoslnr.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 
 
@@ -89,6 +94,22 @@ class TestSweepCommands:
                              "--theta-draws", "2")
         assert code == EXIT_OK
         assert "gamma_exp_common" in out_path.read_text()
+
+    def test_sweep_cdf_bytes_independent_of_blas_threads(self, tmp_path):
+        # A threaded Cholesky rounds differently for each thread count; the
+        # library runs its kernels on one thread, so the CSV cannot depend on it.
+        src = os.path.dirname(os.path.dirname(mimoslnr.__file__))
+        outputs = []
+        for threads in ("1", "2"):
+            out_path = tmp_path / f"cdf-{threads}.csv"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            subprocess.run(
+                [sys.executable, "-m", "mimoslnr", "sweep-cdf", "--out", str(out_path)],
+                env=env, check=True, capture_output=True, timeout=300,
+            )
+            outputs.append(out_path.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_missing_out_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "sweep-loading")

@@ -1,6 +1,13 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from mimoslnr import _blas, linalg
+from mimoslnr.channel import SystemConfig
+from mimoslnr.experiments import run_cdf_experiment
 from mimoslnr.linalg import (
     EigConvergenceError,
     NotHermitianError,
@@ -160,3 +167,91 @@ class TestShiftedGramSolve:
 
 def test_eig_convergence_error_is_runtime_error():
     assert issubclass(EigConvergenceError, RuntimeError)
+
+
+class TestOneBlasThread:
+    """Library kernels run on one BLAS thread; the caller's setting comes back."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        found = _blas.pools()
+        if not found:
+            pytest.skip("no OpenBLAS loaded")
+        saved = [get() for get, _ in found]
+        for _, set_ in found:
+            set_(2)
+        seen = []
+        real_cho_factor = linalg.cho_factor
+
+        def spy(*args, **kwargs):
+            seen.append(self.threads(found))
+            return real_cho_factor(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "cho_factor", spy)
+        yield found, seen
+        for (_, set_), n in zip(found, saved):
+            set_(n)
+
+    @staticmethod
+    def threads(found):
+        return [get() for get, _ in found]
+
+    def test_one_thread_inside_and_restored_after(self, pools):
+        found, seen = pools
+        H = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
+        shifted_gram_solve(H, 1.0, H)
+        assert seen == [[1] * len(found)]
+        assert self.threads(found) == [2] * len(found)
+
+    def test_restored_after_an_error(self, pools):
+        found, seen = pools
+
+        class Probe:
+            """Non-finite H that records the thread counts when the library reads it."""
+
+            def __array__(self, dtype=None, copy=None):
+                seen.append(TestOneBlasThread.threads(found))
+                return np.full((3, 2), np.nan, dtype=dtype)
+
+        with pytest.raises(ValueError, match="finite"):
+            shifted_gram_solve(Probe(), 1.0, np.eye(3))
+        assert seen == [[1] * len(found)]
+        assert self.threads(found) == [2] * len(found)
+
+    def test_nested_call_restores_once(self, pools):
+        # run_cdf_experiment -> compute_metrics -> shifted_gram_solve: an inner
+        # call that restored early would show 2 threads in a later trial.
+        found, seen = pools
+        run_cdf_experiment(SystemConfig.make(N=8, K=4, snr_db=10.0, trials=3, seed=5))
+        assert seen == [[1] * len(found)] * 3
+        assert self.threads(found) == [2] * len(found)
+
+    def test_concurrent_calls(self, pools):
+        found, seen = pools
+        H = rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8))
+        workers, calls = (os.cpu_count() or 1) + 2, 50  # more threads than cores
+        barrier = threading.Barrier(workers)
+        errors = []
+
+        def work():
+            try:
+                barrier.wait(timeout=10)
+                for _ in range(calls):
+                    shifted_gram_solve(H, 1.0, H)
+            except Exception as exc:  # reported by the main thread below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert seen == [[1] * len(found)] * (workers * calls)
+        assert self.threads(found) == [2] * len(found)

@@ -1,6 +1,6 @@
-"""One validation point: every entry point that takes ``eta`` or ``tol``
-rejects a value that is not positive and finite with a ``ValueError`` naming
-it, before any iteration can spin on it."""
+"""One validation point: every entry point that takes ``eta``, ``tol`` or
+``ptx`` rejects a value that is not positive and finite with a ``ValueError``
+naming it, before any iteration can spin on it."""
 
 import numpy as np
 import pytest
@@ -19,7 +19,13 @@ from mimoslnr.loading import (
     optimal_x_high_snr,
     optimal_x_low_snr,
 )
-from mimoslnr.precoding import compute_metrics, slnr_instantaneous, slnr_leave_one_out
+from mimoslnr.precoding import (
+    compute_metrics,
+    power_control,
+    rzf_precode,
+    slnr_instantaneous,
+    slnr_leave_one_out,
+)
 
 H = np.array([[1.0, 0.5j], [0.2, 1.0], [0.0, 0.3]])
 R = [np.eye(4, dtype=complex)] * 2
@@ -51,6 +57,11 @@ TOL_ENTRY_POINTS = {
     ),
 }
 
+PTX_ENTRY_POINTS = {
+    "power_control": lambda ptx: power_control(H, rzf_precode(H, 0.2), ptx=ptx),
+    "compute_metrics": lambda ptx: compute_metrics(H, 0.1, ptx=ptx),
+}
+
 
 @pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf, 0.0, -1.0])
 @pytest.mark.parametrize("entry", ETA_ENTRY_POINTS)
@@ -64,3 +75,17 @@ def test_eta_must_be_positive_and_finite(entry, eta):
 def test_tol_must_be_positive_and_finite(entry, tol):
     with pytest.raises(ValueError, match="tol"):
         TOL_ENTRY_POINTS[entry](tol)
+
+
+@pytest.mark.parametrize("ptx", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("entry", PTX_ENTRY_POINTS)
+def test_ptx_must_be_positive_and_finite(entry, ptx):
+    with pytest.raises(ValueError, match="ptx"):
+        PTX_ENTRY_POINTS[entry](ptx)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_common_r_eigenvalues_must_be_finite(bad):
+    # NaN fails every comparison, so the sign and trace checks alone let it through.
+    with pytest.raises(ValueError, match="eigenvalues"):
+        gamma_common_r([bad, 2.0], K=2, eta=0.1)
