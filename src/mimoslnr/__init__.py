@@ -16,7 +16,9 @@ from .asymptotic import (
     FixedPointError,
     check_common_r_bound,
     gamma_common_r,
+    gamma_exp_even,
     gamma_uncorrelated,
+    solve_exponential_fixed_point,
     solve_fixed_point,
 )
 from .channel import (
@@ -90,6 +92,7 @@ __all__ = [
     "eta_from_snr_db",
     "eta_threshold",
     "gamma_common_r",
+    "gamma_exp_even",
     "gamma_uncorrelated",
     "herm_eig",
     "hermitian_part",
@@ -111,6 +114,7 @@ __all__ = [
     "slnr_instantaneous",
     "slnr_leave_one_out",
     "slnr_ratio",
+    "solve_exponential_fixed_point",
     "solve_fixed_point",
     "trial_rng",
     "write_csv",

@@ -25,6 +25,7 @@ __all__ = [
     "ChannelRealization",
     "check_positive_finite",
     "check_count",
+    "check_rho",
     "eta_from_snr_db",
     "build_correlation",
     "sample_channel",
@@ -59,6 +60,13 @@ def check_count(value, name):
     """Return ``value`` if it is at least 1, else raise ``ValueError`` naming ``name``."""
     if not value >= 1:
         raise ValueError(f"{name} must be >= 1, got {value!r}")
+    return value
+
+
+def check_rho(value):
+    """Return ``value`` if it lies in ``[0, 1)``, else raise ``ValueError`` naming ``rho``."""
+    if not 0.0 <= value < 1.0:
+        raise ValueError(f"rho must lie in [0, 1), got {value!r}")
     return value
 
 
@@ -98,8 +106,7 @@ class CorrelationProfile:
     def __post_init__(self):
         if self.kind not in PROFILE_KINDS:
             raise ValueError(f"profile kind must be one of {PROFILE_KINDS}, got {self.kind!r}")
-        if not 0.0 <= self.rho < 1.0:
-            raise ValueError(f"rho must lie in [0, 1), got {self.rho!r}")
+        check_rho(self.rho)
         check_count(self.N, "N")
         check_count(self.K, "K")
 

@@ -14,7 +14,9 @@ import numpy as np
 
 from . import __version__
 from ._blas import one_blas_thread
-from .asymptotic import gamma_common_r, gamma_uncorrelated, solve_fixed_point
+from .asymptotic import (
+    gamma_common_r, gamma_exp_even, gamma_uncorrelated, solve_exponential_fixed_point
+)
 from .channel import (
     CorrelationProfile, build_correlation, check_count, eta_from_snr_db, sample_channel, trial_rng
 )
@@ -105,13 +107,15 @@ def run_correlation_sweep(
 ):
     """Asymptotic SLNR versus correlation coefficient for three phase schemes.
 
-    For each ``rho``: the evenly spaced phases (full fixed-point solve), the
-    random phases (per-user gammas averaged over users; additionally
-    averaged over ``trials_for_random_theta`` independent phase draws, with
-    the single-draw average reported in its own column), and the common
-    phase (scalar fixed point over the shared eigenvalues, which do not
-    depend on the phase itself). The uncorrelated value rides along as the
-    reference line.
+    For each ``rho``: the evenly spaced phases (one scalar fixed point,
+    :func:`gamma_exp_even`, since every user shares one value), the random
+    phases (the Toeplitz fixed point :func:`solve_exponential_fixed_point`,
+    per-user gammas averaged over users; additionally averaged over
+    ``trials_for_random_theta`` independent phase draws, with the
+    single-draw average reported in its own column), and the common phase
+    (scalar fixed point over the shared eigenvalues, which do not depend on
+    the phase itself). The uncorrelated value rides along as the reference
+    line.
     """
     start = time.perf_counter()
     check_count(N, "N")
@@ -120,9 +124,10 @@ def run_correlation_sweep(
     eta = eta_from_snr_db(snr_db)
     rho_grid = np.asarray(rho_grid, dtype=float)
     # Every profile is built before the first solve, so a bad rho fails fast.
-    kinds = ("exp-even", "exp-random", "exp-common")
     try:
-        profiles = [[CorrelationProfile(kind=kind, N=N, K=K, rho=rho) for kind in kinds] for rho in rho_grid]
+        common_profiles = [
+            CorrelationProfile(kind="exp-common", N=N, K=K, rho=rho) for rho in rho_grid
+        ]
     except ValueError as exc:
         raise ValueError(f"rho_grid: {exc}") from None
     ref = gamma_uncorrelated(N / K, eta)
@@ -132,15 +137,16 @@ def run_correlation_sweep(
     random_single_col = np.empty(rho_grid.size)
     common_col = np.empty(rho_grid.size)
 
-    for i, (even_profile, random_profile, common_profile) in enumerate(profiles):
-        R_even = [build_correlation(even_profile, k) for k in range(K)]
-        even_col[i] = float(np.mean(solve_fixed_point(R_even, eta, tol=tol).gamma))
+    for i, (rho, common_profile) in enumerate(zip(rho_grid, common_profiles)):
+        even_col[i] = gamma_exp_even(N, K, rho, eta, tol=tol)
 
         draw_means = np.empty(trials_for_random_theta)
         for draw in range(trials_for_random_theta):
-            rng = trial_rng(seed, draw)
-            R_rand = [build_correlation(random_profile, k, rng) for k in range(K)]
-            draw_means[draw] = float(np.mean(solve_fixed_point(R_rand, eta, tol=tol).gamma))
+            # The same K uniform draws, in the same order, that
+            # build_correlation makes for the exp-random users.
+            theta = trial_rng(seed, draw).uniform(0.0, 2.0 * np.pi, K)
+            sol = solve_exponential_fixed_point(N, rho, theta, eta, tol=tol)
+            draw_means[draw] = float(np.mean(sol.gamma))
         random_avg_col[i] = float(np.mean(draw_means))
         random_single_col[i] = draw_means[0]
 

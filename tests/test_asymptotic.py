@@ -4,11 +4,16 @@ import pytest
 from mimoslnr.asymptotic import (
     FixedPointError,
     check_common_r_bound,
+    even_mean_correlation,
     gamma_common_r,
+    gamma_exp_even,
     gamma_uncorrelated,
+    solve_exponential_fixed_point,
     solve_fixed_point,
 )
-from mimoslnr.channel import CorrelationProfile, SystemConfig, build_correlation, sample_channel
+from mimoslnr.channel import (
+    CorrelationProfile, SystemConfig, build_correlation, sample_channel, trial_rng
+)
 from mimoslnr.linalg import herm_eig
 from mimoslnr.precoding import slnr_instantaneous
 
@@ -150,6 +155,26 @@ class TestGammaCommonR:
         g = gamma_common_r(np.array([2.0, 0.0]), K=K, eta=eta)
         assert g == pytest.approx(1.0 / (K / (1.0 + g) + K * eta / 2.0), rel=1e-11)
 
+    @pytest.mark.parametrize("N", [1, 16, 64])
+    @pytest.mark.parametrize("snr_db", [40.0, 50.0, 60.0, 70.0, 80.0])
+    def test_full_load_high_snr_matches_closed_form(self, N, snr_db):
+        # At x = 1 the map's contraction factor tends to 1 with the SNR:
+        # plain iteration stopped 4.9e-11 short at 40 dB and spun out its
+        # 10 000 iterations at 60 dB.
+        eta = 10.0 ** (-snr_db / 10.0)
+        ref = gamma_uncorrelated(1.0, eta)
+        assert abs(gamma_common_r(np.ones(N), N, eta) - ref) <= 1e-10 * ref
+
+    def test_iteration_cap_is_fixed_point_error(self):
+        with pytest.raises(FixedPointError, match="within 1 iterations") as excinfo:
+            gamma_common_r(exponential_eigenvalues(16, 0.5), K=8, eta=0.01, max_iter=1)
+        assert excinfo.value.iterations == 1
+
+    def test_bracket_overflow_is_fixed_point_error(self):
+        # The root lies near N/(K eta), which overflows here.
+        with pytest.raises(FixedPointError, match="overflows"):
+            gamma_common_r(np.ones(64), 16, 1e-308)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             gamma_common_r(np.array([2.0, -0.5]), K=2, eta=0.1)
@@ -157,9 +182,103 @@ class TestGammaCommonR:
             gamma_common_r(np.array([1.0, 1.5]), K=2, eta=0.1)  # trace off
 
 
+# N in {1, 2, 7, 32}, K from 1 to above N, rho in {0, 0.3, 0.9}, 0/20/40 dB.
+STRUCTURED_SIZES = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (2, 4)] + [
+    (7, k) for k in range(1, 10)
+] + [(32, k) for k in (1, 5, 16, 31, 32, 33, 40)]
+STRUCTURED_CASES = [
+    (N, K, rho, snr_db)
+    for N, K in STRUCTURED_SIZES
+    for rho in (0.0, 0.3, 0.9)
+    for snr_db in (0.0, 20.0, 40.0)
+]
+
+
+def case_id(case):
+    return "N{}-K{}-rho{}-{}dB".format(*case)
+
+
+def picard_shortfall(sol, lam, K, eta):
+    """How far below the exp-even root the dense Picard run may have stopped.
+
+    Its iterates are those of the scalar map ``T`` over the eigenvalues
+    ``lam`` of the user average. ``T`` is increasing and concave, so with
+    ``q = T'`` at the last iterate but one the gap is at most
+    ``residual * q / (1 - q)``; at full load and 40 dB, ``q`` is about 0.98.
+    """
+    u = 1.0 + np.min(sol.gamma) - sol.residual
+    q = np.sum((lam / (lam + eta * u)) ** 2) / K
+    return sol.residual * q / (1.0 - q)
+
+
+class TestStructuredRoutes:
+    """The exp-even and Toeplitz routes against the dense solver on
+    ``build_correlation`` matrices, user by user."""
+
+    @pytest.mark.parametrize("N,K,rho,snr_db", STRUCTURED_CASES, ids=map(case_id, STRUCTURED_CASES))
+    def test_exp_even_matches_dense(self, N, K, rho, snr_db):
+        eta = 10.0 ** (-snr_db / 10.0)
+        profile = CorrelationProfile(kind="exp-even", N=N, K=K, rho=rho)
+        R = [build_correlation(profile, k) for k in range(K)]
+        dense = solve_fixed_point(R, eta, tol=1e-13)
+        gamma = gamma_exp_even(N, K, rho, eta)
+        lam = np.linalg.eigvalsh(np.mean(R, axis=0))
+        gap = picard_shortfall(dense, lam, K, eta)
+        assert np.max(np.abs(dense.gamma - gamma)) <= 1e-12 * gamma + gap
+
+    @pytest.mark.parametrize("N,K,rho,snr_db", STRUCTURED_CASES, ids=map(case_id, STRUCTURED_CASES))
+    def test_toeplitz_matches_dense(self, N, K, rho, snr_db):
+        eta = 10.0 ** (-snr_db / 10.0)
+        seed = N * 1000 + K
+        profile = CorrelationProfile(kind="exp-random", N=N, K=K, rho=rho)
+        rng = trial_rng(seed, 0)
+        R = [build_correlation(profile, k, rng) for k in range(K)]
+        # One vector draw gives the phases build_correlation drew one by one.
+        theta = trial_rng(seed, 0).uniform(0.0, 2.0 * np.pi, K)
+        # Both follow the same iterates, but a rounding difference can stop
+        # one of them a step later: at the default tol up to 1.3e-12 apart.
+        dense = solve_fixed_point(R, eta, tol=1e-13).gamma
+        gamma = solve_exponential_fixed_point(N, rho, theta, eta, tol=1e-13).gamma
+        assert np.max(np.abs(gamma - dense) / dense) <= 1e-12
+
+    @pytest.mark.parametrize("N,K", [(1, 1), (7, 3), (7, 7), (7, 9), (32, 5), (32, 31)])
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 0.9])
+    def test_even_mean_correlation_matches_dense_sum(self, N, K, rho):
+        profile = CorrelationProfile(kind="exp-even", N=N, K=K, rho=rho)
+        dense = np.mean([build_correlation(profile, k) for k in range(K)], axis=0)
+        closed = even_mean_correlation(N, K, rho)
+        np.testing.assert_allclose(closed, dense, rtol=0.0, atol=1e-14)
+        assert np.trace(closed) == N
+        if K >= N:
+            assert np.array_equal(closed, np.eye(N))
+
+    def test_toeplitz_even_phases_give_one_value(self):
+        # Evenly spaced phases on the general route reproduce the scalar one.
+        N, K, rho, eta = 32, 12, 0.6, 0.01
+        theta = 2.0 * np.pi * np.arange(K) / K
+        sol = solve_exponential_fixed_point(N, rho, theta, eta)
+        gamma = gamma_exp_even(N, K, rho, eta)
+        assert np.max(np.abs(sol.gamma - gamma)) <= 1e-11 * gamma
+
+    def test_toeplitz_indefinite_resolvent_is_linalg_error(self):
+        # rho one ulp below 1 with one user leaves M numerically singular.
+        with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
+            solve_exponential_fixed_point(64, 1.0 - 1e-16, np.zeros(1), 1e-30)
+
+
+
 class TestCommonRBound:
     def test_equality_for_identity(self):
         chk = check_common_r_bound(np.ones(16), K=8, eta=0.05)
+        assert chk.holds
+        assert abs(chk.gamma - chk.bound) <= 1e-10 * chk.bound
+
+    @pytest.mark.parametrize("N,K", [(1, 1), (16, 16), (16, 4), (64, 64), (64, 32)])
+    @pytest.mark.parametrize("snr_db", [40.0, 45.0, 50.0, 55.0, 60.0, 70.0, 80.0])
+    def test_equality_holds_at_high_snr(self, N, K, snr_db):
+        # gamma is in the thousands here, so the root search may stop above
+        # the closed form by more than the absolute 1e-10 rounding margin.
+        chk = check_common_r_bound(np.ones(N), K=K, eta=10.0 ** (-snr_db / 10.0))
         assert chk.holds
         assert abs(chk.gamma - chk.bound) <= 1e-10 * chk.bound
 

@@ -98,23 +98,37 @@ class TestSweepCommands:
     def test_sweep_cdf_bytes_independent_of_blas_threads(self, tmp_path):
         # A threaded Cholesky rounds differently for each thread count; the
         # library runs its kernels on one thread, so the CSV cannot depend on it.
-        src = os.path.dirname(os.path.dirname(mimoslnr.__file__))
-        outputs = []
-        for threads in ("1", "2"):
-            out_path = tmp_path / f"cdf-{threads}.csv"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            subprocess.run(
-                [sys.executable, "-m", "mimoslnr", "sweep-cdf", "--out", str(out_path)],
-                env=env, check=True, capture_output=True, timeout=300,
-            )
-            outputs.append(out_path.read_bytes())
+        outputs = csv_bytes_per_blas_threads(tmp_path, "sweep-cdf")
+        assert outputs[0] == outputs[1]
+
+    def test_sweep_correlation_bytes_independent_of_blas_threads(self, tmp_path):
+        # The Toeplitz fixed point factorizes with zpotrf in every iteration.
+        outputs = csv_bytes_per_blas_threads(
+            tmp_path, "sweep-correlation", "--n", "16", "--k", "12",
+            "--rho-grid", "0:0.9:4", "--theta-draws", "2",
+        )
         assert outputs[0] == outputs[1]
 
     def test_missing_out_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "sweep-loading")
         assert code == EXIT_USAGE
         assert "out" in err
+
+
+def csv_bytes_per_blas_threads(tmp_path, command, *args):
+    """CSV bytes that ``command`` writes under ``OPENBLAS_NUM_THREADS=1`` and ``=2``."""
+    src = os.path.dirname(os.path.dirname(mimoslnr.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        out_path = tmp_path / f"{command}-{threads}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-m", "mimoslnr", command, "--out", str(out_path), *args],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        outputs.append(out_path.read_bytes())
+    return outputs
 
 
 class TestConfigFile:

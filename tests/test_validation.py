@@ -1,14 +1,18 @@
 """One validation point: every entry point that takes ``eta``, ``tol`` or
 ``ptx`` rejects a value that is not positive and finite with a ``ValueError``
-naming it, before any iteration can spin on it."""
+naming it, before any iteration can spin on it. The same holds for a
+correlation coefficient outside ``[0, 1)`` and a non-finite phase."""
 
 import numpy as np
 import pytest
 
 from mimoslnr.asymptotic import (
     check_common_r_bound,
+    even_mean_correlation,
     gamma_common_r,
+    gamma_exp_even,
     gamma_uncorrelated,
+    solve_exponential_fixed_point,
     solve_fixed_point,
 )
 from mimoslnr.experiments import run_correlation_sweep
@@ -30,12 +34,15 @@ from mimoslnr.precoding import (
 H = np.array([[1.0, 0.5j], [0.2, 1.0], [0.0, 0.3]])
 R = [np.eye(4, dtype=complex)] * 2
 LAM = np.ones(4)
+THETA = [0.1, 2.0]
 
 ETA_ENTRY_POINTS = {
     "slnr_instantaneous": lambda eta: slnr_instantaneous(H, eta),
     "slnr_leave_one_out": lambda eta: slnr_leave_one_out(H, eta),
     "compute_metrics": lambda eta: compute_metrics(H, eta),
     "solve_fixed_point": lambda eta: solve_fixed_point(R, eta),
+    "solve_exponential_fixed_point": lambda eta: solve_exponential_fixed_point(4, 0.5, THETA, eta),
+    "gamma_exp_even": lambda eta: gamma_exp_even(4, 2, 0.5, eta),
     "gamma_uncorrelated": lambda eta: gamma_uncorrelated(2.0, eta),
     "gamma_uncorrelated-array": lambda eta: gamma_uncorrelated(2.0, np.array([0.1, eta])),
     "gamma_common_r": lambda eta: gamma_common_r(LAM, 2, eta),
@@ -49,12 +56,22 @@ ETA_ENTRY_POINTS = {
 
 TOL_ENTRY_POINTS = {
     "solve_fixed_point": lambda tol: solve_fixed_point(R, 0.1, tol=tol),
+    "solve_exponential_fixed_point": lambda tol: solve_exponential_fixed_point(
+        4, 0.5, THETA, 0.1, tol=tol
+    ),
+    "gamma_exp_even": lambda tol: gamma_exp_even(4, 2, 0.5, 0.1, tol=tol),
     "gamma_common_r": lambda tol: gamma_common_r(LAM, 2, 0.1, tol=tol),
     "check_common_r_bound": lambda tol: check_common_r_bound(LAM, 2, 0.1, tol=tol),
     "optimal_x_exact": lambda tol: optimal_x_exact(0.01, tol=tol),
     "run_correlation_sweep": lambda tol: run_correlation_sweep(
         N=4, alpha=0.5, snr_db=10.0, rho_grid=[0.3], trials_for_random_theta=1, tol=tol
     ),
+}
+
+RHO_ENTRY_POINTS = {
+    "even_mean_correlation": lambda rho: even_mean_correlation(4, 2, rho),
+    "gamma_exp_even": lambda rho: gamma_exp_even(4, 2, rho, 0.1),
+    "solve_exponential_fixed_point": lambda rho: solve_exponential_fixed_point(4, rho, THETA, 0.1),
 }
 
 PTX_ENTRY_POINTS = {
@@ -75,6 +92,19 @@ def test_eta_must_be_positive_and_finite(entry, eta):
 def test_tol_must_be_positive_and_finite(entry, tol):
     with pytest.raises(ValueError, match="tol"):
         TOL_ENTRY_POINTS[entry](tol)
+
+
+@pytest.mark.parametrize("rho", [np.nan, np.inf, 1.0, -0.1])
+@pytest.mark.parametrize("entry", RHO_ENTRY_POINTS)
+def test_rho_must_lie_in_unit_interval(entry, rho):
+    with pytest.raises(ValueError, match="rho"):
+        RHO_ENTRY_POINTS[entry](rho)
+
+
+@pytest.mark.parametrize("theta", [[0.1, np.nan], [0.1, np.inf], [-np.inf, 0.1], [], [[0.1, 2.0]]])
+def test_theta_must_be_finite_phases(theta):
+    with pytest.raises(ValueError, match="theta"):
+        solve_exponential_fixed_point(4, 0.5, theta, 0.1)
 
 
 @pytest.mark.parametrize("ptx", [np.nan, np.inf, 0.0, -1.0])
