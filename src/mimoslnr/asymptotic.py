@@ -6,8 +6,17 @@ fixed-point system
 
     gamma_k = trace( R_k (sum_j R_j / (1 + gamma_j) + K eta I)^{-1} ).
 
-:func:`solve_fixed_point` iterates it for arbitrary ``R_k``. Special cases
-reduce it:
+:func:`solve_fixed_point` solves it for arbitrary ``R_k``. The map on the
+right is increasing, and at full load and high SNR its contraction factor
+``L`` tends to 1, so plain (Picard) iteration crawls there: 10 000 steps
+fall short at N = K and 60 dB. Both vector solvers therefore run safeguarded
+Anderson acceleration on the Picard step (Walker & Ni, SIAM J. Numer. Anal.
+49(4), 2011). They stop once ``residual * L / (1 - L)``, which bounds the
+distance to the fixed point to first order, is within the tolerance, with
+``L`` estimated from plain steps, or once rounding stops the residual from
+falling. The fixed point is unique (Wagner, Couillet, Debbah & Slock, IEEE
+Trans. IT 58(7), 2012), so the start only sets the path. Special cases reduce
+the system:
 
 - uncorrelated channels (``R_k = I``) admit the closed form implemented in
   :func:`gamma_uncorrelated`;
@@ -16,8 +25,11 @@ reduce it:
   the uncorrelated one;
 - the exponential model ``R_k[m, n] = rho^|m-n| exp(1j (m-n) theta_k)``
   makes ``sum_j R_j / (1 + gamma_j)`` a Hermitian Toeplitz matrix set by N
-  lags, so :func:`solve_exponential_fixed_point` runs the same iteration on
-  those lags for any phases, without forming the K matrices ``R_k``;
+  lags, so :func:`solve_exponential_fixed_point` solves the system on those
+  lags for any phases, without forming the K matrices ``R_k``. One Cholesky
+  factorization and one solve per step give the first column of the
+  inverse, and the Gohberg-Semencul formula turns it into the inverse's
+  diagonal sums;
 - evenly spaced phases ``theta_k = 2 pi k / K`` put every user on one
   orbit ``R_k = D^k R_0 D^-k`` with ``D = diag(exp(2j pi m / K))``. The
   fixed point is unique, so every ``gamma_k`` is equal, and
@@ -31,7 +43,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import zpotrf, zpotri
+from scipy.linalg.lapack import zpotrf, zpotrs
 from scipy.optimize import brentq
 
 from ._blas import one_blas_thread
@@ -53,6 +65,13 @@ __all__ = [
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10000
+# Anderson acceleration extrapolates from this many past steps.
+HISTORY = 5
+# Within FLOOR * (1 + max gamma) of a fixed point the contraction factor is
+# measured, and a residual there that has not fallen for STALL steps sits on
+# the rounding floor of the step: the run stops.
+STALL = 5
+FLOOR = math.sqrt(np.finfo(float).eps)
 
 
 class FixedPointError(RuntimeError):
@@ -66,16 +85,30 @@ class FixedPointError(RuntimeError):
 
 @dataclass
 class AsymptoticSolution:
-    """Deterministic SLNR values with solver diagnostics."""
+    """Deterministic SLNR values with solver diagnostics.
+
+    ``residual`` is ``max_k |step(gamma)_k - gamma_k|`` at the returned point,
+    ``contraction`` the estimate of the Picard map's contraction factor ``L``
+    (NaN before a plain step has contracted), and ``error_bound`` the
+    first-order bound ``residual * L / (1 - L)`` on ``max_k`` of the distance
+    to the fixed point (inf while ``L`` is unknown; 0 at a zero residual).
+    The bound leaves out rounding, which limits any solver to a few
+    ``eps * (1 + max gamma) / (1 - L)``.
+    """
 
     gamma: np.ndarray
     iterations: int
     residual: float
+    contraction: float
+    error_bound: float
 
 
 @one_blas_thread
 def solve_fixed_point(R, eta, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, gamma0=None):
-    """Solve the coupled SLNR fixed-point system by Picard iteration.
+    """Solve the coupled SLNR fixed-point system by accelerated iteration.
+
+    Safeguarded Anderson acceleration of the Picard step (see
+    :func:`_anderson`); the solution does not depend on the path.
 
     Parameters
     ----------
@@ -85,16 +118,16 @@ def solve_fixed_point(R, eta, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, gamma0
         Inverse SNR; must be positive and finite so the resolvent stays
         definite.
     tol : float
-        Positive finite relative stopping tolerance: iteration ends once
-        ``max_k |gamma_new_k - gamma_k| <= tol * (1 + max_k gamma_k)``.
+        Positive finite relative tolerance: the run stops at a plain step
+        once both its residual and ``error_bound`` are within
+        ``tol * (1 + max_k gamma_k)``, or on the rounding floor.
     max_iter : int
-        Iteration cap; exceeding it, or an iterate that is not finite
-        (say from a NaN or inf entry of ``R``), raises
-        :class:`FixedPointError`.
+        Cap on evaluations of the step; reaching it, or a plain (Picard)
+        iterate that is not finite (say from a NaN or inf entry of ``R``),
+        raises :class:`FixedPointError`.
     gamma0 : array_like, optional
         Starting point, default all zeros. The solution is unique and
-        nonnegative, so any nonnegative start converges to the same values;
-        the default matches the monotone-from-below iteration.
+        nonnegative, so any nonnegative start converges to the same values.
 
     Returns
     -------
@@ -120,7 +153,7 @@ def solve_fixed_point(R, eta, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, gamma0
         Minv = np.linalg.solve(M, eye)
         return np.einsum("kij,ji->k", Rs, Minv).real
 
-    return _picard(step, gamma, tol, max_iter)
+    return _anderson(step, gamma, tol, max_iter)
 
 
 @one_blas_thread
@@ -128,15 +161,15 @@ def solve_exponential_fixed_point(N, rho, theta, eta, tol=DEFAULT_TOL):
     """Solve the coupled system for exponential profiles with per-user phases.
 
     The users' matrices are ``R_k[m, n] = rho^|m-n| exp(1j (m-n) theta_k)``.
-    The start (all zeros), Picard step, stopping rule, iteration cap and
+    The start (all zeros), iteration, stopping rule, iteration cap and
     errors are those of :func:`solve_fixed_point` on those matrices, but no
     ``R_k`` is formed: ``M = sum_k w_k R_k + K eta I`` with ``w_k = 1/(1 + gamma_k)``
     is Hermitian Toeplitz with lags
 
         t_d = rho^d sum_k w_k exp(1j d theta_k)   (d >= 0; plus K eta at d = 0),
 
-    built in O(KN) and inverted through its Cholesky factor. With ``s_d``
-    the sum of the d-th subdiagonal of ``M^{-1}``,
+    built in O(KN). With ``s_d`` the sum of the d-th subdiagonal of
+    ``M^{-1}`` (see :func:`_toeplitz_inverse_sums`),
 
         gamma_k = Re sum_{d>=0} c_d rho^d exp(-1j d theta_k) s_d,
 
@@ -179,70 +212,185 @@ def solve_exponential_fixed_point(N, rho, theta, eta, tol=DEFAULT_TOL):
     phase = np.exp(1j * np.outer(theta, lags))  # (K, N): exp(1j d theta_k)
     unphase = phase.conj()
     fold = np.where(lags > 0, 2.0, 1.0) * decay
-    lag_of = np.abs(np.subtract.outer(lags, lags))
-    rows, cols = np.tril_indices(N)
-    sub = rows - cols
-    tril_flat = rows + N * cols  # column-major offsets of the lower triangle
+    inverse_sums = _toeplitz_inverse_sums(N)
 
     def step(gamma):
         t = decay * ((1.0 / (1.0 + gamma)) @ phase)
         t[0] += K * eta
+        return (unphase @ (fold * inverse_sums(t))).real
+
+    return _anderson(step, np.zeros(K), tol, DEFAULT_MAX_ITER)
+
+
+def _toeplitz_inverse_sums(N):
+    """``sums(t)``: the subdiagonal sums of ``M^{-1}`` for N x N Hermitian Toeplitz ``M``.
+
+    ``t`` is M's first column (``M[m, n] = t[m - n]`` for ``m >= n``), and
+    ``sums(t)[d]`` is the sum of the d-th subdiagonal of ``M^{-1}``. The
+    Cholesky factor of ``M`` gives the first column ``a`` of ``M^{-1}``, and
+    the Gohberg-Semencul formula gives the rest of it:
+
+        M^{-1} = (L(a) L(a)^H - L(b) L(b)^H) / a_0,   b = (0, conj(a_{N-1}), ..., conj(a_1)),
+
+    with ``L(v)`` the lower triangular Toeplitz matrix with first column
+    ``v``. Summing along the diagonals,
+
+        s_d = sum_j (N - d - j) (a_{j+d} conj(a_j) - b_{j+d} conj(b_j)) / a_0,
+
+    two correlations of length N. ``sums`` raises
+    :class:`numpy.linalg.LinAlgError` if ``M`` is not numerically positive
+    definite.
+    """
+    lags = np.arange(N)
+    lag_of = np.abs(np.subtract.outer(lags, lags))
+    weight = N - lags
+    first = np.zeros(N, dtype=complex)
+    first[0] = 1.0
+
+    def sums(t):
         # t[|m - n|] is M in the lower triangle, the only one zpotrf and
-        # zpotri read or write; the transpose hands them column-major memory.
+        # zpotrs read; the transpose hands them column-major memory.
         chol, info = zpotrf(t[lag_of].T, lower=1, clean=0, overwrite_a=1)
         if info != 0:
             raise np.linalg.LinAlgError(
                 f"Toeplitz resolvent is not positive definite (zpotrf info {info})"
             )
-        entries = zpotri(chol, lower=1, overwrite_c=1)[0].ravel(order="F")[tril_flat]
-        s = np.bincount(sub, entries.real, N) + 1j * np.bincount(sub, entries.imag, N)
-        return (unphase @ (fold * s)).real
+        a = zpotrs(chol, first, lower=1)[0]
+        b = np.concatenate(([0.0], a[:0:-1].conj()))
+        full = np.correlate(weight * a, a, "full") - np.correlate(weight * b, b, "full")
+        return full[N - 1:] / a[0].real
 
-    return _picard(step, np.zeros(K), tol, DEFAULT_MAX_ITER)
+    return sums
 
 
-def _picard(step, gamma, tol, max_iter):
-    """Iterate ``gamma <- step(gamma)`` until ``max|step| <= tol * (1 + max gamma)``."""
-    residual = np.inf
-    for it in range(1, max_iter + 1):
-        gamma_new = step(gamma)
-        residual = float(np.max(np.abs(gamma_new - gamma)))
-        if not math.isfinite(residual):
+def _anderson(step, gamma, tol, max_iter):
+    """Find the fixed point of ``step`` from ``gamma`` by safeguarded Anderson acceleration.
+
+    Each iteration evaluates ``step`` once: at the plain (Picard) point, the
+    last image ``g``, or at the Anderson extrapolate
+    ``g - dG c``, where ``c`` fits the current residual ``f = g - gamma``
+    by the last HISTORY residual differences ``dF`` in least squares and
+    ``dG`` holds the matching image differences. An extrapolate is rejected,
+    and the history restarted from the plain point, when it is not finite,
+    has a negative entry (where the resolvent need not be definite) or
+    raises the largest per-user relative residual ``|f_k| / (1 + g_k)``.
+    Measured that way, the overshoot that full load needs far below the
+    root counts as progress, and one large user cannot mask the others: on
+    the absolute residual the run crawled at N = K and cycled at 80 dB and
+    ``rho = 0.99``, where the users' gamma span 9e2 to 6e4.
+
+    A plain step that lowers the residual estimates the contraction factor
+    ``L`` as the ratio of the two residuals. Near the rounding floor that
+    ratio is noise, so ``L`` is fixed by the first plain step taken from a
+    residual within ``FLOOR * (1 + max g)``: close enough to the solution
+    for its Jacobian, far enough above the floor for a precise ratio. The
+    first iterate within that distance is followed by such a step.
+
+    The run stops at a plain step whose residual and
+    ``residual * L / (1 - L)`` are both within ``tol * (1 + max g)``; an
+    extrapolate that passes with the current ``L`` is followed by a plain
+    step to check it. Rounding leaves a residual of a few ulps of gamma that
+    no step removes: once the smallest residual is within
+    ``FLOOR * (1 + max g)`` and has not fallen for STALL steps, the run
+    returns the iterate with the smallest residual, whose ``error_bound``
+    may then exceed the tolerance.
+    """
+    g = step(gamma)
+    f = g - gamma
+    res = float(np.abs(f).max())
+    if not math.isfinite(res):
+        raise FixedPointError(
+            "fixed point iterate is not finite at iteration 1", residual=res, iterations=1
+        )
+    it = 1
+    d_g, d_f = [], []
+    contraction = math.nan
+    probed = False
+    plain = True
+    relative = np.abs(f / (1.0 + g)).max()
+    best_g, best_res, stalled = g, res, 0
+
+    def bound_of(residual):
+        if residual == 0.0:
+            return 0.0
+        return residual * contraction / (1.0 - contraction) if contraction < 1.0 else math.inf
+
+    while True:
+        scale = 1.0 + g.max()
+        bound = bound_of(res)
+        if plain and max(res, bound) <= tol * scale:
+            return AsymptoticSolution(g, it, res, contraction, bound)
+        if stalled >= STALL and best_res <= FLOOR * (1.0 + best_g.max()):
+            return AsymptoticSolution(best_g, it, best_res, contraction, bound_of(best_res))
+        if it >= max_iter:
             raise FixedPointError(
-                f"fixed point iterate is not finite at iteration {it}",
-                residual=residual,
+                f"fixed point did not converge within {max_iter} iterations "
+                f"(last residual {res:.3e}, tol {tol:.1e})",
+                residual=res,
                 iterations=it,
             )
-        threshold = tol * (1.0 + float(np.max(gamma)))
-        gamma = gamma_new
-        if residual <= threshold:
-            return AsymptoticSolution(gamma=gamma, iterations=it, residual=residual)
-    raise FixedPointError(
-        f"fixed point did not converge within {max_iter} iterations "
-        f"(last residual {residual:.3e}, tol {tol:.1e})",
-        residual=residual,
-        iterations=max_iter,
-    )
+        probe = not probed and res <= FLOOR * scale
+        check = max(res, bound if contraction < 1.0 else 0.0) <= tol * scale
+        x, extrapolated = g, False
+        if d_f and not (probe or check):
+            coef = np.linalg.lstsq(np.array(d_f).T, f, rcond=None)[0]
+            x = g - np.array(d_g).T @ coef
+            extrapolated = bool(np.all(np.isfinite(x)) and x.min() >= 0.0)
+            if not extrapolated:
+                x = g
+                d_g.clear()
+                d_f.clear()
+        g_new = step(x)
+        it += 1
+        f_new = g_new - x
+        res_new = float(np.abs(f_new).max())
+        relative_new = np.abs(f_new / (1.0 + g_new)).max()
+        if extrapolated and not relative_new <= relative:
+            d_g.clear()
+            d_f.clear()
+            stalled += 1
+            continue
+        if not math.isfinite(res_new):
+            raise FixedPointError(
+                f"fixed point iterate is not finite at iteration {it}",
+                residual=res_new,
+                iterations=it,
+            )
+        d_g.append(g_new - g)
+        d_f.append(f_new - f)
+        if len(d_f) > HISTORY:
+            del d_g[0], d_f[0]
+        if not extrapolated and not probed:
+            if 0.0 < res_new < res:
+                contraction = res_new / res
+            probed = res <= FLOOR * scale
+        g, f, res, relative, plain = g_new, f_new, res_new, relative_new, not extrapolated
+        if res < best_res:
+            best_g, best_res, stalled = g, res, 0
+        else:
+            stalled += 1
 
 
 def gamma_uncorrelated(x, eta):
     """Closed-form deterministic SLNR for uncorrelated channels.
 
     The scalar fixed point ``gamma = x / (1/(1+gamma) + eta)`` solved by the
-    nonnegative root of ``eta g^2 + (eta - x + 1) g - x = 0``:
+    nonnegative root of ``eta g^2 + b g - x = 0`` with ``b = eta + (1 - x)``:
 
-        gamma = (-(eta - x + 1) + sqrt((eta - x + 1)^2 + 4 eta x)) / (2 eta).
+        gamma = (-b + sqrt(b^2 + 4 eta x)) / (2 eta).
 
     Accepts scalars or arrays (broadcasting); evaluated through the
-    conjugate-pair rewrite when ``eta - x + 1 > 0`` so large-``eta`` inputs
-    do not lose precision to cancellation.
+    conjugate-pair rewrite when ``b > 0`` so large-``eta`` inputs do not
+    lose precision to cancellation. ``b`` is grouped so that it is exactly
+    ``eta`` at full load (``x = 1``), where ``(eta - x) + 1`` would round
+    ``eta`` away at high SNR.
     """
     x_arr = np.asarray(x, dtype=float)
     eta_arr = np.asarray(eta, dtype=float)
     if np.any(x_arr < 0):
         raise ValueError("x must be nonnegative")
     check_positive_finite(eta, "eta")
-    b = eta_arr - x_arr + 1.0
+    b = eta_arr + (1.0 - x_arr)
     disc = np.sqrt(b * b + 4.0 * eta_arr * x_arr)
     # Where b > 0 the direct numerator -b + disc cancels; multiply through
     # by the conjugate to get the equivalent stable form 2x / (b + disc).

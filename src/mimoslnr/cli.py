@@ -17,6 +17,7 @@ from .asymptotic import (
     FixedPointError,
     check_common_r_bound,
     gamma_uncorrelated,
+    solve_exponential_fixed_point,
     solve_fixed_point,
 )
 from .channel import (
@@ -203,10 +204,22 @@ def _rate(value, units):
 
 
 def _cmd_asymptotic(resolved, config):
-    rng = trial_rng(config.seed, 0)
-    R = [build_correlation(config.profile, k, rng) for k in range(config.K)]
-    solution = solve_fixed_point(R, config.eta, tol=resolved["tol"])
-    print(f"# converged in {solution.iterations} iterations, residual {solution.residual:.3e}")
+    # Every profile kind is an exponential profile: identity is rho = 0, and
+    # the phases are those build_correlation gives the K users.
+    profile = config.profile
+    K = config.K
+    rho = 0.0 if profile.kind == "identity" else profile.rho
+    if profile.kind == "exp-even":
+        theta = 2.0 * np.pi * np.arange(K) / K
+    elif profile.kind == "exp-random":
+        theta = trial_rng(config.seed, 0).uniform(0.0, 2.0 * np.pi, K)
+    else:
+        theta = np.full(K, profile.theta)
+    solution = solve_exponential_fixed_point(config.N, rho, theta, config.eta, tol=resolved["tol"])
+    print(
+        f"# converged in {solution.iterations} iterations, residual {solution.residual:.3e}, "
+        f"contraction {solution.contraction:.6f}, error bound {solution.error_bound:.3e}"
+    )
     print("user,gamma")
     for k, g in enumerate(solution.gamma):
         print(f"{k},{g:.6f}")

@@ -3,6 +3,7 @@ import pytest
 
 from mimoslnr.asymptotic import (
     FixedPointError,
+    _toeplitz_inverse_sums,
     check_common_r_bound,
     even_mean_correlation,
     gamma_common_r,
@@ -267,6 +268,110 @@ class TestStructuredRoutes:
 
 
 
+def picard_oracle(R, eta, tol=1e-13, max_iter=200000):
+    """Plain Picard iteration on the dense ``R_k`` from zero, the reference for both solvers.
+
+    Stops once the step is within ``tol * (1 + max gamma)``. The map is
+    increasing and concave, so the iterates rise to the fixed point and the
+    ratio of successive steps falls. With ``q`` the ratio at the first step
+    within ``sqrt(eps) * (1 + max gamma)`` (late enough for the Jacobian,
+    early enough to be clear of rounding), the run stopped at most
+    ``step * q / (1 - q)`` short, which is returned as the second value.
+    """
+    Rs = np.asarray(R, dtype=complex)
+    K, N, _ = Rs.shape
+    shift = K * eta * np.eye(N)
+    gamma, previous, q = np.zeros(K), np.inf, None
+    for _ in range(max_iter):
+        M = np.einsum("k,kij->ij", 1.0 / (1.0 + gamma), Rs) + shift
+        new = np.einsum("kij,ji->k", Rs, np.linalg.inv(M)).real
+        step = float(np.abs(new - gamma).max())
+        gamma = new
+        scale = 1.0 + gamma.max()
+        if q is None and step <= np.sqrt(np.finfo(float).eps) * scale:
+            q = step / previous
+        if step <= tol * scale:
+            return gamma, step * q / (1.0 - q)
+        previous = step
+    raise AssertionError(f"Picard oracle did not converge in {max_iter} steps")
+
+
+def exp_random_case(N, K, rho, seed):
+    """The exp-random users' matrices and the phases build_correlation drew for them."""
+    profile = CorrelationProfile(kind="exp-random", N=N, K=K, rho=rho)
+    rng = trial_rng(seed, 0)
+    R = [build_correlation(profile, k, rng) for k in range(K)]
+    return R, trial_rng(seed, 0).uniform(0.0, 2.0 * np.pi, K)
+
+
+class TestAcceleratedSolvers:
+    """Anderson-accelerated dense and Toeplitz routes against plain Picard."""
+
+    @pytest.mark.parametrize("N,K,rho,snr_db", STRUCTURED_CASES, ids=map(case_id, STRUCTURED_CASES))
+    def test_both_routes_match_picard_oracle(self, N, K, rho, snr_db):
+        eta = 10.0 ** (-snr_db / 10.0)
+        R, theta = exp_random_case(N, K, rho, seed=N * 1000 + K)
+        oracle, shortfall = picard_oracle(R, eta)
+        slack = 1e-12 * oracle + shortfall
+        dense = solve_fixed_point(R, eta, tol=1e-13)
+        toeplitz = solve_exponential_fixed_point(N, rho, theta, eta, tol=1e-13)
+        for sol in (dense, toeplitz):
+            assert np.all(np.abs(sol.gamma - oracle) <= slack)
+            assert sol.iterations < 200
+
+    @pytest.mark.parametrize("N", [1, 16, 64])
+    @pytest.mark.parametrize("snr_db", [40.0, 50.0, 60.0, 70.0, 80.0])
+    def test_full_load_high_snr_matches_closed_form(self, N, snr_db):
+        # At N = K the Picard map's contraction factor is about
+        # 1 - 2 sqrt(eta): plain iteration took 1221 steps at 40 dB and
+        # did not converge in 10 000 at 60 dB.
+        eta = 10.0 ** (-snr_db / 10.0)
+        ref = gamma_uncorrelated(1.0, eta)
+        for sol in (
+            solve_fixed_point(identity_profile(N, N), eta),
+            solve_exponential_fixed_point(N, 0.0, np.zeros(N), eta),
+        ):
+            assert np.max(np.abs(sol.gamma - ref)) <= 1e-10 * ref
+            assert sol.iterations < 100
+
+    @pytest.mark.parametrize("K,rho,snr_db", [(48, 0.9, 40.0), (48, 0.5, 40.0), (16, 0.9, 60.0), (16, 0.5, 60.0)])
+    def test_safeguarded_cases(self, K, rho, snr_db):
+        # Unguarded Anderson extrapolation stalls on these inputs.
+        eta = 10.0 ** (-snr_db / 10.0)
+        R, theta = exp_random_case(64, K, rho, seed=K)
+        oracle, shortfall = picard_oracle(R, eta)
+        sol = solve_exponential_fixed_point(64, rho, theta, eta)
+        assert np.all(np.abs(sol.gamma - oracle) <= 1e-11 * oracle + shortfall)
+        assert sol.iterations < 200
+
+    def test_reports_contraction_and_error_bound(self):
+        # x = 2 at 20 dB: the map contracts by about gamma^2 / (x (1 + gamma)^2).
+        eta = 0.01
+        sol = solve_exponential_fixed_point(64, 0.0, np.zeros(32), eta)
+        gamma = gamma_uncorrelated(2.0, eta)
+        assert sol.contraction == pytest.approx(gamma**2 / (2.0 * (1.0 + gamma) ** 2), rel=0.1)
+        assert sol.error_bound == pytest.approx(
+            sol.residual * sol.contraction / (1.0 - sol.contraction)
+        )
+        assert max(sol.residual, sol.error_bound) <= 1e-12 * (1.0 + sol.gamma.max())
+
+    @pytest.mark.parametrize("N", [1, 2, 7, 64])
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.95])
+    def test_toeplitz_inverse_sums_match_explicit_inverse(self, N, rho):
+        K = 5
+        w = rng.uniform(0.01, 1.0, K)
+        theta = rng.uniform(0.0, 2.0 * np.pi, K)
+        lags = np.arange(N)
+        t = rho ** lags * (w @ np.exp(1j * np.outer(theta, lags)))
+        t[0] += K * 1e-3
+        d = np.subtract.outer(lags, lags)
+        M = np.where(d >= 0, t[np.abs(d)], t[np.abs(d)].conj())
+        inverse = np.linalg.inv(M)
+        explicit = np.array([np.trace(inverse, offset=-k) for k in range(N)])
+        sums = _toeplitz_inverse_sums(N)(t)
+        assert np.max(np.abs(sums - explicit)) <= 1e-13 * np.max(np.abs(explicit))
+
+
 class TestCommonRBound:
     def test_equality_for_identity(self):
         chk = check_common_r_bound(np.ones(16), K=8, eta=0.05)
@@ -281,6 +386,14 @@ class TestCommonRBound:
         chk = check_common_r_bound(np.ones(N), K=K, eta=10.0 ** (-snr_db / 10.0))
         assert chk.holds
         assert abs(chk.gamma - chk.bound) <= 1e-10 * chk.bound
+
+    @pytest.mark.parametrize("N", [1, 16, 64])
+    @pytest.mark.parametrize("snr_db", np.arange(90.0, 121.0, 2.0))
+    def test_equality_holds_at_extreme_snr(self, N, snr_db):
+        # The closed form's b = eta + (1 - x) is exact at x = 1; grouped as
+        # (eta - x) + 1 it lost eta to rounding and read False from 92 dB.
+        chk = check_common_r_bound(np.ones(N), K=N, eta=10.0 ** (-snr_db / 10.0))
+        assert chk.holds
 
     def test_moderate_correlation_strict(self):
         chk = check_common_r_bound(exponential_eigenvalues(32, 0.5), K=16, eta=0.01)

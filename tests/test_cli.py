@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import mimoslnr
+from mimoslnr.asymptotic import gamma_uncorrelated, solve_fixed_point
+from mimoslnr.channel import PROFILE_KINDS, CorrelationProfile, build_correlation, trial_rng
 from mimoslnr.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 
 
@@ -48,6 +50,36 @@ class TestAsymptoticCommand:
         _, out, _ = run_cli(capsys, "asymptotic", "--n", "8", "--k", "4")
         assert "# resolved configuration" in out
         assert "# n = 8" in out and "# k = 4" in out
+
+    @pytest.mark.parametrize("n,snr_db", [(8, 70.0), (16, 60.0)])
+    def test_full_load_high_snr_gives_closed_form(self, capsys, n, snr_db):
+        # Plain Picard iteration ran out its 10 000 steps on these inputs.
+        code, out, _ = run_cli(capsys, "asymptotic", "--n", str(n), "--k", str(n),
+                               "--snr-db", str(snr_db))
+        assert code == EXIT_OK
+        gamma = gamma_uncorrelated(1.0, 10.0 ** (-snr_db / 10.0))
+        rows = [line for line in out.splitlines() if line and line[0].isdigit()]
+        assert rows == [f"{k},{gamma:.6f}" for k in range(n)]
+
+    def test_reports_solver_diagnostics(self, capsys):
+        _, out, _ = run_cli(capsys, "asymptotic", "--n", "8", "--k", "4")
+        line = next(l for l in out.splitlines() if l.startswith("# converged in"))
+        assert "residual" in line and "contraction" in line and "error bound" in line
+
+    @pytest.mark.parametrize("kind", PROFILE_KINDS)
+    def test_every_profile_matches_dense_solver(self, capsys, kind):
+        # The command solves on the Toeplitz lags; the phases must be those
+        # build_correlation gives the users of each profile kind.
+        N, K, rho, theta, seed, eta = 8, 5, 0.6, 0.7, 3, 0.01
+        code, out, _ = run_cli(capsys, "asymptotic", "--n", str(N), "--k", str(K),
+                               "--profile", kind, "--rho", str(rho), "--theta", str(theta),
+                               "--seed", str(seed), "--snr-db", "20")
+        assert code == EXIT_OK
+        profile = CorrelationProfile(kind=kind, N=N, K=K, rho=rho, theta=theta)
+        rng = trial_rng(seed, 0)
+        dense = solve_fixed_point([build_correlation(profile, k, rng) for k in range(K)], eta)
+        rows = [line for line in out.splitlines() if line and line[0].isdigit()]
+        assert rows == [f"{k},{g:.6f}" for k, g in enumerate(dense.gamma)]
 
 
 class TestMetricsCommand:
@@ -179,13 +211,13 @@ class TestErrorPaths:
         assert "trials" in err
 
     def test_numerical_failure_exit_code(self, capsys):
-        # At 70 dB with x=1 the Picard contraction factor is 1 - 2*sqrt(eta),
-        # needing ~44k sweeps for the default tolerance; the iteration cap
-        # trips first and the CLI maps the failure to exit code 2.
-        code, _, err = run_cli(capsys, "asymptotic", "--n", "8", "--k", "8",
-                               "--snr-db", "70")
+        # rho one ulp below 1 with one user and eta = 1e-30 leaves the
+        # resolvent numerically singular: the Cholesky factorization fails
+        # and the CLI maps the failure to exit code 2.
+        code, _, err = run_cli(capsys, "asymptotic", "--k", "1", "--profile", "exp-random",
+                               "--rho", "0.9999999999999999", "--snr-db", "300")
         assert code == EXIT_NUMERICAL
-        assert "did not converge" in err
+        assert "Toeplitz resolvent is not positive definite" in err
 
     def test_singular_gram_is_numerical_failure(self, capsys):
         # At 400 dB the shift K*eta vanishes against the rank-K Gram matrix

@@ -127,6 +127,18 @@ class TestCorrelationSweep:
         )
 
 
+def test_correlation_sweep_converges_at_full_load_high_snr():
+    # At N = K and 60 dB plain Picard iteration stalled on the exp-random
+    # column (10 000 steps, residual 8e-9), so the sweep exited 2.
+    sweep = run_correlation_sweep(
+        N=64, alpha=1.0, snr_db=60.0, rho_grid=[0.0, 0.9], trials_for_random_theta=1
+    )
+    for name, column in sweep.columns.items():
+        assert np.all(np.isfinite(column)), name
+    ref = sweep.columns["gamma_uncorrelated"][0]
+    assert sweep.columns["gamma_exp_random_avg"][0] == pytest.approx(ref, rel=1e-10)
+
+
 class TestLoadingSweep:
     @pytest.fixture
     def sweep(self, loading_sweep):
