@@ -265,6 +265,15 @@ def _format_value(value):
     return str(value)
 
 
+def _format_column(col):
+    """The strings :func:`_format_value` gives each entry, a float column at once."""
+    if col.dtype.kind == "f":
+        # Python floats, so ``repr`` is the shortest round-trip form that
+        # ``repr(float(value))`` gives; longdouble rounds the same way.
+        return list(map(repr, col.astype(float, copy=False).tolist()))
+    return list(map(_format_value, col))
+
+
 def write_csv(result, path):
     """Write an :class:`ExperimentResult` as CSV.
 
@@ -273,12 +282,11 @@ def write_csv(result, path):
     data row per sample. Identical results produce byte-identical files.
     """
     names = list(result.columns)
-    cols = [np.asarray(result.columns[name]) for name in names]
+    cols = [_format_column(np.asarray(result.columns[name])) for name in names]
     lines = [f"# experiment = {result.name}", f"# version = {__version__}"]
     for key, value in result.metadata.items():
         lines.append(f"# {key} = {_format_value(value)}")
     lines.append(",".join(names))
-    for row in zip(*cols):
-        lines.append(",".join(_format_value(v) for v in row))
+    lines.extend(map(",".join, zip(*cols)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -1,7 +1,9 @@
 """Regularized zero-forcing precoding and per-user SLNR/SINR metrics.
 
 The precoder is ``F = (H H* + beta I)^{-1} H`` with per-user powers chosen
-so every user gets an equal share of the total transmit power. With the
+so every user gets an equal share of the total transmit power. It is solved
+on the smaller Gram matrix: for ``K <= N`` the push-through identity
+``F = H (H* H + beta I)^{-1}`` makes it a K x K system. With the
 regularization fixed at ``beta = K * eta`` (transmit power normalized to 1)
 the per-user SLNR collapses to the quadratic form
 
@@ -51,7 +53,18 @@ class MetricsPerUser:
 
 
 def rzf_precode(H, beta):
-    """Columns ``f_k = (H H* + beta I)^{-1} h_k`` for every user."""
+    """Columns ``f_k = (H H* + beta I)^{-1} h_k`` for every user.
+
+    Factorizes the smaller Gram matrix. For ``K <= N`` the push-through
+    identity ``(H H* + beta I)^{-1} H = H (H* H + beta I)^{-1}`` turns the
+    N x N system into a K x K one, which is also full rank when ``H`` is,
+    so the shift may vanish against it. For ``K > N`` the N x N Gram is the
+    smaller, full-rank one and is solved directly.
+    """
+    H = np.asarray(H, dtype=complex)
+    if H.ndim == 2 and H.shape[1] <= H.shape[0]:
+        Hh = H.conj().T
+        return shifted_gram_solve(Hh, beta, Hh).conj().T
     return shifted_gram_solve(H, beta, H)
 
 

@@ -1,11 +1,13 @@
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import mimoslnr
+from mimoslnr import cli
 from mimoslnr.asymptotic import gamma_uncorrelated, solve_fixed_point
 from mimoslnr.channel import PROFILE_KINDS, CorrelationProfile, build_correlation, trial_rng
 from mimoslnr.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
@@ -219,12 +221,29 @@ class TestErrorPaths:
         assert code == EXIT_NUMERICAL
         assert "Toeplitz resolvent is not positive definite" in err
 
-    def test_singular_gram_is_numerical_failure(self, capsys):
-        # At 400 dB the shift K*eta vanishes against the rank-K Gram matrix
-        # H H* (N > K), so the Cholesky factorization fails: exit 2, not 1.
+    def test_singular_gram_is_numerical_failure(self, capsys, monkeypatch):
+        # Users 0 and 1 share one channel with exact entries, so the Gram
+        # matrix H* H is singular in floats and the shift K*eta = 4e-40
+        # vanishes against it: the Cholesky factorization fails, exit 2.
+        H = np.zeros((8, 4), dtype=complex)
+        H[0, :2] = 2.0
+        H[2, 2] = H[3, 3] = 1.0
+        monkeypatch.setattr(cli, "sample_channel", lambda config, trial: SimpleNamespace(H=H))
         code, _, err = run_cli(capsys, "metrics", "--n", "8", "--k", "4", "--snr-db", "400")
         assert code == EXIT_NUMERICAL
         assert "not positive definite" in err
+
+    @pytest.mark.parametrize("n,k", [(8, 4), (8, 8), (4, 8)])
+    def test_metrics_finite_at_400_db(self, capsys, n, k):
+        # The smaller Gram matrix of a sampled channel has full rank, so
+        # even a vanishing shift leaves it positive definite.
+        code, out, _ = run_cli(capsys, "metrics", "--n", str(n), "--k", str(k), "--snr-db", "400")
+        assert code == EXIT_OK
+        lines = [line for line in out.splitlines() if not line.startswith("#")]
+        assert lines[0] == "user,slnr,sinr,power_sq"
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert rows.shape == (k, 4)
+        assert np.all(np.isfinite(rows[:, 1:]))
 
     @pytest.mark.parametrize("argv", [
         ("loading", "--snr-db", "nan"),

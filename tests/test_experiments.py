@@ -4,6 +4,8 @@ import pytest
 from mimoslnr.channel import SystemConfig
 from mimoslnr.experiments import (
     ExperimentResult,
+    _format_column,
+    _format_value,
     brute_force_optimal_x,
     empirical_cdf,
     run_cdf_experiment,
@@ -215,6 +217,16 @@ class TestCsvOutput:
         text = path.read_text()
         for needle in ("# n = 8", "# k = 4", "# seed = 6", "# trials = 4"):
             assert needle in text
+
+    @pytest.mark.parametrize("col", [
+        np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e308, 0.1, 1e16, 1 / 3]),
+        np.array([np.nan, -np.inf, -0.0, 1e-45, 3.4e38, 0.1], dtype=np.float32),
+        np.array([1.1, -0.0, 1e308], dtype=np.longdouble) / 3,
+        np.array([0, -1, 2**62, -2**63], dtype=np.int64),
+        np.array([True, False]),
+    ], ids=["float64", "float32", "longdouble", "int64", "bool"])
+    def test_column_strings_match_per_value_format(self, col):
+        assert _format_column(col) == [_format_value(v) for v in col]
 
     def test_wall_clock_never_written(self, tmp_path):
         # Timing lives on the in-memory result only; writing it would break

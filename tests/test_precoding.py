@@ -50,6 +50,26 @@ class TestRzfPrecode:
         resid = H @ (H.conj().T @ F) + beta * F - H
         assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(H)
 
+    @pytest.mark.parametrize("N,K", [(64, 32), (16, 15), (12, 12), (8, 12), (1, 3), (3, 1)])
+    @pytest.mark.parametrize("eta", [1.0, 0.01])
+    def test_matches_n_by_n_solve(self, N, K, eta):
+        # Push-through: H (H* H + beta I)^{-1} == (H H* + beta I)^{-1} H.
+        H = random_channel(N, K)
+        F = rzf_precode(H, K * eta)
+        ref = shifted_gram_solve(H, K * eta, H)
+        assert np.linalg.norm(F - ref) <= 1e-12 * np.linalg.norm(ref)
+        if K > N:
+            # More users than antennas: the N x N Gram is the smaller one.
+            assert np.array_equal(F, ref)
+
+    def test_singular_gram_is_linalg_error(self):
+        # Two equal users make H* H singular; a vanishing shift cannot save it.
+        H = np.zeros((8, 4), dtype=complex)
+        H[0, :2] = 2.0
+        H[2, 2] = H[3, 3] = 1.0
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            compute_metrics(H, 1e-300)
+
 
 class TestPowerControl:
     def test_single_user(self):
@@ -223,6 +243,16 @@ class TestMetrics:
         monkeypatch.setattr(precoding, "shifted_gram_solve", counting_solve)
         compute_metrics(random_channel(16, 8), 0.01)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("N,K", [(8, 4), (64, 32), (5, 1)])
+    @pytest.mark.parametrize("snr_db", [100.0, 200.0, 300.0, 400.0])
+    def test_finite_at_extreme_snr(self, N, K, snr_db):
+        # The K x K Gram of a sampled channel has full rank, so a shift
+        # that vanishes against it still leaves it positive definite.
+        config = SystemConfig.make(N=N, K=K, snr_db=snr_db, seed=8)
+        m = compute_metrics(sample_channel(config, 0).H, config.eta)
+        for arr in (m.slnr, m.sinr, m.power_sq):
+            assert np.all(np.isfinite(arr)) and np.all(arr > 0)
 
     @settings(max_examples=50, deadline=None, database=None)
     @given(
