@@ -383,8 +383,17 @@ def gamma_uncorrelated(x, eta):
     conjugate-pair rewrite when ``b > 0`` so large-``eta`` inputs do not
     lose precision to cancellation. ``b`` is grouped so that it is exactly
     ``eta`` at full load (``x = 1``), where ``(eta - x) + 1`` would round
-    ``eta`` away at high SNR.
+    ``eta`` away at high SNR. Python floats (``np.float64`` included) take
+    the same steps in plain float arithmetic: they use only ``+ * / sqrt``,
+    so the bits are those of the array form, without its per-call cost.
     """
+    if isinstance(x, float) and isinstance(eta, float):
+        if x < 0.0:
+            raise ValueError("x must be nonnegative")
+        check_positive_finite(eta, "eta")
+        b = eta + (1.0 - x)
+        disc = math.sqrt(b * b + 4.0 * eta * x)
+        return 2.0 * x / (b + disc) if b > 0.0 else (disc - b) / (2.0 * eta)
     x_arr = np.asarray(x, dtype=float)
     eta_arr = np.asarray(eta, dtype=float)
     if np.any(x_arr < 0):

@@ -44,9 +44,10 @@ def check_positive_finite(value, name):
 
     The one check for an inverse SNR ``eta`` and a solver tolerance ``tol``.
     A scalar is tested with plain comparisons (callers such as ``dfdx`` run
-    in tight loops); an array must hold only positive finite entries.
+    in tight loops, so a Python float is recognized before the costlier
+    ``np.ndim``); an array must hold only positive finite entries.
     """
-    if np.ndim(value) == 0:
+    if isinstance(value, float) or np.ndim(value) == 0:
         ok = 0.0 < value < math.inf
     else:
         arr = np.asarray(value, dtype=float)

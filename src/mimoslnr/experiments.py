@@ -270,7 +270,13 @@ def _format_column(col):
     if col.dtype.kind == "f":
         # Python floats, so ``repr`` is the shortest round-trip form that
         # ``repr(float(value))`` gives; longdouble rounds the same way.
-        return list(map(repr, col.astype(float, copy=False).tolist()))
+        col = col.astype(float, copy=False)
+        # A column of one value (``gamma_asymptotic``) is formatted once. The
+        # bits are compared, not the values, so 0.0 and -0.0 keep their signs.
+        bits = col.view(np.int64)
+        if bits.size and np.all(bits == bits[0]):
+            return [repr(float(col[0]))] * col.size
+        return list(map(repr, col.tolist()))
     return list(map(_format_value, col))
 
 

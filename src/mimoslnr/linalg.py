@@ -16,7 +16,7 @@ results depend on the core count.
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import zpotrf, zpotrs
 
 from ._blas import one_blas_thread
 
@@ -174,7 +174,10 @@ def shifted_gram_solve(H, beta, B):
     Uses a Cholesky factorization of the shifted Gram matrix rather than an
     explicit inverse; for ``beta > 0`` the matrix is positive definite and
     factorization is both stabler and cheaper at the dimensions targeted
-    here (up to a few hundred).
+    here (up to a few hundred). LAPACK's ``zpotrf`` and ``zpotrs`` are
+    called directly, the routines behind scipy's ``cho_factor`` and
+    ``cho_solve`` without their per-call wrapping. A factorization that
+    fails raises :class:`numpy.linalg.LinAlgError`.
     """
     H = np.asarray(H, dtype=complex)
     B = np.asarray(B, dtype=complex)
@@ -183,8 +186,9 @@ def shifted_gram_solve(H, beta, B):
     if not (np.isrealobj(beta) or np.isscalar(beta)) or not 0.0 < float(beta) < np.inf:
         raise ValueError(f"beta must be positive and finite, got {beta!r}")
     # Checked here, on O(n k + n m) entries, so the O(n^2) Gram matrix and
-    # its factorization can skip scipy's own finiteness checks.
-    if not (np.all(np.isfinite(H)) and np.all(np.isfinite(B))):
+    # its factorization need no check of their own; ``rzf_precode`` passes
+    # one array as both ``H`` and ``B``, scanned once.
+    if not (np.all(np.isfinite(H)) and (B is H or np.all(np.isfinite(B)))):
         raise ValueError("H and B must be finite")
     n = H.shape[0]
     vector_rhs = B.ndim == 1
@@ -194,10 +198,18 @@ def shifted_gram_solve(H, beta, B):
         raise ValueError(
             f"right-hand side has shape {B.shape}, expected ({n}, m) to match H with {n} rows"
         )
+    if n == 0:
+        # zpotrf rejects a 0 x 0 matrix; the empty system's solution is empty.
+        X = np.empty_like(B)
+        return X[:, 0] if vector_rhs else X
     W = H @ H.conj().T
     W = 0.5 * (W + W.conj().T)
     W[np.diag_indices(n)] += float(beta)
-    factor = cho_factor(W, lower=True, check_finite=False)
-    X = cho_solve(factor, B, check_finite=False)
+    chol, info = zpotrf(W, lower=1, clean=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"shifted Gram matrix is not positive definite (zpotrf info {info})"
+        )
+    X = zpotrs(chol, B, lower=1)[0]
     return X[:, 0] if vector_rhs else X
 

@@ -13,6 +13,13 @@ form just below the threshold and a Lambert-W form for small ``eta``.
 
 Rates are natural-log throughout; a positive constant factor does not move
 the maximizer, and callers wanting bits divide by ``log(2)``.
+
+Scalar inputs given as Python floats (``np.float64`` included) run on
+``math`` and plain float arithmetic rather than on 0-d numpy arrays: the
+root finder calls :func:`dfdx` about 30 times per SNR point, and one call
+on 0-d arrays costs more than ten times as much as on floats.
+Arrays keep the numpy form, which is also the fallback for any scalar that
+``math`` would reject (``x = 0``).
 """
 
 import math
@@ -83,6 +90,8 @@ class LoadingConstants:
 
 def objective_f(x, eta):
     """Rate per antenna ``log(1 + gamma(x, eta)) / x`` in nats."""
+    if isinstance(x, float) and isinstance(eta, float):
+        return float(np.log1p(gamma_uncorrelated(x, eta)) / x)
     x_arr = np.asarray(x, dtype=float)
     out = np.log1p(gamma_uncorrelated(x_arr, eta)) / x_arr
     if out.ndim == 0:
@@ -100,8 +109,20 @@ def dfdx(x, eta):
     The log argument equals ``1 + gamma`` and is positive for any
     ``eta > 0``, so the expression is defined on the whole region of
     interest.
+
+    Python floats are evaluated with ``math`` (see the module docstring).
+    Where ``math`` raises instead of answering (``x = 0``, or a log
+    argument that rounds to 0) the numpy form answers, with its ``nan`` or
+    ``inf``.
     """
     check_positive_finite(eta, "eta")
+    if isinstance(x, float) and isinstance(eta, float):
+        u = x + eta - 1.0
+        s = math.sqrt(u * u + 4.0 * eta)
+        try:
+            return 1.0 / (x * s) - math.log((u + s) / (2.0 * eta)) / (x * x)
+        except (ZeroDivisionError, ValueError):
+            pass
     x_arr = np.asarray(x, dtype=float)
     eta_arr = np.asarray(eta, dtype=float)
     u = x_arr + eta_arr - 1.0
@@ -139,13 +160,14 @@ def optimal_x_exact(eta, tol=1e-10):
     """
     check_positive_finite(eta, "eta")
     check_positive_finite(tol, "tol")
+    eta = float(eta)
     if dfdx(1.0, eta) <= 0.0:
         return LoadingSolution(
             x_star=1.0,
             alpha_star=1.0,
             objective=objective_f(1.0, eta),
             method=CLAMPED_AT_ONE,
-            eta=float(eta),
+            eta=eta,
         )
     lo, hi = 1.0, X_UPPER_LOOSE
     if dfdx(hi, eta) >= 0.0:
@@ -166,7 +188,7 @@ def optimal_x_exact(eta, tol=1e-10):
         alpha_star=1.0 / x_star,
         objective=objective_f(x_star, eta),
         method=EXACT_ROOT_FIND,
-        eta=float(eta),
+        eta=eta,
     )
 
 

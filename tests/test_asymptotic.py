@@ -127,10 +127,16 @@ class TestGammaUncorrelated:
             assert np.all(np.diff(g) < 0)
 
     def test_vectorized_and_scalar_agree(self):
-        xs = np.array([1.0, 2.5, 7.0])
-        vec = gamma_uncorrelated(xs, 0.05)
-        for x, v in zip(xs, vec):
-            assert gamma_uncorrelated(float(x), 0.05) == pytest.approx(v, rel=1e-15)
+        # Python floats take plain float arithmetic, arrays numpy: the same
+        # IEEE operations, so the same bits (repr tells -0.0 and nan apart),
+        # on both sides of the conjugate-pair switch at x = 1 + eta.
+        xs = np.array([-0.0, 0.0, 0.5, 1.0, 2.5, 7.0, 1e300, np.inf, np.nan])
+        for eta in (1e-12, 0.05, 3.0, 1e6):
+            with np.errstate(all="ignore"):
+                vec = gamma_uncorrelated(xs, eta)
+            scalar = [gamma_uncorrelated(float(x), eta) for x in xs]
+            assert all(type(g) is float for g in scalar)
+            assert list(map(repr, scalar)) == list(map(repr, vec.tolist()))
 
     def test_validation(self):
         with pytest.raises(ValueError):

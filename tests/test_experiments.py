@@ -224,7 +224,11 @@ class TestCsvOutput:
         np.array([1.1, -0.0, 1e308], dtype=np.longdouble) / 3,
         np.array([0, -1, 2**62, -2**63], dtype=np.int64),
         np.array([True, False]),
-    ], ids=["float64", "float32", "longdouble", "int64", "bool"])
+        np.full(5, 0.1 + 0.2),
+        np.array([0.0, -0.0, 0.0, -0.0]),
+        np.full(3, np.nan),
+    ], ids=["float64", "float32", "longdouble", "int64", "bool", "constant", "signed-zeros",
+            "all-nan"])
     def test_column_strings_match_per_value_format(self, col):
         assert _format_column(col) == [_format_value(v) for v in col]
 

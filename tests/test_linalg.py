@@ -144,6 +144,10 @@ class TestShiftedGramSolve:
         resid = H @ (H.conj().T @ x) + x - b
         assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(b)
 
+    @pytest.mark.parametrize("B,shape", [(np.zeros((0, 3)), (0, 3)), (np.zeros(0), (0,))])
+    def test_empty_system(self, B, shape):
+        assert shifted_gram_solve(np.zeros((0, 2)), 1.0, B).shape == shape
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             shifted_gram_solve(np.zeros((4, 2)), 1.0, np.eye(3))
@@ -181,13 +185,13 @@ class TestOneBlasThread:
         for _, set_ in found:
             set_(2)
         seen = []
-        real_cho_factor = linalg.cho_factor
+        real_zpotrf = linalg.zpotrf
 
         def spy(*args, **kwargs):
             seen.append(self.threads(found))
-            return real_cho_factor(*args, **kwargs)
+            return real_zpotrf(*args, **kwargs)
 
-        monkeypatch.setattr(linalg, "cho_factor", spy)
+        monkeypatch.setattr(linalg, "zpotrf", spy)
         yield found, seen
         for (_, set_), n in zip(found, saved):
             set_(n)

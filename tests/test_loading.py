@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from mimoslnr import loading
+from mimoslnr.channel import eta_from_snr_db
 from mimoslnr.loading import (
     CLAMPED_AT_ONE,
     EXACT_ROOT_FIND,
@@ -86,6 +88,32 @@ class TestDerivative:
     def test_validation(self):
         with pytest.raises(ValueError):
             dfdx(1.0, 0.0)
+
+
+class TestDerivativeFloatPath:
+    """Python floats run dfdx on ``math``; its numpy form is the reference."""
+
+    @pytest.mark.parametrize("eta", [1e-30, 1e-6, 0.01, eta_threshold(), 0.5, 1e6])
+    @pytest.mark.parametrize("x", [0.0, -0.0, 0.5, 1, 1.2, X_UPPER_LOOSE, 1e300, math.nan, math.inf])
+    def test_matches_array_path(self, x, eta):
+        with np.errstate(all="ignore"):
+            got = dfdx(float(x), eta)
+            ref = dfdx(np.array(x), eta)
+        assert type(got) is float
+        if math.isfinite(ref):
+            assert abs(got - ref) <= 4.0 * math.ulp(ref)
+        else:
+            # The same nan, or an inf of the same sign.
+            assert repr(got) == repr(ref)
+
+    @pytest.mark.parametrize("grid", [(0.0, 40.0, 81), (-10.0, 60.0, 141), (55.0, 120.0, 14)])
+    def test_root_bit_equal_to_array_path(self, monkeypatch, grid):
+        etas = eta_from_snr_db(np.linspace(*grid))
+        fast = np.array([optimal_x_exact(eta).x_star for eta in etas])
+        real_dfdx = loading.dfdx
+        monkeypatch.setattr(loading, "dfdx", lambda x, eta: real_dfdx(np.asarray(x), eta))
+        slow = np.array([optimal_x_exact(eta).x_star for eta in etas])
+        assert np.array_equal(fast.view(np.int64), slow.view(np.int64))
 
 
 class TestOptimalXExact:

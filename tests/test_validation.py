@@ -80,7 +80,14 @@ PTX_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+# A Python float takes check_positive_finite's isinstance branch; a numpy
+# float32 scalar and a 0-d array take its np.ndim branch.
+@pytest.mark.parametrize("eta", [
+    np.nan, np.inf, -np.inf, 0.0, -1.0,
+    pytest.param(np.float64(np.nan), id="float64-nan"),
+    pytest.param(np.float32(0), id="float32-0"),
+    pytest.param(np.array(-1.0), id="0d-array--1.0"),
+])
 @pytest.mark.parametrize("entry", ETA_ENTRY_POINTS)
 def test_eta_must_be_positive_and_finite(entry, eta):
     with pytest.raises(ValueError, match="eta"):
