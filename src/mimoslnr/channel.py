@@ -11,7 +11,7 @@ construction for every profile kind.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,15 +27,13 @@ __all__ = [
     "check_count",
     "check_rho",
     "eta_from_snr_db",
+    "user_phases",
     "build_correlation",
     "sample_channel",
     "trial_rng",
 ]
 
-# theta assignment schemes for the exponential model:
-#   exp-even    theta_k = 2*pi*k/K
-#   exp-random  theta_k uniform on [0, 2*pi), drawn from the caller's rng
-#   exp-common  one fixed theta shared by every user
+# The kinds' phase schemes are those of user_phases.
 PROFILE_KINDS = ("identity", "exp-even", "exp-random", "exp-common")
 
 
@@ -58,7 +56,9 @@ def check_positive_finite(value, name):
 
 
 def check_count(value, name):
-    """Return ``value`` if it is at least 1, else raise ``ValueError`` naming ``name``."""
+    """Return ``value`` if it is an integer (not a ``bool``) >= 1, else raise ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     if not value >= 1:
         raise ValueError(f"{name} must be >= 1, got {value!r}")
     return value
@@ -108,6 +108,8 @@ class CorrelationProfile:
         if self.kind not in PROFILE_KINDS:
             raise ValueError(f"profile kind must be one of {PROFILE_KINDS}, got {self.kind!r}")
         check_rho(self.rho)
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta!r}")
         check_count(self.N, "N")
         check_count(self.K, "K")
 
@@ -156,30 +158,42 @@ class ChannelRealization:
     """One sampled channel: columns of ``H`` are the per-user vectors."""
 
     H: np.ndarray
-    R: list = field(repr=False)
-    Rsqrt: list = field(repr=False)
-    trial: int = 0
+
+
+def user_phases(profile, rng=None):
+    """The K phases ``theta_k`` of the profile's exponential correlations.
+
+    ``2*pi*k/K`` for ``exp-even``; ``profile.theta`` for ``exp-common`` and
+    ``identity`` (whose phases play no part); for ``exp-random``, K uniform
+    draws on ``[0, 2*pi)`` from ``rng``, the same draws in the same order
+    that K calls of :func:`build_correlation` make.
+    """
+    return _phases(profile, np.arange(profile.K), rng)
+
+
+def _phases(profile, k, rng):
+    # The one phase rule, for the user index array ``k`` (or one int index).
+    if profile.kind == "exp-even":
+        return 2.0 * np.pi * k / profile.K
+    if profile.kind == "exp-random":
+        if rng is None:
+            raise ValueError("exp-random profile needs an rng to draw theta")
+        return rng.uniform(0.0, 2.0 * np.pi, np.shape(k))
+    return np.full(np.shape(k), profile.theta, dtype=float)
 
 
 def build_correlation(profile, k, rng=None):
     """Correlation matrix for user ``k`` under the given profile.
 
-    ``rng`` is consulted only by the ``exp-random`` kind, which draws the
-    user's phase uniformly from ``[0, 2*pi)``.
+    Its phase is user ``k``'s under :func:`user_phases`; for ``exp-random``
+    that is one uniform draw on ``[0, 2*pi)`` from ``rng``.
     """
     if not 0 <= k < profile.K:
         raise ValueError(f"user index {k} out of range for K={profile.K}")
     N = profile.N
     if profile.kind == "identity" or profile.rho == 0.0:
         return np.eye(N, dtype=complex)
-    if profile.kind == "exp-even":
-        theta = 2.0 * np.pi * k / profile.K
-    elif profile.kind == "exp-common":
-        theta = profile.theta
-    else:  # exp-random
-        if rng is None:
-            raise ValueError("exp-random profile needs an rng to draw theta")
-        theta = rng.uniform(0.0, 2.0 * np.pi)
+    theta = float(_phases(profile, k, rng))
     d = np.subtract.outer(np.arange(N), np.arange(N))
     R = profile.rho ** np.abs(d) * np.exp(1j * d * theta)
     return hermitian_part(R)
@@ -199,9 +213,10 @@ def trial_rng(seed, trial):
 def sample_channel(config, trial):
     """Draw the channel realization for one trial of ``config``.
 
-    Deterministic for fixed ``(config.seed, trial)``. For the ``exp-random``
-    profile the per-user phases are drawn first (so the correlation matrices
-    belong to this realization), then the white channel matrix.
+    Deterministic for fixed ``(config.seed, trial)``. The trial's stream
+    gives, in order, the K phases of :func:`user_phases` (``exp-random``
+    with ``rho > 0`` only), then the white channel ``Hw``; column ``k`` of
+    ``H`` is ``psd_sqrt(R_k) @ Hw[:, k]``, or ``Hw[:, k]`` when ``R_k = I``.
     """
     if not 0 <= trial < config.trials:
         raise ValueError(f"trial {trial} out of range for trials={config.trials}")
@@ -210,21 +225,14 @@ def sample_channel(config, trial):
     profile = config.profile
 
     if profile.kind == "identity" or profile.rho == 0.0:
-        eye = np.eye(N, dtype=complex)
-        R = [eye] * K
-        Rsqrt = R
+        roots = None
     elif profile.kind == "exp-common":
-        R0 = build_correlation(profile, 0)
-        R = [R0] * K
-        Rsqrt = [psd_sqrt(R0)] * K
+        roots = [psd_sqrt(build_correlation(profile, 0))] * K
     else:
-        R = [build_correlation(profile, k, rng) for k in range(K)]
-        Rsqrt = [psd_sqrt(Rk) for Rk in R]
+        roots = [psd_sqrt(build_correlation(profile, k, rng)) for k in range(K)]
 
     # CN(0, 1) entries: independent real/imaginary parts of variance 1/2.
     Hw = (rng.standard_normal((N, K)) + 1j * rng.standard_normal((N, K))) / np.sqrt(2.0)
-    if profile.kind == "identity" or profile.rho == 0.0:
-        H = Hw
-    else:
-        H = np.column_stack([Rsqrt[k] @ Hw[:, k] for k in range(K)])
-    return ChannelRealization(H=H, R=R, Rsqrt=Rsqrt, trial=trial)
+    if roots is None:
+        return ChannelRealization(H=Hw)
+    return ChannelRealization(H=np.column_stack([roots[k] @ Hw[:, k] for k in range(K)]))

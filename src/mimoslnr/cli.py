@@ -29,6 +29,7 @@ from .channel import (
     eta_from_snr_db,
     sample_channel,
     trial_rng,
+    user_phases,
 )
 from .experiments import (
     run_cdf_experiment,
@@ -204,17 +205,10 @@ def _rate(value, units):
 
 
 def _cmd_asymptotic(resolved, config):
-    # Every profile kind is an exponential profile: identity is rho = 0, and
-    # the phases are those build_correlation gives the K users.
+    # Every profile kind is an exponential profile: identity is rho = 0.
     profile = config.profile
-    K = config.K
     rho = 0.0 if profile.kind == "identity" else profile.rho
-    if profile.kind == "exp-even":
-        theta = 2.0 * np.pi * np.arange(K) / K
-    elif profile.kind == "exp-random":
-        theta = trial_rng(config.seed, 0).uniform(0.0, 2.0 * np.pi, K)
-    else:
-        theta = np.full(K, profile.theta)
+    theta = user_phases(profile, trial_rng(config.seed, 0))
     solution = solve_exponential_fixed_point(config.N, rho, theta, config.eta, tol=resolved["tol"])
     print(
         f"# converged in {solution.iterations} iterations, residual {solution.residual:.3e}, "

@@ -18,7 +18,8 @@ from .asymptotic import (
     gamma_common_r, gamma_exp_even, gamma_uncorrelated, solve_exponential_fixed_point
 )
 from .channel import (
-    CorrelationProfile, build_correlation, check_count, eta_from_snr_db, sample_channel, trial_rng
+    CorrelationProfile, build_correlation, check_count, eta_from_snr_db, sample_channel, trial_rng,
+    user_phases,
 )
 from .linalg import herm_eig
 from .loading import eta_threshold, objective_f, optimal_x_exact, optimal_x_high_snr, optimal_x_low_snr
@@ -130,6 +131,7 @@ def run_correlation_sweep(
         ]
     except ValueError as exc:
         raise ValueError(f"rho_grid: {exc}") from None
+    random_profile = CorrelationProfile(kind="exp-random", N=N, K=K)
     ref = gamma_uncorrelated(N / K, eta)
 
     even_col = np.empty(rho_grid.size)
@@ -142,9 +144,7 @@ def run_correlation_sweep(
 
         draw_means = np.empty(trials_for_random_theta)
         for draw in range(trials_for_random_theta):
-            # The same K uniform draws, in the same order, that
-            # build_correlation makes for the exp-random users.
-            theta = trial_rng(seed, draw).uniform(0.0, 2.0 * np.pi, K)
+            theta = user_phases(random_profile, trial_rng(seed, draw))
             sol = solve_exponential_fixed_point(N, rho, theta, eta, tol=tol)
             draw_means[draw] = float(np.mean(sol.gamma))
         random_avg_col[i] = float(np.mean(draw_means))

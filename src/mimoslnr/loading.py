@@ -38,8 +38,6 @@ __all__ = [
     "BracketError",
     "EXACT_ROOT_FIND",
     "CLAMPED_AT_ONE",
-    "LOW_SNR_APPROX",
-    "HIGH_SNR_APPROX",
     "X_UPPER_LOOSE",
     "objective_f",
     "dfdx",
@@ -54,8 +52,6 @@ __all__ = [
 
 EXACT_ROOT_FIND = "exact-root-find"
 CLAMPED_AT_ONE = "clamped-at-one"
-LOW_SNR_APPROX = "low-snr-approx"
-HIGH_SNR_APPROX = "high-snr-approx"
 
 # Loose upper bound on the optimal loading ratio: 3*(2*sqrt(3) - 3).
 X_UPPER_LOOSE = 3.0 * (2.0 * math.sqrt(3.0) - 3.0)

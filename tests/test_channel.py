@@ -1,18 +1,29 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mimoslnr.channel import (
+    PROFILE_KINDS,
     CorrelationProfile,
     SystemConfig,
     build_correlation,
     eta_from_snr_db,
     sample_channel,
     trial_rng,
+    user_phases,
 )
+from mimoslnr.linalg import hermitian_part, psd_sqrt
 
 
 def profile(kind, N, K, rho=0.0, theta=0.0):
     return CorrelationProfile(kind=kind, N=N, K=K, rho=rho, theta=theta)
+
+
+def exponential_correlation(N, rho, theta):
+    # R[m, n] = rho^|m-n| exp(1j (m-n) theta), assembled as the module does.
+    d = np.subtract.outer(np.arange(N), np.arange(N))
+    return hermitian_part(rho ** np.abs(d) * np.exp(1j * d * theta))
 
 
 class TestBuildCorrelation:
@@ -147,15 +158,63 @@ class TestSampleChannel:
 
     def test_correlation_sqrt_roundtrip(self):
         cfg = SystemConfig.make(N=6, K=3, snr_db=10.0, kind="exp-even", rho=0.8, trials=1)
-        real = sample_channel(cfg, 0)
-        for Rk, Sk in zip(real.R, real.Rsqrt):
+        for k in range(cfg.K):
+            Rk = build_correlation(cfg.profile, k)
+            Sk = psd_sqrt(Rk)
             assert np.linalg.norm(Sk @ Sk - Rk) <= 1e-9 * np.linalg.norm(Rk)
 
     def test_random_theta_correlations_vary_by_trial(self):
+        # User 0's phase is the first draw of its trial's stream.
         cfg = SystemConfig.make(N=4, K=2, snr_db=10.0, kind="exp-random", rho=0.6, trials=2)
-        R0 = sample_channel(cfg, 0).R[0]
-        R1 = sample_channel(cfg, 1).R[0]
+        theta0 = user_phases(cfg.profile, trial_rng(cfg.seed, 0))
+        theta1 = user_phases(cfg.profile, trial_rng(cfg.seed, 1))
+        R0 = build_correlation(cfg.profile, 0, trial_rng(cfg.seed, 0))
+        R1 = build_correlation(cfg.profile, 0, trial_rng(cfg.seed, 1))
+        assert np.array_equal(R0, exponential_correlation(4, 0.6, theta0[0]))
+        assert np.array_equal(R1, exponential_correlation(4, 0.6, theta1[0]))
         assert not np.allclose(R0, R1)
+
+    @pytest.mark.parametrize("kind", PROFILE_KINDS)
+    @pytest.mark.parametrize("rho", [0.0, 0.6])
+    def test_stream_layout(self, kind, rho):
+        # The documented stream: exp-random's K phases (rho > 0 only), then
+        # the real and imaginary parts of the white channel; column k is
+        # psd_sqrt(R_k) @ hw_k, with R_k built from user_phases.
+        N, K, trial = 7, 5, 2
+        cfg = SystemConfig.make(
+            N=N, K=K, snr_db=10.0, kind=kind, rho=rho, theta=0.7, trials=3, seed=11
+        )
+        rng = trial_rng(cfg.seed, trial)
+        correlated = kind != "identity" and rho > 0.0
+        theta = user_phases(cfg.profile, rng) if correlated else None  # only exp-random draws
+        Hw = (rng.standard_normal((N, K)) + 1j * rng.standard_normal((N, K))) / np.sqrt(2.0)
+        H = sample_channel(cfg, trial).H
+        for k in range(K):
+            Sk = psd_sqrt(exponential_correlation(N, rho, theta[k])) if correlated else np.eye(N)
+            assert np.array_equal(H[:, k], Sk @ Hw[:, k]), f"user {k}"
+
+    def test_random_phases_match_build_correlation_draws(self):
+        p = profile("exp-random", 6, 9, rho=0.5)
+        theta = user_phases(p, trial_rng(4, 1))
+        rng = trial_rng(4, 1)
+        for k in range(p.K):
+            R = build_correlation(p, k, rng)
+            assert np.array_equal(R, exponential_correlation(6, 0.5, theta[k])), f"user {k}"
+
+    def test_peak_memory_holds_one_root_per_user(self):
+        # tracemalloc counts numpy's buffers exactly. The K square roots
+        # (K N^2 complex entries) must be the only per-user dense storage;
+        # keeping each R_k as well would double the peak.
+        N, K = 64, 32
+        cfg = SystemConfig.make(N=N, K=K, snr_db=10.0, kind="exp-random", rho=0.6)
+        sample_channel(cfg, 0)
+        tracemalloc.start()
+        try:
+            sample_channel(cfg, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * K * N**2 * 16, f"peak {peak / (K * N**2 * 16):.2f} K N^2 16 bytes"
 
     def test_empirical_entry_variance_near_one(self):
         # Pooled over 1e5 scalar draws the per-entry variance estimate of

@@ -281,6 +281,7 @@ class TestErrorPaths:
         ("--tol", "-1", "tol"),
         ("--theta-draws", "0", "theta_draws"),
         ("--snr-db", "nan", "snr_db"),
+        ("--theta", "nan", "theta"),
     ])
     @pytest.mark.parametrize("command", [
         "asymptotic", "metrics", "loading", "sweep-cdf", "sweep-correlation", "sweep-loading",

@@ -1,7 +1,8 @@
 """One validation point: every entry point that takes ``eta``, ``tol`` or
 ``ptx`` rejects a value that is not positive and finite with a ``ValueError``
 naming it, before any iteration can spin on it. The same holds for a
-correlation coefficient outside ``[0, 1)`` and a non-finite phase."""
+correlation coefficient outside ``[0, 1)``, a non-finite phase and a count
+(antennas, users, trials, draws) that is not an integer of at least 1."""
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from mimoslnr.asymptotic import (
     solve_exponential_fixed_point,
     solve_fixed_point,
 )
+from mimoslnr.channel import PROFILE_KINDS, CorrelationProfile, SystemConfig, sample_channel
 from mimoslnr.experiments import run_correlation_sweep
 from mimoslnr.loading import (
     dfdx,
@@ -74,6 +76,18 @@ RHO_ENTRY_POINTS = {
     "solve_exponential_fixed_point": lambda rho: solve_exponential_fixed_point(4, rho, THETA, 0.1),
 }
 
+COUNT_ENTRY_POINTS = {
+    "N": lambda n: SystemConfig.make(N=n, K=4, snr_db=10.0),
+    "K": lambda k: SystemConfig.make(N=8, K=k, snr_db=10.0),
+    "trials": lambda trials: SystemConfig.make(N=8, K=4, snr_db=10.0, trials=trials),
+    "run_correlation_sweep-N": lambda n: run_correlation_sweep(
+        N=n, alpha=0.5, snr_db=10.0, rho_grid=[0.3], trials_for_random_theta=1
+    ),
+    "trials_for_random_theta": lambda draws: run_correlation_sweep(
+        N=4, alpha=0.5, snr_db=10.0, rho_grid=[0.3], trials_for_random_theta=draws
+    ),
+}
+
 PTX_ENTRY_POINTS = {
     "power_control": lambda ptx: power_control(H, rzf_precode(H, 0.2), ptx=ptx),
     "compute_metrics": lambda ptx: compute_metrics(H, 0.1, ptx=ptx),
@@ -112,6 +126,31 @@ def test_rho_must_lie_in_unit_interval(entry, rho):
 def test_theta_must_be_finite_phases(theta):
     with pytest.raises(ValueError, match="theta"):
         solve_exponential_fixed_point(4, 0.5, theta, 0.1)
+
+
+@pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", PROFILE_KINDS)
+def test_profile_theta_must_be_finite(kind, theta):
+    with pytest.raises(ValueError, match="theta"):
+        CorrelationProfile(kind=kind, N=4, K=2, rho=0.5, theta=theta)
+    with pytest.raises(ValueError, match="theta"):
+        SystemConfig.make(N=4, K=2, snr_db=10.0, kind=kind, rho=0.5, theta=theta)
+
+
+@pytest.mark.parametrize("count", [
+    8.5, 2.5, 4.0, True, "4",
+    pytest.param(np.float64(4.0), id="float64-4"),
+    pytest.param(np.array(4), id="0d-array-4"),
+])
+@pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+def test_count_must_be_an_integer(entry, count):
+    with pytest.raises(ValueError, match=entry.rsplit("-", 1)[-1]):
+        COUNT_ENTRY_POINTS[entry](count)
+
+
+def test_numpy_integer_counts_are_accepted():
+    cfg = SystemConfig.make(N=np.int64(8), K=np.int32(4), snr_db=10.0, trials=np.uint8(2))
+    assert sample_channel(cfg, 1).H.shape == (8, 4)
 
 
 @pytest.mark.parametrize("ptx", [np.nan, np.inf, 0.0, -1.0])
