@@ -44,7 +44,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import zpotrf, zpotrs
-from scipy.optimize import brentq
 
 from ._blas import one_blas_thread
 from .channel import check_count, check_positive_finite, check_rho
@@ -71,7 +70,8 @@ HISTORY = 5
 # measured, and a residual there that has not fallen for STALL steps sits on
 # the rounding floor of the step: the run stops.
 STALL = 5
-FLOOR = math.sqrt(np.finfo(float).eps)
+EPS = float(np.finfo(float).eps)
+FLOOR = math.sqrt(EPS)
 
 
 class FixedPointError(RuntimeError):
@@ -91,9 +91,10 @@ class AsymptoticSolution:
     ``contraction`` the estimate of the Picard map's contraction factor ``L``
     (NaN before a plain step has contracted), and ``error_bound`` the
     first-order bound ``residual * L / (1 - L)`` on ``max_k`` of the distance
-    to the fixed point (inf while ``L`` is unknown; 0 at a zero residual).
-    The bound leaves out rounding, which limits any solver to a few
-    ``eps * (1 + max gamma) / (1 - L)``.
+    to the fixed point (inf while ``L`` is unknown). The bound leaves out
+    rounding, which limits any solver to a few ``eps * (1 + max gamma) / (1 - L)``;
+    at a zero residual ``error_bound`` is that rounding floor, one such
+    term, since a step that rounds to no change bounds nothing finer.
     """
 
     gamma: np.ndarray
@@ -119,7 +120,7 @@ def solve_fixed_point(R, eta, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, gamma0
         definite.
     tol : float
         Positive finite relative tolerance: the run stops at a plain step
-        once both its residual and ``error_bound`` are within
+        once both its residual and ``residual * L / (1 - L)`` are within
         ``tol * (1 + max_k gamma_k)``, or on the rounding floor.
     max_iter : int
         Cap on evaluations of the step; reaching it, or a plain (Picard)
@@ -293,7 +294,8 @@ def _anderson(step, gamma, tol, max_iter):
     no step removes: once the smallest residual is within
     ``FLOOR * (1 + max g)`` and has not fallen for STALL steps, the run
     returns the iterate with the smallest residual, whose ``error_bound``
-    may then exceed the tolerance.
+    may then exceed the tolerance, as may the rounding floor reported for a
+    residual of exactly 0.
     """
     g = step(gamma)
     f = g - gamma
@@ -315,13 +317,24 @@ def _anderson(step, gamma, tol, max_iter):
             return 0.0
         return residual * contraction / (1.0 - contraction) if contraction < 1.0 else math.inf
 
+    def solution(gamma, residual):
+        # A zero residual stops the run, but it bounds only the rounding of
+        # the step: report that floor (inf while L is unknown), not 0.
+        if residual != 0.0:
+            bound = bound_of(residual)
+        elif contraction < 1.0:
+            bound = EPS * (1.0 + float(gamma.max())) / (1.0 - contraction)
+        else:
+            bound = math.inf
+        return AsymptoticSolution(gamma, it, residual, contraction, bound)
+
     while True:
         scale = 1.0 + g.max()
         bound = bound_of(res)
         if plain and max(res, bound) <= tol * scale:
-            return AsymptoticSolution(g, it, res, contraction, bound)
+            return solution(g, res)
         if stalled >= STALL and best_res <= FLOOR * (1.0 + best_g.max()):
-            return AsymptoticSolution(best_g, it, best_res, contraction, bound_of(best_res))
+            return solution(best_g, best_res)
         if it >= max_iter:
             raise FixedPointError(
                 f"fixed point did not converge within {max_iter} iterations "
@@ -411,7 +424,80 @@ def gamma_uncorrelated(x, eta):
 
 def _brent_rtol(tol):
     """Relative tolerance of :func:`gamma_common_r`'s root search."""
-    return max(tol, 4.0 * np.finfo(float).eps)
+    return max(tol, 4.0 * EPS)
+
+
+def _brentq(f, a, b, xtol, rtol, maxiter):
+    """Root of ``f`` in the sign bracket ``[a, b]`` by Brent's method.
+
+    Returns ``(root, iterations, converged)``. A step-for-step port, in
+    Python floats, of ``brentq`` in scipy's ``scipy/optimize/Zeros/brentq.c``
+    (BSD-3-Clause, copyright the SciPy developers), after R. P. Brent,
+    *Algorithms for Minimization Without Derivatives* (1973), ch. 4. The
+    operations and their order are scipy's, so the iterates, the root and
+    the iteration count are bit for bit those of
+    ``scipy.optimize.brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)``.
+    The search stops once the bracket half-width is below
+    ``(xtol + rtol * |root|) / 2`` or ``f`` is exactly 0; after ``maxiter``
+    iterations it returns the last iterate with ``converged`` False. A NaN
+    value of ``f``, or ends of the same sign, raise ``ValueError``.
+    """
+    if maxiter < 0:
+        raise ValueError("maxiter must be >= 0")
+
+    def value(x):
+        fx = f(x)
+        if fx != fx:
+            raise ValueError(f"the function value at x={x!r} is NaN; the root search stops")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre, 0, True
+    if fcur == 0.0:
+        return xcur, 0, True
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for it in range(1, maxiter + 1):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, it, True
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # Secant (linear interpolation).
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # Inverse quadratic extrapolation.
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # Where Python raises, C's division gives inf or NaN, which
+                # the step test below rejects in favour of bisection.
+                stry = math.inf
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = value(xcur)
+    return xcur, maxiter, False
 
 
 def gamma_common_r(eigenvalues, K, eta, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
@@ -424,7 +510,8 @@ def gamma_common_r(eigenvalues, K, eta, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_IT
 
     ``T`` is increasing, ``T(0) > 0`` and ``T(gamma) < sum_n lam_n / (K eta)``,
     so ``[0, sum_n lam_n / (K eta)]`` brackets the one root of
-    ``T(gamma) - gamma``. Brent's method finds it within
+    ``T(gamma) - gamma``. Brent's method (:func:`_brentq`, the library's
+    port of scipy's ``brentq``) finds it within
     ``tol + max(tol, 4 eps) * gamma``, on either side, in a few dozen
     evaluations, also at full load and high SNR, where the contraction
     factor of ``T`` tends to 1 and plain iteration of the map stalls.
@@ -466,16 +553,13 @@ def gamma_common_r(eigenvalues, K, eta, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_IT
         s = eta * u
         return 1.0 + u * (N / K - 1.0) - (u / K) * float(np.sum(s / (lam + s)))
 
-    gamma, info = brentq(
-        excess, 0.0, hi, xtol=tol, rtol=_brent_rtol(tol), maxiter=max_iter,
-        full_output=True, disp=False,
-    )
-    if not info.converged:
+    gamma, iterations, converged = _brentq(excess, 0.0, hi, tol, _brent_rtol(tol), max_iter)
+    if not converged:
         raise FixedPointError(
             f"scalar fixed point did not converge within {max_iter} iterations "
             f"(tol {tol:.1e})",
             residual=abs(excess(gamma)),
-            iterations=info.iterations,
+            iterations=iterations,
         )
     return gamma
 

@@ -27,9 +27,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
-from .asymptotic import gamma_uncorrelated
+from .asymptotic import _brentq, gamma_uncorrelated
 from .channel import check_positive_finite
 
 __all__ = [
@@ -135,14 +134,16 @@ def eta_threshold():
 
     Root of ``sqrt(eta^2 + 4 eta) * log((eta + sqrt(eta^2 + 4 eta)) /
     (2 eta)) - 1 = 0``, i.e. the ``eta`` at which df/dx vanishes at
-    ``x = 1``. Solved numerically at first use rather than hard-coded.
+    ``x = 1``. Solved at first use rather than hard-coded, by the library's
+    Brent root finder (:func:`mimoslnr.asymptotic._brentq`, a bit-for-bit
+    port of scipy's ``brentq``) with scipy's default cap of 100 iterations.
     """
 
     def g(eta):
         s = math.sqrt(eta * eta + 4.0 * eta)
         return s * math.log((eta + s) / (2.0 * eta)) - 1.0
 
-    return brentq(g, 0.05, 1.0, xtol=1e-14, rtol=8.9e-16)
+    return _brentq(g, 0.05, 1.0, 1e-14, 8.9e-16, 100)[0]
 
 
 def optimal_x_exact(eta, tol=1e-10):
@@ -258,15 +259,26 @@ def x_upper_tight():
     """Tight upper bound on the optimal ratio: its maximum over ``eta``.
 
     ``x_star(eta)`` rises from 1 at both ends of ``(0, eta_o)`` to a single
-    interior peak, so a bounded scalar maximization recovers the bound.
+    interior peak, so golden-section search on ``[1e-6, eta_o]``, narrowed
+    to ``1e-12`` in ``eta``, recovers the bound.
     """
-    result = minimize_scalar(
-        lambda eta: -optimal_x_exact(eta, tol=1e-12).x_star,
-        bounds=(1e-6, eta_threshold()),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    return float(-result.fun)
+    def x_star(eta):
+        return optimal_x_exact(eta, tol=1e-12).x_star
+
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = 1e-6, eta_threshold()
+    left, right = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    x_left, x_right = x_star(left), x_star(right)
+    while hi - lo > 1e-12:
+        if x_left >= x_right:
+            hi, right, x_right = right, left, x_left
+            left = hi - shrink * (hi - lo)
+            x_left = x_star(left)
+        else:
+            lo, left, x_left = left, right, x_right
+            right = lo + shrink * (hi - lo)
+            x_right = x_star(right)
+    return max(x_left, x_right)
 
 
 def loading_constants():

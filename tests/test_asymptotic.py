@@ -1,8 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from mimoslnr import asymptotic
 from mimoslnr.asymptotic import (
+    EPS,
     FixedPointError,
+    _brentq,
     _toeplitz_inverse_sums,
     check_common_r_bound,
     even_mean_correlation,
@@ -189,6 +197,108 @@ class TestGammaCommonR:
             gamma_common_r(np.array([1.0, 1.5]), K=2, eta=0.1)  # trace off
 
 
+def scipy_brentq(f, a, b, xtol, rtol, maxiter):
+    """``(root, iterations, converged)`` from scipy, the reference of the port."""
+    root, info = scipy.optimize.brentq(
+        f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter, full_output=True, disp=False
+    )
+    return root, info.iterations, info.converged
+
+
+# Bracketed test functions with their root at r: (name, f(x, r, c)) with c
+# a shape parameter in [0.01, 10]. Each changes sign at r only.
+ROOT_FAMILIES = {
+    "cubic": lambda x, r, c: (x - r) * ((x - r) ** 2 + c),
+    "quintic": lambda x, r, c: (x - r) ** 5,
+    "exp": lambda x, r, c: math.exp(c * (x - r)) - 1.0,
+    "tanh": lambda x, r, c: math.tanh(c * (x - r)),
+    "steep": lambda x, r, c: math.atan(1e6 * c * (x - r)),
+    "cusp": lambda x, r, c: math.copysign(abs(x - r) ** 0.1, x - r),
+    "flat": lambda x, r, c: math.copysign(math.exp(-c / max(abs(x - r), 1e-300) ** 0.5), x - r),
+    "offset": lambda x, r, c: (x - r) + c * (x - r) ** 3 - 1e-3 * c * (x - r) ** 2,
+}
+
+
+class TestBrentPort:
+    """``_brentq`` against ``scipy.optimize.brentq``: same root bits, same count."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        family=st.sampled_from(sorted(ROOT_FAMILIES)),
+        r=st.floats(-5.0, 5.0),
+        c=st.floats(0.01, 10.0),
+        left=st.floats(1e-3, 10.0),
+        right=st.floats(1e-3, 10.0),
+        swap=st.booleans(),
+        xtol=st.floats(1e-14, 1e-3),
+        rtol=st.floats(4.0 * EPS, 1e-6),
+        maxiter=st.sampled_from([3, 10, 100]),
+    )
+    def test_matches_scipy(self, family, r, c, left, right, swap, xtol, rtol, maxiter):
+        def f(x):
+            return ROOT_FAMILIES[family](x, r, c)
+
+        a, b = r - left, r + right
+        if swap:
+            a, b = b, a
+        # scipy leaves its iteration count unset when an end is a root.
+        assume(f(a) != 0.0 and f(b) != 0.0 and (f(a) < 0.0) != (f(b) < 0.0))
+        assert _brentq(f, a, b, xtol, rtol, maxiter) == scipy_brentq(f, a, b, xtol, rtol, maxiter)
+
+    @pytest.mark.parametrize("snr_db", [40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0, 110.0, 120.0])
+    @pytest.mark.parametrize("N,rho", [(1, 0.0), (16, 0.0), (64, 0.0), (64, 0.5), (64, 0.95)])
+    def test_gamma_common_r_excess_at_full_load(self, monkeypatch, N, rho, snr_db):
+        # Each call of the port inside gamma_common_r is replayed through scipy.
+        calls = []
+
+        def replayed(f, a, b, xtol, rtol, maxiter):
+            ours = _brentq(f, a, b, xtol, rtol, maxiter)
+            calls.append((ours, scipy_brentq(f, a, b, xtol, rtol, maxiter)))
+            return ours
+
+        monkeypatch.setattr(asymptotic, "_brentq", replayed)
+        gamma_common_r(exponential_eigenvalues(N, rho), N, 10.0 ** (-snr_db / 10.0))
+        assert len(calls) == 1
+        ours, reference = calls[0]
+        assert ours == reference and ours[2]
+
+    def test_nan_value_is_value_error(self):
+        with pytest.raises(ValueError, match="NaN"):
+            _brentq(lambda x: math.nan, 0.0, 1.0, 1e-12, 4.0 * EPS, 100)
+        # NaN first met inside the bracket, after the ends have been checked.
+        def f(x):
+            return math.nan if 0.25 < x < 0.75 else x - 0.5
+
+        with pytest.raises(ValueError, match="NaN"):
+            scipy_brentq(f, 0.0, 1.0, 1e-12, 4.0 * EPS, 100)
+        with pytest.raises(ValueError, match="NaN"):
+            _brentq(f, 0.0, 1.0, 1e-12, 4.0 * EPS, 100)
+
+    def test_same_sign_bracket_is_value_error(self):
+        with pytest.raises(ValueError, match="different signs"):
+            scipy_brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 4.0 * EPS, 100)
+        with pytest.raises(ValueError, match="different signs"):
+            _brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 4.0 * EPS, 100)
+
+    def test_iteration_cap_returns_not_converged(self):
+        def f(x):
+            return math.exp(x) - 2.0
+
+        ours = _brentq(f, -3.0, 4.0, 1e-14, 4.0 * EPS, 3)
+        assert ours == scipy_brentq(f, -3.0, 4.0, 1e-14, 4.0 * EPS, 3)
+        assert ours[1:] == (3, False)
+        with pytest.raises(ValueError, match="maxiter"):
+            scipy_brentq(f, -3.0, 4.0, 1e-14, 4.0 * EPS, -1)
+        with pytest.raises(ValueError, match="maxiter"):
+            _brentq(f, -3.0, 4.0, 1e-14, 4.0 * EPS, -1)
+
+    def test_gamma_common_r_iteration_cap(self):
+        with pytest.raises(FixedPointError, match="within 3 iterations") as excinfo:
+            gamma_common_r(exponential_eigenvalues(16, 0.5), K=8, eta=0.01, max_iter=3)
+        assert excinfo.value.iterations == 3
+        assert excinfo.value.residual > 0.0
+
+
 # N in {1, 2, 7, 32}, K from 1 to above N, rho in {0, 0.3, 0.9}, 0/20/40 dB.
 STRUCTURED_SIZES = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (2, 4)] + [
     (7, k) for k in range(1, 10)
@@ -364,6 +474,16 @@ class TestAcceleratedSolvers:
             sol.residual * sol.contraction / (1.0 - sol.contraction)
         )
         assert max(sol.residual, sol.error_bound) <= 1e-12 * (1.0 + sol.gamma.max())
+
+    def test_zero_residual_reports_the_rounding_floor(self):
+        # N = K = 64 at 80 dB with even phases stops on a residual of exactly
+        # 0, 2.9e-9 from the closed form, with contraction 0.9998.
+        eta = 1e-8
+        sol = solve_exponential_fixed_point(64, 0.0, 2.0 * np.pi * np.arange(64) / 64, eta)
+        error = np.abs(sol.gamma - gamma_uncorrelated(1.0, eta)).max()
+        assert sol.residual == 0.0 and error > 1e-9
+        assert sol.error_bound == EPS * (1.0 + sol.gamma.max()) / (1.0 - sol.contraction)
+        assert sol.error_bound >= error > 0.0
 
     @pytest.mark.parametrize("N", [1, 2, 7, 64])
     @pytest.mark.parametrize("rho", [0.0, 0.5, 0.95])

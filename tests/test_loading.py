@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from mimoslnr import loading
 from mimoslnr.channel import eta_from_snr_db
@@ -26,6 +27,14 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 class TestEtaThreshold:
     def test_value_to_four_decimals(self):
         assert abs(eta_threshold() - 0.3256) < 5e-5
+
+    def test_bits_match_scipy_brentq(self):
+        def g(eta):
+            s = math.sqrt(eta * eta + 4.0 * eta)
+            return s * math.log((eta + s) / (2.0 * eta)) - 1.0
+
+        assert eta_threshold() == scipy.optimize.brentq(g, 0.05, 1.0, xtol=1e-14, rtol=8.9e-16)
+        assert eta_threshold() == 0.3256406730899648
 
     def test_defining_equation_residual(self):
         eta = eta_threshold()
@@ -147,6 +156,12 @@ class TestOptimalXExact:
         xs = np.array([optimal_x_exact(e).x_star for e in etas])
         assert np.all(xs < X_UPPER_LOOSE)
         assert np.all(xs <= 1.3315 + 5e-3)
+
+    def test_tight_bound_is_the_peak_over_eta(self):
+        # Golden-section search to 1e-12 in eta: no grid point beats it.
+        etas = np.linspace(1e-6, eta_threshold(), 2001)
+        best = max(optimal_x_exact(e, tol=1e-12).x_star for e in etas)
+        assert best <= x_upper_tight() < best + 1e-6
 
     def test_tight_bound_value_and_interior_maximum(self):
         assert abs(x_upper_tight() - 1.3315) <= 5e-3
