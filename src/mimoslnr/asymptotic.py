@@ -43,11 +43,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import zpotrf, zpotrs
 
 from ._blas import one_blas_thread
 from .channel import check_count, check_positive_finite, check_rho
-from .linalg import herm_eig
+from .linalg import _cholesky_solve, herm_eig
 
 __all__ = [
     "AsymptoticSolution",
@@ -63,6 +62,8 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-12
+# Cap on step evaluations of the vector solvers and on Brent iterations of
+# the scalar one; read at call time.
 DEFAULT_MAX_ITER = 10000
 # Anderson acceleration extrapolates from this many past steps.
 HISTORY = 5
@@ -105,11 +106,12 @@ class AsymptoticSolution:
 
 
 @one_blas_thread
-def solve_fixed_point(R, eta, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, gamma0=None):
+def solve_fixed_point(R, eta, tol=DEFAULT_TOL):
     """Solve the coupled SLNR fixed-point system by accelerated iteration.
 
     Safeguarded Anderson acceleration of the Picard step (see
-    :func:`_anderson`); the solution does not depend on the path.
+    :func:`_anderson`) from all zeros; the solution does not depend on the
+    path.
 
     Parameters
     ----------
@@ -122,17 +124,17 @@ def solve_fixed_point(R, eta, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, gamma0
         Positive finite relative tolerance: the run stops at a plain step
         once both its residual and ``residual * L / (1 - L)`` are within
         ``tol * (1 + max_k gamma_k)``, or on the rounding floor.
-    max_iter : int
-        Cap on evaluations of the step; reaching it, or a plain (Picard)
-        iterate that is not finite (say from a NaN or inf entry of ``R``),
-        raises :class:`FixedPointError`.
-    gamma0 : array_like, optional
-        Starting point, default all zeros. The solution is unique and
-        nonnegative, so any nonnegative start converges to the same values.
 
     Returns
     -------
     AsymptoticSolution
+
+    Raises
+    ------
+    FixedPointError
+        After ``DEFAULT_MAX_ITER`` evaluations of the step, or at a plain
+        (Picard) iterate that is not finite (say from a NaN or inf entry of
+        ``R``).
     """
     check_positive_finite(eta, "eta")
     check_positive_finite(tol, "tol")
@@ -140,10 +142,6 @@ def solve_fixed_point(R, eta, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, gamma0
     if Rs.ndim != 3 or Rs.shape[1] != Rs.shape[2]:
         raise ValueError(f"R must be K square matrices of equal size, got shape {Rs.shape}")
     K, N, _ = Rs.shape
-    gamma = np.zeros(K) if gamma0 is None else np.broadcast_to(
-        np.asarray(gamma0, dtype=float), (K,)
-    ).copy()
-
     eye = np.eye(N, dtype=complex)
     shift = (K * eta) * eye
 
@@ -154,7 +152,7 @@ def solve_fixed_point(R, eta, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, gamma0
         Minv = np.linalg.solve(M, eye)
         return np.einsum("kij,ji->k", Rs, Minv).real
 
-    return _anderson(step, gamma, tol, max_iter)
+    return _anderson(step, np.zeros(K), tol, DEFAULT_MAX_ITER)
 
 
 @one_blas_thread
@@ -249,14 +247,9 @@ def _toeplitz_inverse_sums(N):
     first[0] = 1.0
 
     def sums(t):
-        # t[|m - n|] is M in the lower triangle, the only one zpotrf and
-        # zpotrs read; the transpose hands them column-major memory.
-        chol, info = zpotrf(t[lag_of].T, lower=1, clean=0, overwrite_a=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(
-                f"Toeplitz resolvent is not positive definite (zpotrf info {info})"
-            )
-        a = zpotrs(chol, first, lower=1)[0]
+        # t[|m - n|] is M in the lower triangle, the only one the Cholesky
+        # solve reads; the transpose hands it column-major memory to overwrite.
+        a = _cholesky_solve(t[lag_of].T, first, "Toeplitz resolvent", overwrite_a=True)
         b = np.concatenate(([0.0], a[:0:-1].conj()))
         full = np.correlate(weight * a, a, "full") - np.correlate(weight * b, b, "full")
         return full[N - 1:] / a[0].real
@@ -500,7 +493,7 @@ def _brentq(f, a, b, xtol, rtol, maxiter):
     return xcur, maxiter, False
 
 
-def gamma_common_r(eigenvalues, K, eta, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+def gamma_common_r(eigenvalues, K, eta, tol=DEFAULT_TOL):
     """Scalar deterministic SLNR when every user shares one correlation matrix.
 
     With eigenvalues ``lam_1..lam_N`` of the shared matrix (trace N), the
@@ -515,7 +508,7 @@ def gamma_common_r(eigenvalues, K, eta, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_IT
     ``tol + max(tol, 4 eps) * gamma``, on either side, in a few dozen
     evaluations, also at full load and high SNR, where the contraction
     factor of ``T`` tends to 1 and plain iteration of the map stalls.
-    ``max_iter`` caps Brent's iterations.
+    ``DEFAULT_MAX_ITER`` caps Brent's iterations.
     Zero eigenvalues contribute zero to the sum (the continuous limit of
     the summand), so rank-deficient inputs do not crash.
     """
@@ -553,6 +546,7 @@ def gamma_common_r(eigenvalues, K, eta, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_IT
         s = eta * u
         return 1.0 + u * (N / K - 1.0) - (u / K) * float(np.sum(s / (lam + s)))
 
+    max_iter = DEFAULT_MAX_ITER
     gamma, iterations, converged = _brentq(excess, 0.0, hi, tol, _brent_rtol(tol), max_iter)
     if not converged:
         raise FixedPointError(
@@ -599,16 +593,17 @@ class BoundCheck(NamedTuple):
     holds: bool
 
 
-def check_common_r_bound(eigenvalues, K, eta, tol=DEFAULT_TOL):
+def check_common_r_bound(eigenvalues, K, eta):
     """Shared-R SLNR versus the uncorrelated value, with the bound verdict.
 
     The uncorrelated closed form upper-bounds the shared-R fixed point for
     any trace-normalized eigenvalue profile, with equality exactly when all
     eigenvalues are 1. The verdict allows for rounding (``1e-10``) and for
-    the distance from the root at which :func:`gamma_common_r` may stop.
+    the distance from the root at which :func:`gamma_common_r`, run at
+    ``DEFAULT_TOL``, may stop.
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    gamma = gamma_common_r(lam, K, eta, tol=tol)
+    gamma = gamma_common_r(lam, K, eta)
     bound = gamma_uncorrelated(lam.size / K, eta)
-    slack = 1e-10 + tol + _brent_rtol(tol) * gamma
+    slack = 1e-10 + DEFAULT_TOL + _brent_rtol(DEFAULT_TOL) * gamma
     return BoundCheck(gamma=gamma, bound=bound, holds=bool(gamma <= bound + slack))

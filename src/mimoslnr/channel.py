@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import one_blas_thread
-from .linalg import hermitian_part, psd_sqrt
+from .linalg import psd_sqrt
 
 __all__ = [
     "PROFILE_KINDS",
@@ -25,6 +25,7 @@ __all__ = [
     "ChannelRealization",
     "check_positive_finite",
     "check_count",
+    "check_index",
     "check_rho",
     "eta_from_snr_db",
     "user_phases",
@@ -55,12 +56,27 @@ def check_positive_finite(value, name):
     return value
 
 
-def check_count(value, name):
-    """Return ``value`` if it is an integer (not a ``bool``) >= 1, else raise ``ValueError``."""
+def _check_integer(value, name):
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if not value >= 1:
+    return value
+
+
+def check_count(value, name):
+    """Return ``value`` if it is an integer (not a ``bool``) >= 1, else raise ``ValueError``."""
+    if not _check_integer(value, name) >= 1:
         raise ValueError(f"{name} must be >= 1, got {value!r}")
+    return value
+
+
+def check_index(value, name):
+    """Return ``value`` if it is an integer (not a ``bool``) >= 0, else raise ``ValueError``.
+
+    The check for a seed and a trial number: each picks a random stream, so
+    a float or ``bool`` is rejected rather than truncated to another one.
+    """
+    if not _check_integer(value, name) >= 0:
+        raise ValueError(f"{name} must be >= 0, got {value!r}")
     return value
 
 
@@ -132,8 +148,7 @@ class SystemConfig:
     def __post_init__(self):
         # N and K are checked by the profile, whose dimensions must match.
         check_count(self.trials, "trials")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
+        check_index(self.seed, "seed")
         eta_from_snr_db(self.snr_db)  # raises on a non-finite or out-of-range SNR
         if (self.profile.N, self.profile.K) != (self.N, self.K):
             raise ValueError(
@@ -195,8 +210,9 @@ def build_correlation(profile, k, rng=None):
         return np.eye(N, dtype=complex)
     theta = float(_phases(profile, k, rng))
     d = np.subtract.outer(np.arange(N), np.arange(N))
-    R = profile.rho ** np.abs(d) * np.exp(1j * d * theta)
-    return hermitian_part(R)
+    # Exactly Hermitian with a real unit diagonal, as exp(-1j x) is
+    # conj(exp(1j x)); herm_eig validates it where it is factorized.
+    return profile.rho ** np.abs(d) * np.exp(1j * d * theta)
 
 
 def trial_rng(seed, trial):
@@ -204,8 +220,11 @@ def trial_rng(seed, trial):
 
     The stream is a pure function of ``(seed, trial)`` (numpy's SeedSequence
     mixes both through its hash), so trials can run in any order or in
-    parallel and still reproduce bit-identically.
+    parallel and still reproduce bit-identically. Both must be integers
+    >= 0 (see :func:`check_index`).
     """
+    check_index(seed, "seed")
+    check_index(trial, "trial")
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(trial))))
 
 
@@ -218,10 +237,10 @@ def sample_channel(config, trial):
     with ``rho > 0`` only), then the white channel ``Hw``; column ``k`` of
     ``H`` is ``psd_sqrt(R_k) @ Hw[:, k]``, or ``Hw[:, k]`` when ``R_k = I``.
     """
-    if not 0 <= trial < config.trials:
+    rng = trial_rng(config.seed, trial)  # checks that trial is an integer >= 0
+    if trial >= config.trials:
         raise ValueError(f"trial {trial} out of range for trials={config.trials}")
     N, K = config.N, config.K
-    rng = trial_rng(config.seed, trial)
     profile = config.profile
 
     if profile.kind == "identity" or profile.rho == 0.0:

@@ -18,11 +18,14 @@ from .asymptotic import (
     gamma_common_r, gamma_exp_even, gamma_uncorrelated, solve_exponential_fixed_point
 )
 from .channel import (
-    CorrelationProfile, build_correlation, check_count, eta_from_snr_db, sample_channel, trial_rng,
-    user_phases,
+    CorrelationProfile, build_correlation, check_count, check_index, eta_from_snr_db,
+    sample_channel, trial_rng, user_phases,
 )
 from .linalg import herm_eig
-from .loading import eta_threshold, objective_f, optimal_x_exact, optimal_x_high_snr, optimal_x_low_snr
+from .loading import (
+    CLAMPED_AT_ONE, eta_threshold, objective_f, optimal_x_exact, optimal_x_high_snr,
+    optimal_x_low_snr,
+)
 from .precoding import compute_metrics
 
 __all__ = [
@@ -34,6 +37,13 @@ __all__ = [
     "brute_force_optimal_x",
     "write_csv",
 ]
+
+# The loading sweep's root tolerance, and the brute-force oracle's grid on
+# [BRUTE_LO, BRUTE_HI] with spacing BRUTE_STEP; the sweep echoes the
+# tolerance and the spacing into its CSV metadata.
+LOADING_TOL = 1e-10
+BRUTE_LO, BRUTE_HI, BRUTE_STEP = 1.0, 1.5, 1e-4
+
 
 @dataclass
 class ExperimentResult:
@@ -120,6 +130,7 @@ def run_correlation_sweep(
     """
     start = time.perf_counter()
     check_count(N, "N")
+    check_index(seed, "seed")
     K = check_count(int(round(alpha * N)), "round(alpha * N)")
     check_count(trials_for_random_theta, "trials_for_random_theta")
     eta = eta_from_snr_db(snr_db)
@@ -178,24 +189,27 @@ def run_correlation_sweep(
     )
 
 
-def brute_force_optimal_x(eta, lo=1.0, hi=1.5, step=1e-4):
+def brute_force_optimal_x(eta):
     """Grid-search maximizer of the per-antenna rate; the independent oracle.
 
-    Exhaustively evaluates the objective on ``[lo, hi]`` at the given step
-    and returns the best grid point, with no derivative information.
+    Exhaustively evaluates the objective on ``[BRUTE_LO, BRUTE_HI]`` in
+    steps of ``BRUTE_STEP`` and returns the best grid point, with no
+    derivative information.
     """
-    grid = lo + step * np.arange(int(round((hi - lo) / step)) + 1)
+    count = int(round((BRUTE_HI - BRUTE_LO) / BRUTE_STEP)) + 1
+    grid = BRUTE_LO + BRUTE_STEP * np.arange(count)
     values = objective_f(grid, eta)
     return float(grid[int(np.argmax(values))])
 
 
-def run_loading_sweep(snr_db_grid, tol=1e-10, brute_step=1e-4):
+def run_loading_sweep(snr_db_grid):
     """Optimal loading fraction versus SNR, with oracle and approximations.
 
     Emits the exact optimizer, the brute-force grid search, and both
     closed-form approximations (each only below the threshold ``eta_o``,
     NaN elsewhere). The ``clamped`` column flags SNR points where the
-    optimum sits at the ``x = 1`` boundary.
+    optimum sits at the ``x = 1`` boundary. The exact optimizer runs at
+    ``LOADING_TOL``.
     """
     start = time.perf_counter()
     snr_db_grid = np.asarray(snr_db_grid, dtype=float)
@@ -209,10 +223,10 @@ def run_loading_sweep(snr_db_grid, tol=1e-10, brute_step=1e-4):
     alpha_high = np.full(snr_db_grid.size, np.nan)
 
     for i, eta in enumerate(etas):
-        sol = optimal_x_exact(eta, tol=tol)
+        sol = optimal_x_exact(eta, tol=LOADING_TOL)
         x_exact[i] = sol.x_star
-        clamped[i] = 1.0 if sol.method == "clamped-at-one" else 0.0
-        alpha_brute[i] = 1.0 / brute_force_optimal_x(eta, step=brute_step)
+        clamped[i] = 1.0 if sol.method == CLAMPED_AT_ONE else 0.0
+        alpha_brute[i] = 1.0 / brute_force_optimal_x(eta)
         if eta < eta_o:
             alpha_low[i] = 1.0 / optimal_x_low_snr(eta)
             alpha_high[i] = 1.0 / optimal_x_high_snr(eta)
@@ -231,8 +245,8 @@ def run_loading_sweep(snr_db_grid, tol=1e-10, brute_step=1e-4):
         "snr_db_min": float(snr_db_grid.min()),
         "snr_db_max": float(snr_db_grid.max()),
         "points": int(snr_db_grid.size),
-        "tol": tol,
-        "brute_step": brute_step,
+        "tol": LOADING_TOL,
+        "brute_step": BRUTE_STEP,
     }
     return ExperimentResult(
         name="loading",

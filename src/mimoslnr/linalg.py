@@ -71,15 +71,14 @@ def _as_square(A, name="A"):
     return A
 
 
-def hermitian_part(A, rtol=HERMITIAN_RTOL):
-    """Validate that ``A`` is Hermitian within ``rtol`` and symmetrize exactly.
+def hermitian_part(A):
+    """Validate that ``A`` is Hermitian and symmetrize exactly.
 
     Parameters
     ----------
     A : array_like, shape (n, n)
-        Nominally Hermitian matrix.
-    rtol : float
-        Maximum allowed ``||A - A*||_F`` relative to ``||A||_F``.
+        Nominally Hermitian matrix; ``||A - A*||_F`` may be at most
+        ``HERMITIAN_RTOL`` times ``||A||_F``.
 
     Returns
     -------
@@ -91,10 +90,10 @@ def hermitian_part(A, rtol=HERMITIAN_RTOL):
         raise ValueError("matrix entries must be finite")
     scale = np.linalg.norm(A)
     asym = np.linalg.norm(A - A.conj().T)
-    if asym > rtol * max(scale, 1e-300):
+    if asym > HERMITIAN_RTOL * max(scale, 1e-300):
         raise NotHermitianError(
             f"matrix is not Hermitian: relative asymmetry {asym / max(scale, 1e-300):.3e} "
-            f"exceeds {rtol:.1e}"
+            f"exceeds {HERMITIAN_RTOL:.1e}"
         )
     H = 0.5 * (A + A.conj().T)
     # The average above already has a real diagonal up to rounding; force it.
@@ -205,11 +204,19 @@ def shifted_gram_solve(H, beta, B):
     W = H @ H.conj().T
     W = 0.5 * (W + W.conj().T)
     W[np.diag_indices(n)] += float(beta)
-    chol, info = zpotrf(W, lower=1, clean=0)
-    if info != 0:
-        raise np.linalg.LinAlgError(
-            f"shifted Gram matrix is not positive definite (zpotrf info {info})"
-        )
-    X = zpotrs(chol, B, lower=1)[0]
+    X = _cholesky_solve(W, B, "shifted Gram matrix")
     return X[:, 0] if vector_rhs else X
 
+
+def _cholesky_solve(A, B, what, overwrite_a=False):
+    """Solve ``A X = B`` by one Cholesky factorization of ``A``.
+
+    LAPACK's ``zpotrf`` and ``zpotrs`` read only the lower triangle of
+    ``A``, which must be Hermitian positive definite; ``overwrite_a`` lets
+    ``zpotrf`` factorize a column-major ``A`` in place. If the factorization
+    fails, :class:`numpy.linalg.LinAlgError` names ``A`` as ``what``.
+    """
+    chol, info = zpotrf(A, lower=1, clean=0, overwrite_a=int(overwrite_a))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{what} is not positive definite (zpotrf info {info})")
+    return zpotrs(chol, B, lower=1)[0]

@@ -68,23 +68,22 @@ def rzf_precode(H, beta):
     return shifted_gram_solve(H, beta, H)
 
 
-def power_control(H, F, ptx=1.0):
-    """Equal per-user power split: ``p_k = sqrt(ptx / (K ||f_k||^2))``.
+def power_control(H, F):
+    """Equal per-user power split: ``p_k = sqrt(1 / (K ||f_k||^2))``.
 
-    Guarantees ``sum_k p_k^2 ||f_k||^2 == ptx`` with each user contributing
-    ``ptx / K``.
+    Guarantees ``sum_k p_k^2 ||f_k||^2 == 1``, the normalized total transmit
+    power, with each user contributing ``1 / K``.
     """
     H = np.asarray(H, dtype=complex)
     F = np.asarray(F, dtype=complex)
     if H.shape != F.shape:
         raise ValueError(f"F has shape {F.shape}, expected {H.shape} to match H")
-    check_positive_finite(ptx, "ptx")
     K = F.shape[1]
     norms_sq = np.sum(np.abs(F) ** 2, axis=0)
     if np.any(norms_sq == 0.0):
         bad = int(np.flatnonzero(norms_sq == 0.0)[0])
         raise DegenerateUserError(f"user {bad} has a zero precoding column")
-    return np.sqrt(ptx / (K * norms_sq))
+    return np.sqrt(1.0 / (K * norms_sq))
 
 
 def _slnr_from_precoder(H, F):
@@ -134,39 +133,39 @@ def _cross_gram(H, F):
     return H.conj().T @ F
 
 
-def slnr_ratio(H, F, p, eta, ptx=1.0):
+def slnr_ratio(H, F, p, eta):
     """Per-user SLNR as a plain leakage ratio for any precoder.
 
-    ``|h_k* f_k p_k|^2 / (sum_{i != k} |h_i* f_k p_k|^2 + sigma^2)`` with
-    ``sigma^2 = eta * ptx``; the leakage runs over user k's own beam.
+    ``|h_k* f_k p_k|^2 / (sum_{i != k} |h_i* f_k p_k|^2 + eta)``; the noise
+    power is ``eta`` at unit transmit power, and the leakage runs over user
+    k's own beam.
     """
     G = _cross_gram(np.asarray(H, dtype=complex), np.asarray(F, dtype=complex))
     p = np.asarray(p, dtype=float)
-    sigma_sq = eta * ptx
     sig = np.abs(np.diag(G)) ** 2 * p**2
     # Column k of |G|^2 holds |h_i* f_k|^2 over all i; drop the i = k term.
     leak_cols = np.sum(np.abs(G) ** 2, axis=0) - np.abs(np.diag(G)) ** 2
-    return sig / (p**2 * leak_cols + sigma_sq)
+    return sig / (p**2 * leak_cols + eta)
 
 
-def sinr_instantaneous(H, F, p, eta, ptx=1.0):
+def sinr_instantaneous(H, F, p, eta):
     """Per-user SINR: interference received from the other users' beams.
 
-    ``|h_k* f_k p_k|^2 / (sum_{i != k} |h_k* f_i p_i|^2 + sigma^2)``. Note
-    the index order ``h_k* f_i``, transposed relative to the SLNR leakage.
+    ``|h_k* f_k p_k|^2 / (sum_{i != k} |h_k* f_i p_i|^2 + eta)``, the noise
+    power being ``eta`` at unit transmit power. Note the index order
+    ``h_k* f_i``, transposed relative to the SLNR leakage.
     """
     G = _cross_gram(np.asarray(H, dtype=complex), np.asarray(F, dtype=complex))
     p = np.asarray(p, dtype=float)
-    sigma_sq = eta * ptx
     sig = np.abs(np.diag(G)) ** 2 * p**2
     # Row k of |G p|^2 holds |h_k* f_i p_i|^2 over all i; drop the i = k term.
     weighted = np.abs(G) ** 2 * p**2
     interference = np.sum(weighted, axis=1) - np.diag(weighted)
-    return sig / (interference + sigma_sq)
+    return sig / (interference + eta)
 
 
 @one_blas_thread
-def compute_metrics(H, eta, ptx=1.0):
+def compute_metrics(H, eta):
     """SLNR, SINR, and squared power scalars for one channel realization.
 
     One factorization per realization: the precoder at ``beta = K * eta``
@@ -175,9 +174,9 @@ def compute_metrics(H, eta, ptx=1.0):
     H = np.asarray(H, dtype=complex)
     check_positive_finite(eta, "eta")
     F = rzf_precode(H, H.shape[1] * eta)
-    p = power_control(H, F, ptx)
+    p = power_control(H, F)
     return MetricsPerUser(
         slnr=_slnr_from_precoder(H, F),
-        sinr=sinr_instantaneous(H, F, p, eta, ptx),
+        sinr=sinr_instantaneous(H, F, p, eta),
         power_sq=p**2,
     )

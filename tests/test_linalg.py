@@ -79,7 +79,7 @@ class TestHermEig:
 class TestHermitianPart:
     def test_symmetrizes_exactly(self):
         A = random_hermitian(6) + 1e-14 * rng.standard_normal((6, 6))
-        H = hermitian_part(A, rtol=1e-10)
+        H = hermitian_part(A)
         assert np.array_equal(H, H.conj().T)
         assert np.all(H.diagonal().imag == 0.0)
 

@@ -74,21 +74,20 @@ class TestRzfPrecode:
 class TestPowerControl:
     def test_single_user(self):
         F = np.array([[2.0], [0.0]], dtype=complex)
-        p = power_control(np.ones_like(F), F, ptx=1.0)
+        p = power_control(np.ones_like(F), F)
         np.testing.assert_allclose(p, [0.5])
 
     def test_equal_norms(self):
         F = np.eye(4, dtype=complex)
-        p = power_control(np.ones_like(F), F, ptx=1.0)
+        p = power_control(np.ones_like(F), F)
         np.testing.assert_allclose(p, np.full(4, 0.5))
 
     def test_sum_power_identity(self):
         H = random_channel(12, 6)
         F = rzf_precode(H, 0.3)
-        for ptx in (1.0, 2.5):
-            p = power_control(H, F, ptx)
-            total = float(np.sum(p**2 * np.sum(np.abs(F) ** 2, axis=0)))
-            assert abs(total - ptx) <= 1e-12 * ptx
+        p = power_control(H, F)
+        total = float(np.sum(p**2 * np.sum(np.abs(F) ** 2, axis=0)))
+        assert abs(total - 1.0) <= 1e-12
 
     def test_zero_column_raises(self):
         F = np.eye(3, dtype=complex)
@@ -219,9 +218,9 @@ class TestMetrics:
     def test_equal_per_user_power_share(self):
         H = random_channel(12, 6)
         F = rzf_precode(H, 6 * 0.1)
-        p = power_control(H, F, ptx=2.0)
+        p = power_control(H, F)
         shares = p**2 * np.sum(np.abs(F) ** 2, axis=0)
-        np.testing.assert_allclose(shares, np.full(6, 2.0 / 6), rtol=1e-9)
+        np.testing.assert_allclose(shares, np.full(6, 1.0 / 6), rtol=1e-9)
 
     def test_default_beta(self):
         # compute_metrics regularizes at beta = K * eta.

@@ -1,14 +1,16 @@
-"""One validation point: every entry point that takes ``eta``, ``tol`` or
-``ptx`` rejects a value that is not positive and finite with a ``ValueError``
-naming it, before any iteration can spin on it. The same holds for a
-correlation coefficient outside ``[0, 1)``, a non-finite phase and a count
-(antennas, users, trials, draws) that is not an integer of at least 1."""
+"""One validation point: every entry point that takes ``eta`` or ``tol``
+rejects a value that is not positive and finite with a ``ValueError`` naming
+it, before any iteration can spin on it. The same holds for a correlation
+coefficient outside ``[0, 1)``, a non-finite phase, a count (antennas, users,
+trials, draws) that is not an integer of at least 1, and a seed or trial
+number that is not an integer of at least 0 (or, for a trial, not below the
+trial count)."""
 
 import numpy as np
 import pytest
 
+from mimoslnr import experiments
 from mimoslnr.asymptotic import (
-    check_common_r_bound,
     even_mean_correlation,
     gamma_common_r,
     gamma_exp_even,
@@ -16,7 +18,9 @@ from mimoslnr.asymptotic import (
     solve_exponential_fixed_point,
     solve_fixed_point,
 )
-from mimoslnr.channel import PROFILE_KINDS, CorrelationProfile, SystemConfig, sample_channel
+from mimoslnr.channel import (
+    PROFILE_KINDS, CorrelationProfile, SystemConfig, sample_channel, trial_rng
+)
 from mimoslnr.experiments import run_correlation_sweep
 from mimoslnr.loading import (
     dfdx,
@@ -27,8 +31,6 @@ from mimoslnr.loading import (
 )
 from mimoslnr.precoding import (
     compute_metrics,
-    power_control,
-    rzf_precode,
     slnr_instantaneous,
     slnr_leave_one_out,
 )
@@ -63,7 +65,6 @@ TOL_ENTRY_POINTS = {
     ),
     "gamma_exp_even": lambda tol: gamma_exp_even(4, 2, 0.5, 0.1, tol=tol),
     "gamma_common_r": lambda tol: gamma_common_r(LAM, 2, 0.1, tol=tol),
-    "check_common_r_bound": lambda tol: check_common_r_bound(LAM, 2, 0.1, tol=tol),
     "optimal_x_exact": lambda tol: optimal_x_exact(0.01, tol=tol),
     "run_correlation_sweep": lambda tol: run_correlation_sweep(
         N=4, alpha=0.5, snr_db=10.0, rho_grid=[0.3], trials_for_random_theta=1, tol=tol
@@ -88,9 +89,16 @@ COUNT_ENTRY_POINTS = {
     ),
 }
 
-PTX_ENTRY_POINTS = {
-    "power_control": lambda ptx: power_control(H, rzf_precode(H, 0.2), ptx=ptx),
-    "compute_metrics": lambda ptx: compute_metrics(H, 0.1, ptx=ptx),
+CONFIG = SystemConfig.make(N=4, K=2, snr_db=10.0, trials=2)
+
+INDEX_ENTRY_POINTS = {
+    "SystemConfig-seed": lambda seed: SystemConfig.make(N=4, K=2, snr_db=10.0, seed=seed),
+    "sample_channel-trial": lambda trial: sample_channel(CONFIG, trial),
+    "run_correlation_sweep-seed": lambda seed: run_correlation_sweep(
+        N=4, alpha=0.5, snr_db=10.0, rho_grid=[0.3], trials_for_random_theta=1, seed=seed
+    ),
+    "trial_rng-seed": lambda seed: trial_rng(seed, 0),
+    "trial_rng-trial": lambda trial: trial_rng(0, trial),
 }
 
 
@@ -149,15 +157,29 @@ def test_count_must_be_an_integer(entry, count):
 
 
 def test_numpy_integer_counts_are_accepted():
-    cfg = SystemConfig.make(N=np.int64(8), K=np.int32(4), snr_db=10.0, trials=np.uint8(2))
-    assert sample_channel(cfg, 1).H.shape == (8, 4)
+    cfg = SystemConfig.make(
+        N=np.int64(8), K=np.int32(4), snr_db=10.0, trials=np.uint8(2), seed=np.int64(3)
+    )
+    ref = SystemConfig.make(N=8, K=4, snr_db=10.0, trials=2, seed=3)
+    assert np.array_equal(sample_channel(cfg, np.uint8(1)).H, sample_channel(ref, 1).H)
 
 
-@pytest.mark.parametrize("ptx", [np.nan, np.inf, 0.0, -1.0])
-@pytest.mark.parametrize("entry", PTX_ENTRY_POINTS)
-def test_ptx_must_be_positive_and_finite(entry, ptx):
-    with pytest.raises(ValueError, match="ptx"):
-        PTX_ENTRY_POINTS[entry](ptx)
+# A float or bool seed or trial must not be truncated to some other stream.
+@pytest.mark.parametrize("index", [1.5, True, np.nan, -1])
+@pytest.mark.parametrize("entry", INDEX_ENTRY_POINTS)
+def test_seed_and_trial_must_be_nonnegative_integers(entry, index):
+    with pytest.raises(ValueError, match=entry.rsplit("-", 1)[-1]):
+        INDEX_ENTRY_POINTS[entry](index)
+
+
+def test_bad_seed_fails_before_the_first_solve(monkeypatch):
+    def solve(*args, **kwargs):
+        raise AssertionError("solved before the seed was checked")
+
+    monkeypatch.setattr(experiments, "gamma_exp_even", solve)
+    with pytest.raises(ValueError, match="seed"):
+        INDEX_ENTRY_POINTS["run_correlation_sweep-seed"](0.5)
+
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
