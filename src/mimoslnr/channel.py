@@ -180,39 +180,34 @@ def user_phases(profile, rng=None):
 
     ``2*pi*k/K`` for ``exp-even``; ``profile.theta`` for ``exp-common`` and
     ``identity`` (whose phases play no part); for ``exp-random``, K uniform
-    draws on ``[0, 2*pi)`` from ``rng``, the same draws in the same order
-    that K calls of :func:`build_correlation` make.
+    draws on ``[0, 2*pi)`` from ``rng``.
     """
-    return _phases(profile, np.arange(profile.K), rng)
-
-
-def _phases(profile, k, rng):
-    # The one phase rule, for the user index array ``k`` (or one int index).
+    K = profile.K
     if profile.kind == "exp-even":
-        return 2.0 * np.pi * k / profile.K
+        return 2.0 * np.pi * np.arange(K) / K
     if profile.kind == "exp-random":
         if rng is None:
             raise ValueError("exp-random profile needs an rng to draw theta")
-        return rng.uniform(0.0, 2.0 * np.pi, np.shape(k))
-    return np.full(np.shape(k), profile.theta, dtype=float)
+        return rng.uniform(0.0, 2.0 * np.pi, K)
+    return np.full(K, profile.theta, dtype=float)
 
 
-def build_correlation(profile, k, rng=None):
-    """Correlation matrix for user ``k`` under the given profile.
+def build_correlation(N, rho, theta):
+    """The N x N exponential correlation ``rho^|m-n| * exp(1j * (m - n) * theta)``.
 
-    Its phase is user ``k``'s under :func:`user_phases`; for ``exp-random``
-    that is one uniform draw on ``[0, 2*pi)`` from ``rng``.
+    The identity when ``rho == 0``. The K matrices of an ``exp-*`` profile
+    are ``build_correlation(N, rho, t)`` over ``t`` in :func:`user_phases`.
     """
-    if not 0 <= k < profile.K:
-        raise ValueError(f"user index {k} out of range for K={profile.K}")
-    N = profile.N
-    if profile.kind == "identity" or profile.rho == 0.0:
+    check_count(N, "N")
+    check_rho(rho)
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
+    if rho == 0.0:
         return np.eye(N, dtype=complex)
-    theta = float(_phases(profile, k, rng))
     d = np.subtract.outer(np.arange(N), np.arange(N))
     # Exactly Hermitian with a real unit diagonal, as exp(-1j x) is
     # conj(exp(1j x)); herm_eig validates it where it is factorized.
-    return profile.rho ** np.abs(d) * np.exp(1j * d * theta)
+    return rho ** np.abs(d) * np.exp(1j * d * theta)
 
 
 def trial_rng(seed, trial):
@@ -236,22 +231,29 @@ def sample_channel(config, trial):
     gives, in order, the K phases of :func:`user_phases` (``exp-random``
     with ``rho > 0`` only), then the white channel ``Hw``; column ``k`` of
     ``H`` is ``psd_sqrt(R_k) @ Hw[:, k]``, or ``Hw[:, k]`` when ``R_k = I``.
+    Columns are filled one at a time, so one square root is alive at a
+    time; a run of users with the same phase (all of ``exp-common``)
+    shares one.
     """
     rng = trial_rng(config.seed, trial)  # checks that trial is an integer >= 0
     if trial >= config.trials:
         raise ValueError(f"trial {trial} out of range for trials={config.trials}")
-    N, K = config.N, config.K
     profile = config.profile
-
-    if profile.kind == "identity" or profile.rho == 0.0:
-        roots = None
-    elif profile.kind == "exp-common":
-        roots = [psd_sqrt(build_correlation(profile, 0))] * K
-    else:
-        roots = [psd_sqrt(build_correlation(profile, k, rng)) for k in range(K)]
+    correlated = profile.kind != "identity" and profile.rho > 0.0
+    theta = user_phases(profile, rng) if correlated else None
 
     # CN(0, 1) entries: independent real/imaginary parts of variance 1/2.
-    Hw = (rng.standard_normal((N, K)) + 1j * rng.standard_normal((N, K))) / np.sqrt(2.0)
-    if roots is None:
+    shape = (config.N, config.K)
+    Hw = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    if not correlated:
         return ChannelRealization(H=Hw)
-    return ChannelRealization(H=np.column_stack([roots[k] @ Hw[:, k] for k in range(K)]))
+    H = np.empty_like(Hw)
+    for k in range(config.K):
+        if k == 0 or theta[k] != theta[k - 1]:
+            # Naming R keeps it alive until the next one is built. Freed at
+            # once, glibc trims the heap top and eigh's workspace faults in
+            # again for every user: ~250 page faults per user at N = 128, not 5.
+            R = build_correlation(config.N, profile.rho, theta[k])
+            root = psd_sqrt(R)
+        H[:, k] = root @ Hw[:, k]
+    return ChannelRealization(H=H)

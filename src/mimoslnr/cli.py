@@ -22,6 +22,7 @@ from .asymptotic import (
 )
 from .channel import (
     PROFILE_KINDS,
+    CorrelationProfile,
     SystemConfig,
     build_correlation,
     check_count,
@@ -48,7 +49,7 @@ from .loading import (
     optimal_x_high_snr,
     optimal_x_low_snr,
 )
-from .precoding import compute_metrics, slnr_instantaneous, slnr_leave_one_out
+from .precoding import compute_metrics, slnr_leave_one_out
 
 __all__ = ["main", "console_main"]
 
@@ -329,15 +330,13 @@ def _selftest_checks():
 
     def slnr_route_equivalence():
         H = (rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8))) / np.sqrt(2)
-        fast = slnr_instantaneous(H, 0.01)
+        fast = compute_metrics(H, 0.01).slnr
         slow = slnr_leave_one_out(H, 0.01)
         assert np.max(np.abs(fast - slow) / slow) <= 1e-8
 
     def even_theta_sum_identity():
-        from .channel import CorrelationProfile
-
         profile = CorrelationProfile(kind="exp-even", N=8, K=8, rho=0.5)
-        total = np.sum([build_correlation(profile, k) for k in range(8)], axis=0)
+        total = np.sum([build_correlation(8, 0.5, t) for t in user_phases(profile)], axis=0)
         assert np.max(np.abs(total - 8.0 * np.eye(8))) <= 1e-9
 
     def exact_vs_brute_force():

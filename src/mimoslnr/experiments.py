@@ -7,6 +7,7 @@ rendered with shortest round-trip ``repr`` and the metadata comments never
 include wall-clock information.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -18,8 +19,8 @@ from .asymptotic import (
     gamma_common_r, gamma_exp_even, gamma_uncorrelated, solve_exponential_fixed_point
 )
 from .channel import (
-    CorrelationProfile, build_correlation, check_count, check_index, eta_from_snr_db,
-    sample_channel, trial_rng, user_phases,
+    CorrelationProfile, build_correlation, check_count, check_index, check_rho,
+    eta_from_snr_db, sample_channel, trial_rng, user_phases,
 )
 from .linalg import herm_eig
 from .loading import (
@@ -131,15 +132,16 @@ def run_correlation_sweep(
     start = time.perf_counter()
     check_count(N, "N")
     check_index(seed, "seed")
+    if isinstance(alpha, bool) or not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
     K = check_count(int(round(alpha * N)), "round(alpha * N)")
     check_count(trials_for_random_theta, "trials_for_random_theta")
     eta = eta_from_snr_db(snr_db)
     rho_grid = np.asarray(rho_grid, dtype=float)
-    # Every profile is built before the first solve, so a bad rho fails fast.
+    # Every rho is checked before the first solve, so a bad one fails fast.
     try:
-        common_profiles = [
-            CorrelationProfile(kind="exp-common", N=N, K=K, rho=rho) for rho in rho_grid
-        ]
+        for rho in rho_grid:
+            check_rho(rho)
     except ValueError as exc:
         raise ValueError(f"rho_grid: {exc}") from None
     random_profile = CorrelationProfile(kind="exp-random", N=N, K=K)
@@ -150,7 +152,7 @@ def run_correlation_sweep(
     random_single_col = np.empty(rho_grid.size)
     common_col = np.empty(rho_grid.size)
 
-    for i, (rho, common_profile) in enumerate(zip(rho_grid, common_profiles)):
+    for i, rho in enumerate(rho_grid):
         even_col[i] = gamma_exp_even(N, K, rho, eta, tol=tol)
 
         draw_means = np.empty(trials_for_random_theta)
@@ -161,7 +163,7 @@ def run_correlation_sweep(
         random_avg_col[i] = float(np.mean(draw_means))
         random_single_col[i] = draw_means[0]
 
-        lam = herm_eig(build_correlation(common_profile, 0)).eigenvalues
+        lam = herm_eig(build_correlation(N, rho, 0.0)).eigenvalues
         common_col[i] = gamma_common_r(lam, K, eta, tol=tol)
 
     columns = {

@@ -28,7 +28,6 @@ __all__ = [
     "DegenerateUserError",
     "rzf_precode",
     "power_control",
-    "slnr_instantaneous",
     "slnr_leave_one_out",
     "slnr_ratio",
     "sinr_instantaneous",
@@ -95,18 +94,6 @@ def _slnr_from_precoder(H, F):
     q = np.sum(H.conj() * F, axis=0).real
     q = np.clip(q, 0.0, _Q_CLAMP)
     return q / (1.0 - q)
-
-
-def slnr_instantaneous(H, eta):
-    """Per-user SLNR of the RZF precoder at regularization ``K * eta``.
-
-    Evaluates the leave-one-out quadratic form through the shared-Gram
-    identity ``SLNR_k = q_k / (1 - q_k)``: one factorization of
-    ``H H* + K eta I`` serves all K users.
-    """
-    H = np.asarray(H, dtype=complex)
-    check_positive_finite(eta, "eta")
-    return _slnr_from_precoder(H, rzf_precode(H, H.shape[1] * eta))
 
 
 def slnr_leave_one_out(H, eta):

@@ -13,7 +13,9 @@ import time
 import numpy as np
 
 from mimoslnr.asymptotic import check_common_r_bound, gamma_uncorrelated, solve_fixed_point
-from mimoslnr.channel import CorrelationProfile, SystemConfig, build_correlation, sample_channel
+from mimoslnr.channel import (
+    CorrelationProfile, SystemConfig, build_correlation, sample_channel, user_phases
+)
 from mimoslnr.cli import EXIT_OK, main
 from mimoslnr.experiments import run_loading_sweep
 from mimoslnr.loading import (
@@ -24,7 +26,7 @@ from mimoslnr.loading import (
     optimal_x_high_snr,
     optimal_x_low_snr,
 )
-from mimoslnr.precoding import compute_metrics, rzf_precode, power_control, slnr_instantaneous, slnr_ratio
+from mimoslnr.precoding import compute_metrics, rzf_precode, power_control, slnr_ratio
 
 
 def report(tag, ok, detail):
@@ -160,7 +162,7 @@ def test_criterion_6_even_theta_exactness():
     worst_abs = 0.0
     for rho in (0.3, 0.6, 0.9):
         profile = CorrelationProfile(kind="exp-even", N=N, K=K, rho=rho)
-        R = [build_correlation(profile, k) for k in range(K)]
+        R = [build_correlation(N, rho, t) for t in user_phases(profile)]
         gamma = solve_fixed_point(R, eta).gamma
         dev = float(np.max(np.abs(gamma - ref)))
         worst_abs = max(worst_abs, dev)
@@ -216,7 +218,7 @@ def test_criterion_9_slnr_route_identity():
         K = int(rng.integers(1, N + 1))
         eta = float(10.0 ** (-rng.uniform(0.0, 30.0) / 10.0))
         H = (rng.standard_normal((N, K)) + 1j * rng.standard_normal((N, K))) / np.sqrt(2.0)
-        quad = slnr_instantaneous(H, eta)
+        quad = compute_metrics(H, eta).slnr
         F = rzf_precode(H, K * eta)
         p = power_control(H, F)
         ratio = slnr_ratio(H, F, p, eta)

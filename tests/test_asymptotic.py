@@ -21,10 +21,10 @@ from mimoslnr.asymptotic import (
     solve_fixed_point,
 )
 from mimoslnr.channel import (
-    CorrelationProfile, SystemConfig, build_correlation, sample_channel, trial_rng
+    CorrelationProfile, SystemConfig, build_correlation, sample_channel, trial_rng, user_phases
 )
 from mimoslnr.linalg import herm_eig
-from mimoslnr.precoding import slnr_instantaneous
+from mimoslnr.precoding import compute_metrics
 
 rng = np.random.default_rng(99)
 
@@ -58,7 +58,7 @@ class TestSolveFixedPoint:
         # Evenly spaced phases make the user-averaged correlation the
         # identity, so every user lands on the uncorrelated value.
         profile = CorrelationProfile(kind="exp-even", N=32, K=32, rho=0.9)
-        R = [build_correlation(profile, k) for k in range(32)]
+        R = [build_correlation(32, 0.9, t) for t in user_phases(profile)]
         sol = solve_fixed_point(R, eta=0.01)
         ref = gamma_uncorrelated(1.0, 0.01)
         assert np.max(np.abs(sol.gamma - ref)) <= 1e-8 * ref
@@ -93,7 +93,7 @@ class TestSolveFixedPoint:
             gamma = gamma_uncorrelated(2.0, cfg.eta)
             devs = []
             for t in range(cfg.trials):
-                slnr = slnr_instantaneous(sample_channel(cfg, t).H, cfg.eta)
+                slnr = compute_metrics(sample_channel(cfg, t).H, cfg.eta).slnr
                 devs.append(np.abs(slnr - gamma) / gamma)
             medians.append(float(np.median(np.concatenate(devs))))
         assert medians[0] > medians[1] > medians[2], f"medians {medians}"
@@ -332,7 +332,7 @@ class TestStructuredRoutes:
     def test_exp_even_matches_dense(self, N, K, rho, snr_db):
         eta = 10.0 ** (-snr_db / 10.0)
         profile = CorrelationProfile(kind="exp-even", N=N, K=K, rho=rho)
-        R = [build_correlation(profile, k) for k in range(K)]
+        R = [build_correlation(N, rho, t) for t in user_phases(profile)]
         dense = solve_fixed_point(R, eta, tol=1e-13)
         gamma = gamma_exp_even(N, K, rho, eta)
         lam = np.linalg.eigvalsh(np.mean(R, axis=0))
@@ -344,10 +344,8 @@ class TestStructuredRoutes:
         eta = 10.0 ** (-snr_db / 10.0)
         seed = N * 1000 + K
         profile = CorrelationProfile(kind="exp-random", N=N, K=K, rho=rho)
-        rng = trial_rng(seed, 0)
-        R = [build_correlation(profile, k, rng) for k in range(K)]
-        # One vector draw gives the phases build_correlation drew one by one.
-        theta = trial_rng(seed, 0).uniform(0.0, 2.0 * np.pi, K)
+        theta = user_phases(profile, trial_rng(seed, 0))
+        R = [build_correlation(N, rho, t) for t in theta]
         # Both routes are Anderson-accelerated on maps that agree up to
         # rounding, so they need not take the same steps or stop on the same
         # one: at the default tol up to 8.5e-13 apart over these cases.
@@ -359,7 +357,7 @@ class TestStructuredRoutes:
     @pytest.mark.parametrize("rho", [0.0, 0.3, 0.9])
     def test_even_mean_correlation_matches_dense_sum(self, N, K, rho):
         profile = CorrelationProfile(kind="exp-even", N=N, K=K, rho=rho)
-        dense = np.mean([build_correlation(profile, k) for k in range(K)], axis=0)
+        dense = np.mean([build_correlation(N, rho, t) for t in user_phases(profile)], axis=0)
         closed = even_mean_correlation(N, K, rho)
         np.testing.assert_allclose(closed, dense, rtol=0.0, atol=1e-14)
         assert np.trace(closed) == N
@@ -410,11 +408,10 @@ def picard_oracle(R, eta, tol=1e-13, max_iter=200000):
 
 
 def exp_random_case(N, K, rho, seed):
-    """The exp-random users' matrices and the phases build_correlation drew for them."""
+    """The exp-random users' matrices and the phases they are built from."""
     profile = CorrelationProfile(kind="exp-random", N=N, K=K, rho=rho)
-    rng = trial_rng(seed, 0)
-    R = [build_correlation(profile, k, rng) for k in range(K)]
-    return R, trial_rng(seed, 0).uniform(0.0, 2.0 * np.pi, K)
+    theta = user_phases(profile, trial_rng(seed, 0))
+    return [build_correlation(N, rho, t) for t in theta], theta
 
 
 class TestAcceleratedSolvers:

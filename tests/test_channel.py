@@ -20,6 +20,12 @@ def profile(kind, N, K, rho=0.0, theta=0.0):
     return CorrelationProfile(kind=kind, N=N, K=K, rho=rho, theta=theta)
 
 
+def correlations(p, rng=None):
+    # The profile's K matrices R_k; identity is the rho = 0 profile.
+    rho = 0.0 if p.kind == "identity" else p.rho
+    return [build_correlation(p.N, rho, t) for t in user_phases(p, rng)]
+
+
 def exponential_correlation(N, rho, theta):
     # R[m, n] = rho^|m-n| exp(1j (m-n) theta), assembled as the module does.
     d = np.subtract.outer(np.arange(N), np.arange(N))
@@ -28,40 +34,43 @@ def exponential_correlation(N, rho, theta):
 
 class TestBuildCorrelation:
     def test_identity_kind(self):
-        R = build_correlation(profile("identity", 6, 4), 2)
+        R = correlations(profile("identity", 6, 4, rho=0.5))[2]
         np.testing.assert_array_equal(R, np.eye(6))
 
     @pytest.mark.parametrize("kind", ["exp-even", "exp-common"])
     def test_rho_zero_collapses_to_identity(self, kind):
-        R = build_correlation(profile(kind, 5, 3, rho=0.0, theta=1.3), 1)
+        R = correlations(profile(kind, 5, 3, rho=0.0, theta=1.3))[1]
+        assert R.dtype == complex
         np.testing.assert_array_equal(R, np.eye(5))
 
     def test_exponential_entries(self):
         # rho=1/2 with zero phase: entries are (1/2)^|m-n|.
-        R = build_correlation(profile("exp-even", 3, 4, rho=0.5), 0)
+        R = correlations(profile("exp-even", 3, 4, rho=0.5))[0]
         expected = np.array([[1.0, 0.5, 0.25], [0.5, 1.0, 0.5], [0.25, 0.5, 1.0]])
         np.testing.assert_allclose(R, expected, atol=1e-15)
 
     def test_unit_diagonal_and_trace(self):
         for kind, theta in [("exp-even", 0.0), ("exp-common", 0.9)]:
-            R = build_correlation(profile(kind, 9, 5, rho=0.7, theta=theta), 3)
+            R = correlations(profile(kind, 9, 5, rho=0.7, theta=theta))[3]
             np.testing.assert_array_equal(R.diagonal(), np.ones(9))
 
     def test_hermitian_with_phase(self):
-        R = build_correlation(profile("exp-even", 8, 5, rho=0.6), 3)
+        R = correlations(profile("exp-even", 8, 5, rho=0.6))[3]
         assert np.array_equal(R, R.conj().T)
+        assert np.array_equal(R, exponential_correlation(8, 0.6, 2.0 * np.pi * 3 / 5))
 
     def test_random_theta_uses_rng(self):
         p = profile("exp-random", 4, 2, rho=0.5)
-        R1 = build_correlation(p, 0, trial_rng(0, 0))
-        R2 = build_correlation(p, 0, trial_rng(0, 1))
+        R1 = correlations(p, trial_rng(0, 0))[0]
+        R2 = correlations(p, trial_rng(0, 1))[0]
         assert not np.allclose(R1, R2)
-        with pytest.raises(ValueError):
-            build_correlation(p, 0)
+        with pytest.raises(ValueError, match="rng"):
+            user_phases(p)
 
     def test_user_index_range(self):
-        with pytest.raises(ValueError):
-            build_correlation(profile("identity", 4, 2), 2)
+        # One phase, so one matrix, per user index 0 <= k < K.
+        for kind in PROFILE_KINDS:
+            assert user_phases(profile(kind, 4, 2, rho=0.5), trial_rng(0, 0)).shape == (2,)
 
     def test_rho_validation(self):
         with pytest.raises(ValueError):
@@ -80,20 +89,20 @@ class TestSumCorrelations:
         # sum_k exp(1j*2*pi*q*k/K) = 0 for 0 < q < K. With N <= K all lags
         # stay below K, so the user average is exactly the identity.
         p = profile("exp-even", 8, 8, rho=0.5)
-        total = np.sum([build_correlation(p, k) for k in range(8)], axis=0)
+        total = np.sum(correlations(p), axis=0)
         assert np.max(np.abs(total - 8.0 * np.eye(8))) <= 1e-9
 
     @pytest.mark.parametrize("K,rho", [(2, 0.9), (3, 0.3), (17, 0.999)])
     def test_even_theta_average_identity_any_rho(self, K, rho):
         p = profile("exp-even", K, K, rho=rho)
-        total = np.sum([build_correlation(p, k) for k in range(K)], axis=0)
+        total = np.sum(correlations(p), axis=0)
         assert np.max(np.abs(total / K - np.eye(K))) <= 1e-9
 
     def test_even_theta_average_wide_array_small_rho(self):
         # For N > K the lag-K entries survive with weight rho^K; they only
         # stay under the tolerance when rho^K is itself negligible.
         p = profile("exp-even", 24, 16, rho=0.25)
-        total = np.sum([build_correlation(p, k) for k in range(16)], axis=0)
+        total = np.sum(correlations(p), axis=0)
         assert np.max(np.abs(total / 16 - np.eye(24))) <= 1e-9
 
 
@@ -158,8 +167,7 @@ class TestSampleChannel:
 
     def test_correlation_sqrt_roundtrip(self):
         cfg = SystemConfig.make(N=6, K=3, snr_db=10.0, kind="exp-even", rho=0.8, trials=1)
-        for k in range(cfg.K):
-            Rk = build_correlation(cfg.profile, k)
+        for Rk in correlations(cfg.profile):
             Sk = psd_sqrt(Rk)
             assert np.linalg.norm(Sk @ Sk - Rk) <= 1e-9 * np.linalg.norm(Rk)
 
@@ -168,8 +176,8 @@ class TestSampleChannel:
         cfg = SystemConfig.make(N=4, K=2, snr_db=10.0, kind="exp-random", rho=0.6, trials=2)
         theta0 = user_phases(cfg.profile, trial_rng(cfg.seed, 0))
         theta1 = user_phases(cfg.profile, trial_rng(cfg.seed, 1))
-        R0 = build_correlation(cfg.profile, 0, trial_rng(cfg.seed, 0))
-        R1 = build_correlation(cfg.profile, 0, trial_rng(cfg.seed, 1))
+        R0 = correlations(cfg.profile, trial_rng(cfg.seed, 0))[0]
+        R1 = correlations(cfg.profile, trial_rng(cfg.seed, 1))[0]
         assert np.array_equal(R0, exponential_correlation(4, 0.6, theta0[0]))
         assert np.array_equal(R1, exponential_correlation(4, 0.6, theta1[0]))
         assert not np.allclose(R0, R1)
@@ -193,28 +201,22 @@ class TestSampleChannel:
             Sk = psd_sqrt(exponential_correlation(N, rho, theta[k])) if correlated else np.eye(N)
             assert np.array_equal(H[:, k], Sk @ Hw[:, k]), f"user {k}"
 
-    def test_random_phases_match_build_correlation_draws(self):
-        p = profile("exp-random", 6, 9, rho=0.5)
-        theta = user_phases(p, trial_rng(4, 1))
-        rng = trial_rng(4, 1)
-        for k in range(p.K):
-            R = build_correlation(p, k, rng)
-            assert np.array_equal(R, exponential_correlation(6, 0.5, theta[k])), f"user {k}"
-
-    def test_peak_memory_holds_one_root_per_user(self):
-        # tracemalloc counts numpy's buffers exactly. The K square roots
-        # (K N^2 complex entries) must be the only per-user dense storage;
-        # keeping each R_k as well would double the peak.
+    def test_peak_memory_holds_one_root_at_a_time(self):
+        # tracemalloc counts numpy's buffers exactly. The columns are
+        # filled one at a time, so the peak is a few N x N temporaries of
+        # one user's R_k and its root, not K of them (K N^2 complex
+        # entries would be 32 N^2 16 bytes here).
         N, K = 64, 32
-        cfg = SystemConfig.make(N=N, K=K, snr_db=10.0, kind="exp-random", rho=0.6)
-        sample_channel(cfg, 0)
-        tracemalloc.start()
-        try:
+        for kind in ("exp-random", "exp-even", "exp-common"):
+            cfg = SystemConfig.make(N=N, K=K, snr_db=10.0, kind=kind, rho=0.6, theta=0.7)
             sample_channel(cfg, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * K * N**2 * 16, f"peak {peak / (K * N**2 * 16):.2f} K N^2 16 bytes"
+            tracemalloc.start()
+            try:
+                sample_channel(cfg, 0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 12 * N**2 * 16, f"{kind}: peak {peak / (N**2 * 16):.2f} N^2 16 bytes"
 
     def test_empirical_entry_variance_near_one(self):
         # Pooled over 1e5 scalar draws the per-entry variance estimate of
@@ -238,5 +240,5 @@ class TestSampleChannel:
             H = sample_channel(cfg, t).H
             acc += H @ H.conj().T
         emp = acc / (cfg.trials * cfg.K)
-        R = build_correlation(cfg.profile, 0)
+        R = build_correlation(4, 0.9, 0.7)
         assert np.max(np.abs(emp - R)) < 0.02

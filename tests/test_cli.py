@@ -9,7 +9,9 @@ import pytest
 import mimoslnr
 from mimoslnr import cli
 from mimoslnr.asymptotic import gamma_uncorrelated, solve_fixed_point
-from mimoslnr.channel import PROFILE_KINDS, CorrelationProfile, build_correlation, trial_rng
+from mimoslnr.channel import (
+    PROFILE_KINDS, CorrelationProfile, build_correlation, trial_rng, user_phases
+)
 from mimoslnr.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 
 
@@ -70,16 +72,17 @@ class TestAsymptoticCommand:
 
     @pytest.mark.parametrize("kind", PROFILE_KINDS)
     def test_every_profile_matches_dense_solver(self, capsys, kind):
-        # The command solves on the Toeplitz lags; the phases must be those
-        # build_correlation gives the users of each profile kind.
+        # The command solves on the Toeplitz lags; the dense solver gets the
+        # users' matrices of each profile kind (identity is rho = 0).
         N, K, rho, theta, seed, eta = 8, 5, 0.6, 0.7, 3, 0.01
         code, out, _ = run_cli(capsys, "asymptotic", "--n", str(N), "--k", str(K),
                                "--profile", kind, "--rho", str(rho), "--theta", str(theta),
                                "--seed", str(seed), "--snr-db", "20")
         assert code == EXIT_OK
         profile = CorrelationProfile(kind=kind, N=N, K=K, rho=rho, theta=theta)
-        rng = trial_rng(seed, 0)
-        dense = solve_fixed_point([build_correlation(profile, k, rng) for k in range(K)], eta)
+        dense_rho = 0.0 if kind == "identity" else rho
+        theta_k = user_phases(profile, trial_rng(seed, 0))
+        dense = solve_fixed_point([build_correlation(N, dense_rho, t) for t in theta_k], eta)
         rows = [line for line in out.splitlines() if line and line[0].isdigit()]
         assert rows == [f"{k},{g:.6f}" for k, g in enumerate(dense.gamma)]
 

@@ -12,7 +12,6 @@ from mimoslnr.precoding import (
     power_control,
     rzf_precode,
     sinr_instantaneous,
-    slnr_instantaneous,
     slnr_leave_one_out,
     slnr_ratio,
 )
@@ -104,17 +103,17 @@ class TestSlnr:
     def test_single_user_is_matched_filter_snr(self):
         H = random_channel(8, 1)
         eta = 0.2
-        slnr = slnr_instantaneous(H, eta)
+        slnr = compute_metrics(H, eta).slnr
         expected = np.linalg.norm(H[:, 0]) ** 2 / eta
         np.testing.assert_allclose(slnr, [expected], rtol=1e-12)
 
     def test_scalar_unit_case(self):
-        assert slnr_instantaneous(np.array([[1.0]]), 1.0)[0] == pytest.approx(1.0, abs=1e-12)
+        assert compute_metrics(np.array([[1.0]]), 1.0).slnr[0] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n,k,eta", [(8, 4, 0.1), (16, 8, 0.01), (12, 12, 1.0)])
     def test_shared_factorization_matches_leave_one_out(self, n, k, eta):
         H = random_channel(n, k)
-        fast = slnr_instantaneous(H, eta)
+        fast = compute_metrics(H, eta).slnr
         slow = slnr_leave_one_out(H, eta)
         assert np.max(np.abs(fast - slow) / slow) <= 1e-8
 
@@ -126,7 +125,7 @@ class TestSlnr:
             K = int(rng.integers(1, N + 1))
             eta = float(10 ** (-rng.uniform(0, 25) / 10))
             H = random_channel(N, K)
-            quad = slnr_instantaneous(H, eta)
+            quad = compute_metrics(H, eta).slnr
             F = rzf_precode(H, K * eta)
             p = power_control(H, F)
             ratio = slnr_ratio(H, F, p, eta)
@@ -152,7 +151,7 @@ class TestSinr:
         ratio = slnr_ratio(H, F, p, eta)
         # Cross terms vanish exactly, so the two ratios are the same floats.
         assert np.array_equal(sinr, ratio)
-        quad = slnr_instantaneous(H, eta)
+        quad = compute_metrics(H, eta).slnr
         np.testing.assert_allclose(sinr, quad, rtol=1e-10)
 
     def test_cross_term_reciprocity(self):
@@ -227,10 +226,6 @@ class TestMetrics:
         H = random_channel(8, 4)
         m = compute_metrics(H, 0.5)
         assert np.array_equal(m.power_sq, power_control(H, rzf_precode(H, 4 * 0.5)) ** 2)
-
-    def test_slnr_is_slnr_instantaneous(self):
-        H = random_channel(16, 8)
-        assert np.array_equal(compute_metrics(H, 0.01).slnr, slnr_instantaneous(H, 0.01))
 
     def test_one_factorization_per_realization(self, monkeypatch):
         calls = []

@@ -1,10 +1,11 @@
 """One validation point: every entry point that takes ``eta`` or ``tol``
 rejects a value that is not positive and finite with a ``ValueError`` naming
 it, before any iteration can spin on it. The same holds for a correlation
-coefficient outside ``[0, 1)``, a non-finite phase, a count (antennas, users,
-trials, draws) that is not an integer of at least 1, and a seed or trial
-number that is not an integer of at least 0 (or, for a trial, not below the
-trial count)."""
+coefficient outside ``[0, 1)``, a load ratio ``alpha`` that is not positive
+and finite, a non-finite phase, a count (antennas, users, trials, draws)
+that is not an integer of at least 1, and a seed or trial number that is
+not an integer of at least 0 (or, for a trial, not below the trial
+count)."""
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from mimoslnr.asymptotic import (
     solve_fixed_point,
 )
 from mimoslnr.channel import (
-    PROFILE_KINDS, CorrelationProfile, SystemConfig, sample_channel, trial_rng
+    PROFILE_KINDS, CorrelationProfile, SystemConfig, build_correlation, sample_channel, trial_rng
 )
 from mimoslnr.experiments import run_correlation_sweep
 from mimoslnr.loading import (
@@ -31,7 +32,6 @@ from mimoslnr.loading import (
 )
 from mimoslnr.precoding import (
     compute_metrics,
-    slnr_instantaneous,
     slnr_leave_one_out,
 )
 
@@ -41,7 +41,6 @@ LAM = np.ones(4)
 THETA = [0.1, 2.0]
 
 ETA_ENTRY_POINTS = {
-    "slnr_instantaneous": lambda eta: slnr_instantaneous(H, eta),
     "slnr_leave_one_out": lambda eta: slnr_leave_one_out(H, eta),
     "compute_metrics": lambda eta: compute_metrics(H, eta),
     "solve_fixed_point": lambda eta: solve_fixed_point(R, eta),
@@ -72,6 +71,7 @@ TOL_ENTRY_POINTS = {
 }
 
 RHO_ENTRY_POINTS = {
+    "build_correlation": lambda rho: build_correlation(4, rho, 0.0),
     "even_mean_correlation": lambda rho: even_mean_correlation(4, 2, rho),
     "gamma_exp_even": lambda rho: gamma_exp_even(4, 2, rho, 0.1),
     "solve_exponential_fixed_point": lambda rho: solve_exponential_fixed_point(4, rho, THETA, 0.1),
@@ -81,6 +81,7 @@ COUNT_ENTRY_POINTS = {
     "N": lambda n: SystemConfig.make(N=n, K=4, snr_db=10.0),
     "K": lambda k: SystemConfig.make(N=8, K=k, snr_db=10.0),
     "trials": lambda trials: SystemConfig.make(N=8, K=4, snr_db=10.0, trials=trials),
+    "build_correlation-N": lambda n: build_correlation(n, 0.5, 0.0),
     "run_correlation_sweep-N": lambda n: run_correlation_sweep(
         N=n, alpha=0.5, snr_db=10.0, rho_grid=[0.3], trials_for_random_theta=1
     ),
@@ -143,6 +144,8 @@ def test_profile_theta_must_be_finite(kind, theta):
         CorrelationProfile(kind=kind, N=4, K=2, rho=0.5, theta=theta)
     with pytest.raises(ValueError, match="theta"):
         SystemConfig.make(N=4, K=2, snr_db=10.0, kind=kind, rho=0.5, theta=theta)
+    with pytest.raises(ValueError, match="theta"):
+        build_correlation(4, 0.5, theta)
 
 
 @pytest.mark.parametrize("count", [
@@ -180,6 +183,15 @@ def test_bad_seed_fails_before_the_first_solve(monkeypatch):
     with pytest.raises(ValueError, match="seed"):
         INDEX_ENTRY_POINTS["run_correlation_sweep-seed"](0.5)
 
+
+# inf overflowed in round(alpha * N), nan failed without naming alpha, and
+# True was taken for 1.
+@pytest.mark.parametrize("alpha", [np.inf, np.nan, -0.5, 0.0, True])
+def test_sweep_alpha_must_be_positive_and_finite(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        run_correlation_sweep(
+            N=4, alpha=alpha, snr_db=10.0, rho_grid=[0.3], trials_for_random_theta=1
+        )
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
