@@ -20,7 +20,6 @@ from .linalg import psd_sqrt
 
 __all__ = [
     "PROFILE_KINDS",
-    "CorrelationProfile",
     "SystemConfig",
     "ChannelRealization",
     "check_positive_finite",
@@ -82,19 +81,26 @@ def check_index(value, name):
 
 def check_rho(value):
     """Return ``value`` if it lies in ``[0, 1)``, else raise ``ValueError`` naming ``rho``."""
-    if not 0.0 <= value < 1.0:
+    if isinstance(value, (bool, np.bool_)) or not 0.0 <= value < 1.0:
         raise ValueError(f"rho must lie in [0, 1), got {value!r}")
     return value
+
+
+def _check_theta(value):
+    if isinstance(value, (bool, np.bool_)) or not math.isfinite(value):
+        raise ValueError(f"theta must be finite, got {value!r}")
 
 
 def eta_from_snr_db(snr_db):
     """Inverse SNR ``eta = 10**(-snr_db/10)`` of a scalar or an array of dB values.
 
     A scalar gives a Python float, an array an array of the same shape.
-    Raises ``ValueError`` when ``snr_db`` is not finite or its ``eta``
-    overflows or underflows to zero.
+    Raises ``ValueError`` when ``snr_db`` is a ``bool`` or not finite, or
+    its ``eta`` overflows or underflows to zero.
     """
-    if np.ndim(snr_db) == 0:
+    if isinstance(snr_db, (bool, np.bool_)):
+        eta = math.nan  # a bool would pass for 0 or 1 dB and print as True
+    elif np.ndim(snr_db) == 0:
         try:
             eta = 10.0 ** (-float(snr_db) / 10.0)
         except OverflowError:
@@ -111,50 +117,33 @@ def eta_from_snr_db(snr_db):
 
 
 @dataclass(frozen=True)
-class CorrelationProfile:
-    """Per-user correlation-matrix generator parameters."""
-
-    kind: str
-    N: int
-    K: int
-    rho: float = 0.0
-    theta: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in PROFILE_KINDS:
-            raise ValueError(f"profile kind must be one of {PROFILE_KINDS}, got {self.kind!r}")
-        check_rho(self.rho)
-        if not math.isfinite(self.theta):
-            raise ValueError(f"theta must be finite, got {self.theta!r}")
-        check_count(self.N, "N")
-        check_count(self.K, "K")
-
-
-@dataclass(frozen=True)
 class SystemConfig:
     """One experiment's worth of system parameters.
 
     ``snr_db`` fixes the inverse SNR ``eta = 10**(-snr_db/10)``; the total
     transmit power is normalized to 1 so ``eta`` equals the noise power.
+    ``kind``, ``rho`` and ``theta`` fix each user's ``R_k`` (see :func:`user_phases`).
     """
 
     N: int
     K: int
     snr_db: float
-    profile: CorrelationProfile
+    kind: str = "identity"
+    rho: float = 0.0
+    theta: float = 0.0
     trials: int = 1
     seed: int = 0
 
     def __post_init__(self):
-        # N and K are checked by the profile, whose dimensions must match.
+        if self.kind not in PROFILE_KINDS:
+            raise ValueError(f"profile kind must be one of {PROFILE_KINDS}, got {self.kind!r}")
+        check_rho(self.rho)
+        _check_theta(self.theta)
+        check_count(self.N, "N")
+        check_count(self.K, "K")
         check_count(self.trials, "trials")
         check_index(self.seed, "seed")
         eta_from_snr_db(self.snr_db)  # raises on a non-finite or out-of-range SNR
-        if (self.profile.N, self.profile.K) != (self.N, self.K):
-            raise ValueError(
-                f"profile dimensions ({self.profile.N}, {self.profile.K}) do not match "
-                f"config dimensions ({self.N}, {self.K})"
-            )
 
     @property
     def eta(self):
@@ -163,9 +152,8 @@ class SystemConfig:
 
     @classmethod
     def make(cls, N, K, snr_db, kind="identity", rho=0.0, theta=0.0, trials=1, seed=0):
-        """Build a config and its matching profile in one call."""
-        profile = CorrelationProfile(kind=kind, N=N, K=K, rho=rho, theta=theta)
-        return cls(N=N, K=K, snr_db=snr_db, profile=profile, trials=trials, seed=seed)
+        """The constructor under its keyword signature."""
+        return cls(N, K, snr_db, kind, rho, theta, trials, seed)
 
 
 @dataclass
@@ -175,33 +163,32 @@ class ChannelRealization:
     H: np.ndarray
 
 
-def user_phases(profile, rng=None):
-    """The K phases ``theta_k`` of the profile's exponential correlations.
+def user_phases(config, rng=None):
+    """The K phases ``theta_k`` of the config's exponential correlations.
 
-    ``2*pi*k/K`` for ``exp-even``; ``profile.theta`` for ``exp-common`` and
+    ``2*pi*k/K`` for ``exp-even``; ``config.theta`` for ``exp-common`` and
     ``identity`` (whose phases play no part); for ``exp-random``, K uniform
     draws on ``[0, 2*pi)`` from ``rng``.
     """
-    K = profile.K
-    if profile.kind == "exp-even":
+    K = config.K
+    if config.kind == "exp-even":
         return 2.0 * np.pi * np.arange(K) / K
-    if profile.kind == "exp-random":
+    if config.kind == "exp-random":
         if rng is None:
             raise ValueError("exp-random profile needs an rng to draw theta")
         return rng.uniform(0.0, 2.0 * np.pi, K)
-    return np.full(K, profile.theta, dtype=float)
+    return np.full(K, config.theta, dtype=float)
 
 
 def build_correlation(N, rho, theta):
     """The N x N exponential correlation ``rho^|m-n| * exp(1j * (m - n) * theta)``.
 
-    The identity when ``rho == 0``. The K matrices of an ``exp-*`` profile
+    The identity when ``rho == 0``. The K matrices of an ``exp-*`` config
     are ``build_correlation(N, rho, t)`` over ``t`` in :func:`user_phases`.
     """
     check_count(N, "N")
     check_rho(rho)
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta!r}")
+    _check_theta(theta)
     if rho == 0.0:
         return np.eye(N, dtype=complex)
     d = np.subtract.outer(np.arange(N), np.arange(N))
@@ -238,9 +225,8 @@ def sample_channel(config, trial):
     rng = trial_rng(config.seed, trial)  # checks that trial is an integer >= 0
     if trial >= config.trials:
         raise ValueError(f"trial {trial} out of range for trials={config.trials}")
-    profile = config.profile
-    correlated = profile.kind != "identity" and profile.rho > 0.0
-    theta = user_phases(profile, rng) if correlated else None
+    correlated = config.kind != "identity" and config.rho > 0.0
+    theta = user_phases(config, rng) if correlated else None
 
     # CN(0, 1) entries: independent real/imaginary parts of variance 1/2.
     shape = (config.N, config.K)
@@ -253,7 +239,7 @@ def sample_channel(config, trial):
             # Naming R keeps it alive until the next one is built. Freed at
             # once, glibc trims the heap top and eigh's workspace faults in
             # again for every user: ~250 page faults per user at N = 128, not 5.
-            R = build_correlation(config.N, profile.rho, theta[k])
+            R = build_correlation(config.N, config.rho, theta[k])
             root = psd_sqrt(R)
         H[:, k] = root @ Hw[:, k]
     return ChannelRealization(H=H)

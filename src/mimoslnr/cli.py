@@ -22,7 +22,6 @@ from .asymptotic import (
 )
 from .channel import (
     PROFILE_KINDS,
-    CorrelationProfile,
     SystemConfig,
     build_correlation,
     check_count,
@@ -207,9 +206,8 @@ def _rate(value, units):
 
 def _cmd_asymptotic(resolved, config):
     # Every profile kind is an exponential profile: identity is rho = 0.
-    profile = config.profile
-    rho = 0.0 if profile.kind == "identity" else profile.rho
-    theta = user_phases(profile, trial_rng(config.seed, 0))
+    rho = 0.0 if config.kind == "identity" else config.rho
+    theta = user_phases(config, trial_rng(config.seed, 0))
     solution = solve_exponential_fixed_point(config.N, rho, theta, config.eta, tol=resolved["tol"])
     print(
         f"# converged in {solution.iterations} iterations, residual {solution.residual:.3e}, "
@@ -335,8 +333,8 @@ def _selftest_checks():
         assert np.max(np.abs(fast - slow) / slow) <= 1e-8
 
     def even_theta_sum_identity():
-        profile = CorrelationProfile(kind="exp-even", N=8, K=8, rho=0.5)
-        total = np.sum([build_correlation(8, 0.5, t) for t in user_phases(profile)], axis=0)
+        config = SystemConfig.make(8, 8, 0.0, kind="exp-even")
+        total = np.sum([build_correlation(8, 0.5, t) for t in user_phases(config)], axis=0)
         assert np.max(np.abs(total - 8.0 * np.eye(8))) <= 1e-9
 
     def exact_vs_brute_force():

@@ -19,7 +19,7 @@ from .asymptotic import (
     gamma_common_r, gamma_exp_even, gamma_uncorrelated, solve_exponential_fixed_point
 )
 from .channel import (
-    CorrelationProfile, build_correlation, check_count, check_index, check_rho,
+    SystemConfig, build_correlation, check_count, check_index, check_rho,
     eta_from_snr_db, sample_channel, trial_rng, user_phases,
 )
 from .linalg import herm_eig
@@ -84,7 +84,7 @@ def run_cdf_experiment(config):
     grid plus the asymptotic value as a constant series; as N grows at fixed
     K/N, both CDFs tighten around that constant.
     """
-    if config.profile.kind != "identity":
+    if config.kind != "identity":
         raise ValueError("CDF experiment is defined for the identity profile")
     start = time.perf_counter()
     eta = config.eta
@@ -132,7 +132,7 @@ def run_correlation_sweep(
     start = time.perf_counter()
     check_count(N, "N")
     check_index(seed, "seed")
-    if isinstance(alpha, bool) or not 0.0 < alpha < math.inf:
+    if isinstance(alpha, (bool, np.bool_)) or not 0.0 < alpha < math.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
     K = check_count(int(round(alpha * N)), "round(alpha * N)")
     check_count(trials_for_random_theta, "trials_for_random_theta")
@@ -144,7 +144,7 @@ def run_correlation_sweep(
             check_rho(rho)
     except ValueError as exc:
         raise ValueError(f"rho_grid: {exc}") from None
-    random_profile = CorrelationProfile(kind="exp-random", N=N, K=K)
+    random_config = SystemConfig.make(N, K, snr_db, kind="exp-random")
     ref = gamma_uncorrelated(N / K, eta)
 
     even_col = np.empty(rho_grid.size)
@@ -157,7 +157,7 @@ def run_correlation_sweep(
 
         draw_means = np.empty(trials_for_random_theta)
         for draw in range(trials_for_random_theta):
-            theta = user_phases(random_profile, trial_rng(seed, draw))
+            theta = user_phases(random_config, trial_rng(seed, draw))
             sol = solve_exponential_fixed_point(N, rho, theta, eta, tol=tol)
             draw_means[draw] = float(np.mean(sol.gamma))
         random_avg_col[i] = float(np.mean(draw_means))
@@ -263,9 +263,9 @@ def _config_metadata(config):
         "n": config.N,
         "k": config.K,
         "snr_db": config.snr_db,
-        "profile": config.profile.kind,
-        "rho": config.profile.rho,
-        "theta": config.profile.theta,
+        "profile": config.kind,
+        "rho": config.rho,
+        "theta": config.theta,
         "trials": config.trials,
         "seed": config.seed,
     }

@@ -149,8 +149,9 @@ def eta_threshold():
 def optimal_x_exact(eta, tol=1e-10):
     """Maximize the per-antenna rate over ``x >= 1`` by derivative bisection.
 
-    If the derivative at ``x = 1`` is already nonpositive the optimum is
-    clamped at 1. Otherwise the unique root of df/dx lies strictly inside
+    At or above :func:`eta_threshold` the optimum is clamped at 1 (the sign
+    of df/dx at ``x = 1``, which cancels above ``eta`` ~ 5e7, is not used).
+    Otherwise the unique root of df/dx lies strictly inside
     ``[1, 3*(2*sqrt(3) - 3)]``, giving a guaranteed sign bracket; bisection
     runs until the interval is shorter than ``tol`` or, for a ``tol`` below
     the float spacing there, until the midpoint rounds onto an endpoint.
@@ -158,7 +159,7 @@ def optimal_x_exact(eta, tol=1e-10):
     check_positive_finite(eta, "eta")
     check_positive_finite(tol, "tol")
     eta = float(eta)
-    if dfdx(1.0, eta) <= 0.0:
+    if eta >= eta_threshold():
         return LoadingSolution(
             x_star=1.0,
             alpha_star=1.0,

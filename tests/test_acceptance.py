@@ -14,7 +14,7 @@ import numpy as np
 
 from mimoslnr.asymptotic import check_common_r_bound, gamma_uncorrelated, solve_fixed_point
 from mimoslnr.channel import (
-    CorrelationProfile, SystemConfig, build_correlation, sample_channel, user_phases
+    SystemConfig, build_correlation, sample_channel, user_phases
 )
 from mimoslnr.cli import EXIT_OK, main
 from mimoslnr.experiments import run_loading_sweep
@@ -161,8 +161,8 @@ def test_criterion_6_even_theta_exactness():
     worst_rel = 0.0
     worst_abs = 0.0
     for rho in (0.3, 0.6, 0.9):
-        profile = CorrelationProfile(kind="exp-even", N=N, K=K, rho=rho)
-        R = [build_correlation(N, rho, t) for t in user_phases(profile)]
+        config = SystemConfig.make(N, K, 0.0, kind="exp-even", rho=rho)
+        R = [build_correlation(N, rho, t) for t in user_phases(config)]
         gamma = solve_fixed_point(R, eta).gamma
         dev = float(np.max(np.abs(gamma - ref)))
         worst_abs = max(worst_abs, dev)

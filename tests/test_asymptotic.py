@@ -21,7 +21,7 @@ from mimoslnr.asymptotic import (
     solve_fixed_point,
 )
 from mimoslnr.channel import (
-    CorrelationProfile, SystemConfig, build_correlation, sample_channel, trial_rng, user_phases
+    SystemConfig, build_correlation, sample_channel, trial_rng, user_phases
 )
 from mimoslnr.linalg import herm_eig
 from mimoslnr.precoding import compute_metrics
@@ -57,8 +57,8 @@ class TestSolveFixedPoint:
     def test_even_theta_profile_matches_uncorrelated(self):
         # Evenly spaced phases make the user-averaged correlation the
         # identity, so every user lands on the uncorrelated value.
-        profile = CorrelationProfile(kind="exp-even", N=32, K=32, rho=0.9)
-        R = [build_correlation(32, 0.9, t) for t in user_phases(profile)]
+        config = SystemConfig.make(32, 32, 0.0, kind="exp-even", rho=0.9)
+        R = [build_correlation(32, 0.9, t) for t in user_phases(config)]
         sol = solve_fixed_point(R, eta=0.01)
         ref = gamma_uncorrelated(1.0, 0.01)
         assert np.max(np.abs(sol.gamma - ref)) <= 1e-8 * ref
@@ -331,8 +331,8 @@ class TestStructuredRoutes:
     @pytest.mark.parametrize("N,K,rho,snr_db", STRUCTURED_CASES, ids=map(case_id, STRUCTURED_CASES))
     def test_exp_even_matches_dense(self, N, K, rho, snr_db):
         eta = 10.0 ** (-snr_db / 10.0)
-        profile = CorrelationProfile(kind="exp-even", N=N, K=K, rho=rho)
-        R = [build_correlation(N, rho, t) for t in user_phases(profile)]
+        config = SystemConfig.make(N, K, 0.0, kind="exp-even", rho=rho)
+        R = [build_correlation(N, rho, t) for t in user_phases(config)]
         dense = solve_fixed_point(R, eta, tol=1e-13)
         gamma = gamma_exp_even(N, K, rho, eta)
         lam = np.linalg.eigvalsh(np.mean(R, axis=0))
@@ -343,8 +343,8 @@ class TestStructuredRoutes:
     def test_toeplitz_matches_dense(self, N, K, rho, snr_db):
         eta = 10.0 ** (-snr_db / 10.0)
         seed = N * 1000 + K
-        profile = CorrelationProfile(kind="exp-random", N=N, K=K, rho=rho)
-        theta = user_phases(profile, trial_rng(seed, 0))
+        config = SystemConfig.make(N, K, 0.0, kind="exp-random", rho=rho)
+        theta = user_phases(config, trial_rng(seed, 0))
         R = [build_correlation(N, rho, t) for t in theta]
         # Both routes are Anderson-accelerated on maps that agree up to
         # rounding, so they need not take the same steps or stop on the same
@@ -356,8 +356,8 @@ class TestStructuredRoutes:
     @pytest.mark.parametrize("N,K", [(1, 1), (7, 3), (7, 7), (7, 9), (32, 5), (32, 31)])
     @pytest.mark.parametrize("rho", [0.0, 0.3, 0.9])
     def test_even_mean_correlation_matches_dense_sum(self, N, K, rho):
-        profile = CorrelationProfile(kind="exp-even", N=N, K=K, rho=rho)
-        dense = np.mean([build_correlation(N, rho, t) for t in user_phases(profile)], axis=0)
+        config = SystemConfig.make(N, K, 0.0, kind="exp-even", rho=rho)
+        dense = np.mean([build_correlation(N, rho, t) for t in user_phases(config)], axis=0)
         closed = even_mean_correlation(N, K, rho)
         np.testing.assert_allclose(closed, dense, rtol=0.0, atol=1e-14)
         assert np.trace(closed) == N
@@ -409,8 +409,8 @@ def picard_oracle(R, eta, tol=1e-13, max_iter=200000):
 
 def exp_random_case(N, K, rho, seed):
     """The exp-random users' matrices and the phases they are built from."""
-    profile = CorrelationProfile(kind="exp-random", N=N, K=K, rho=rho)
-    theta = user_phases(profile, trial_rng(seed, 0))
+    config = SystemConfig.make(N, K, 0.0, kind="exp-random", rho=rho)
+    theta = user_phases(config, trial_rng(seed, 0))
     return [build_correlation(N, rho, t) for t in theta], theta
 
 

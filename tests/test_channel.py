@@ -5,7 +5,6 @@ import pytest
 
 from mimoslnr.channel import (
     PROFILE_KINDS,
-    CorrelationProfile,
     SystemConfig,
     build_correlation,
     eta_from_snr_db,
@@ -17,11 +16,11 @@ from mimoslnr.linalg import hermitian_part, psd_sqrt
 
 
 def profile(kind, N, K, rho=0.0, theta=0.0):
-    return CorrelationProfile(kind=kind, N=N, K=K, rho=rho, theta=theta)
+    return SystemConfig.make(N, K, 0.0, kind=kind, rho=rho, theta=theta)
 
 
 def correlations(p, rng=None):
-    # The profile's K matrices R_k; identity is the rho = 0 profile.
+    # The config's K matrices R_k; identity is the rho = 0 profile.
     rho = 0.0 if p.kind == "identity" else p.rho
     return [build_correlation(p.N, rho, t) for t in user_phases(p, rng)]
 
@@ -120,8 +119,6 @@ class TestSystemConfig:
             SystemConfig.make(N=8, K=4, snr_db=0.0, trials=0)
         with pytest.raises(ValueError):
             SystemConfig.make(N=8, K=4, snr_db=0.0, seed=-1)
-        with pytest.raises(ValueError):
-            SystemConfig(N=8, K=4, snr_db=0.0, profile=profile("identity", 8, 2))
 
 
 class TestEtaFromSnrDb:
@@ -167,17 +164,17 @@ class TestSampleChannel:
 
     def test_correlation_sqrt_roundtrip(self):
         cfg = SystemConfig.make(N=6, K=3, snr_db=10.0, kind="exp-even", rho=0.8, trials=1)
-        for Rk in correlations(cfg.profile):
+        for Rk in correlations(cfg):
             Sk = psd_sqrt(Rk)
             assert np.linalg.norm(Sk @ Sk - Rk) <= 1e-9 * np.linalg.norm(Rk)
 
     def test_random_theta_correlations_vary_by_trial(self):
         # User 0's phase is the first draw of its trial's stream.
         cfg = SystemConfig.make(N=4, K=2, snr_db=10.0, kind="exp-random", rho=0.6, trials=2)
-        theta0 = user_phases(cfg.profile, trial_rng(cfg.seed, 0))
-        theta1 = user_phases(cfg.profile, trial_rng(cfg.seed, 1))
-        R0 = correlations(cfg.profile, trial_rng(cfg.seed, 0))[0]
-        R1 = correlations(cfg.profile, trial_rng(cfg.seed, 1))[0]
+        theta0 = user_phases(cfg, trial_rng(cfg.seed, 0))
+        theta1 = user_phases(cfg, trial_rng(cfg.seed, 1))
+        R0 = correlations(cfg, trial_rng(cfg.seed, 0))[0]
+        R1 = correlations(cfg, trial_rng(cfg.seed, 1))[0]
         assert np.array_equal(R0, exponential_correlation(4, 0.6, theta0[0]))
         assert np.array_equal(R1, exponential_correlation(4, 0.6, theta1[0]))
         assert not np.allclose(R0, R1)
@@ -194,7 +191,7 @@ class TestSampleChannel:
         )
         rng = trial_rng(cfg.seed, trial)
         correlated = kind != "identity" and rho > 0.0
-        theta = user_phases(cfg.profile, rng) if correlated else None  # only exp-random draws
+        theta = user_phases(cfg, rng) if correlated else None  # only exp-random draws
         Hw = (rng.standard_normal((N, K)) + 1j * rng.standard_normal((N, K))) / np.sqrt(2.0)
         H = sample_channel(cfg, trial).H
         for k in range(K):

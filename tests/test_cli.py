@@ -10,7 +10,7 @@ import mimoslnr
 from mimoslnr import cli
 from mimoslnr.asymptotic import gamma_uncorrelated, solve_fixed_point
 from mimoslnr.channel import (
-    PROFILE_KINDS, CorrelationProfile, build_correlation, trial_rng, user_phases
+    PROFILE_KINDS, SystemConfig, build_correlation, trial_rng, user_phases
 )
 from mimoslnr.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 
@@ -26,6 +26,13 @@ class TestLoadingCommand:
         code, out, _ = run_cli(capsys, "loading", "--snr-db", "0")
         assert code == EXIT_OK
         assert "alpha_star = 1.000000" in out
+        assert "method = clamped-at-one" in out
+
+    def test_clamped_far_below_threshold(self, capsys):
+        # At eta ~ 2.8e8 the sign of dfdx(1, eta) cancels; this exited 2.
+        code, out, _ = run_cli(capsys, "loading", "--snr-db=-84.5")
+        assert code == EXIT_OK
+        assert "x_star = 1.000000" in out
         assert "method = clamped-at-one" in out
 
     def test_interior_at_high_snr(self, capsys):
@@ -79,9 +86,9 @@ class TestAsymptoticCommand:
                                "--profile", kind, "--rho", str(rho), "--theta", str(theta),
                                "--seed", str(seed), "--snr-db", "20")
         assert code == EXIT_OK
-        profile = CorrelationProfile(kind=kind, N=N, K=K, rho=rho, theta=theta)
+        config = SystemConfig.make(N, K, 0.0, kind=kind, rho=rho, theta=theta)
         dense_rho = 0.0 if kind == "identity" else rho
-        theta_k = user_phases(profile, trial_rng(seed, 0))
+        theta_k = user_phases(config, trial_rng(seed, 0))
         dense = solve_fixed_point([build_correlation(N, dense_rho, t) for t in theta_k], eta)
         rows = [line for line in out.splitlines() if line and line[0].isdigit()]
         assert rows == [f"{k},{g:.6f}" for k, g in enumerate(dense.gamma)]
@@ -313,3 +320,18 @@ class TestSelftest:
         assert code == EXIT_OK
         assert "all checks passed" in out
         assert "FAIL" not in out
+
+    def test_prints_each_check_in_order(self, capsys):
+        _, out, _ = run_cli(capsys, "selftest")
+        lines = [line for line in out.splitlines() if not line.startswith("#")]
+        assert lines == [
+            "ok   closed-form vs fixed point",
+            "ok   threshold derivative residual",
+            "ok   lambert-w residuals",
+            "ok   psd sqrt roundtrip",
+            "ok   slnr route equivalence",
+            "ok   even-theta sum identity",
+            "ok   exact vs brute force",
+            "ok   common-R upper bound",
+            "selftest: all checks passed",
+        ]

@@ -132,6 +132,17 @@ class TestOptimalXExact:
         assert sol.x_star == 1.0 and sol.alpha_star == 1.0
         assert sol.method == CLAMPED_AT_ONE
 
+    # Above eta ~ 5.4e7 the sign of dfdx(1, eta) cancels catastrophically:
+    # these grids gave BracketErrors and roots x_star > 1 where the optimum is 1.
+    @pytest.mark.parametrize("etas", [
+        pytest.param(eta_from_snr_db(np.linspace(-77.0, -200.0, 1231)), id="-77..-200dB"),
+        pytest.param(np.logspace(0, 300, 3001), id="logspace-0-300"),
+    ])
+    def test_clamped_at_every_low_snr(self, etas):
+        for eta in etas:
+            sol = optimal_x_exact(eta)
+            assert sol.x_star == 1.0 and sol.method == CLAMPED_AT_ONE, f"eta={eta!r}"
+
     def test_tol_below_float_spacing_terminates(self):
         # The bracket cannot shrink below one float spacing, so the bisection
         # stops once the midpoint rounds onto an endpoint.

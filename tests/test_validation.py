@@ -2,10 +2,10 @@
 rejects a value that is not positive and finite with a ``ValueError`` naming
 it, before any iteration can spin on it. The same holds for a correlation
 coefficient outside ``[0, 1)``, a load ratio ``alpha`` that is not positive
-and finite, a non-finite phase, a count (antennas, users, trials, draws)
-that is not an integer of at least 1, and a seed or trial number that is
-not an integer of at least 0 (or, for a trial, not below the trial
-count)."""
+and finite, a non-finite phase, a ``bool`` SNR, ``rho`` or phase, a count
+(antennas, users, trials, draws) that is not an integer of at least 1, and
+a seed or trial number that is not an integer of at least 0 (or, for a
+trial, not below the trial count)."""
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from mimoslnr.asymptotic import (
     solve_fixed_point,
 )
 from mimoslnr.channel import (
-    PROFILE_KINDS, CorrelationProfile, SystemConfig, build_correlation, sample_channel, trial_rng
+    PROFILE_KINDS, SystemConfig, build_correlation, eta_from_snr_db, sample_channel, trial_rng
 )
 from mimoslnr.experiments import run_correlation_sweep
 from mimoslnr.loading import (
@@ -70,7 +70,16 @@ TOL_ENTRY_POINTS = {
     ),
 }
 
+SNR_ENTRY_POINTS = {
+    "eta_from_snr_db": eta_from_snr_db,
+    "SystemConfig": lambda snr_db: SystemConfig.make(N=4, K=2, snr_db=snr_db),
+    "run_correlation_sweep": lambda snr_db: run_correlation_sweep(
+        N=4, alpha=0.5, snr_db=snr_db, rho_grid=[0.3], trials_for_random_theta=1
+    ),
+}
+
 RHO_ENTRY_POINTS = {
+    "SystemConfig": lambda rho: SystemConfig.make(N=4, K=2, snr_db=10.0, kind="exp-even", rho=rho),
     "build_correlation": lambda rho: build_correlation(4, rho, 0.0),
     "even_mean_correlation": lambda rho: even_mean_correlation(4, 2, rho),
     "gamma_exp_even": lambda rho: gamma_exp_even(4, 2, rho, 0.1),
@@ -124,7 +133,20 @@ def test_tol_must_be_positive_and_finite(entry, tol):
         TOL_ENTRY_POINTS[entry](tol)
 
 
-@pytest.mark.parametrize("rho", [np.nan, np.inf, 1.0, -0.1])
+# A bool SNR, rho or theta passed for 0 or 1 and reached the CSV header as
+# "True" or "False".
+@pytest.mark.parametrize("snr_db", [
+    np.nan, np.inf, -4000.0, True, False, pytest.param(np.bool_(True), id="np.bool_-True"),
+])
+@pytest.mark.parametrize("entry", SNR_ENTRY_POINTS)
+def test_snr_must_be_a_finite_number(entry, snr_db):
+    with pytest.raises(ValueError, match="snr_db"):
+        SNR_ENTRY_POINTS[entry](snr_db)
+
+
+@pytest.mark.parametrize("rho", [
+    np.nan, np.inf, 1.0, -0.1, False, pytest.param(np.bool_(False), id="np.bool_-False"),
+])
 @pytest.mark.parametrize("entry", RHO_ENTRY_POINTS)
 def test_rho_must_lie_in_unit_interval(entry, rho):
     with pytest.raises(ValueError, match="rho"):
@@ -137,11 +159,11 @@ def test_theta_must_be_finite_phases(theta):
         solve_exponential_fixed_point(4, 0.5, theta, 0.1)
 
 
-@pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("theta", [
+    np.nan, np.inf, -np.inf, True, pytest.param(np.bool_(False), id="np.bool_-False"),
+])
 @pytest.mark.parametrize("kind", PROFILE_KINDS)
 def test_profile_theta_must_be_finite(kind, theta):
-    with pytest.raises(ValueError, match="theta"):
-        CorrelationProfile(kind=kind, N=4, K=2, rho=0.5, theta=theta)
     with pytest.raises(ValueError, match="theta"):
         SystemConfig.make(N=4, K=2, snr_db=10.0, kind=kind, rho=0.5, theta=theta)
     with pytest.raises(ValueError, match="theta"):
@@ -186,7 +208,9 @@ def test_bad_seed_fails_before_the_first_solve(monkeypatch):
 
 # inf overflowed in round(alpha * N), nan failed without naming alpha, and
 # True was taken for 1.
-@pytest.mark.parametrize("alpha", [np.inf, np.nan, -0.5, 0.0, True])
+@pytest.mark.parametrize("alpha", [
+    np.inf, np.nan, -0.5, 0.0, True, pytest.param(np.bool_(True), id="np.bool_-True"),
+])
 def test_sweep_alpha_must_be_positive_and_finite(alpha):
     with pytest.raises(ValueError, match="alpha"):
         run_correlation_sweep(
