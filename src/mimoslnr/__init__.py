@@ -3,9 +3,10 @@
 The package splits into thin layers: dense complex kernels (`linalg`),
 correlated channel sampling (`channel`), the precoder and instantaneous
 metrics (`precoding`), deterministic equivalents of the SLNR
-(`asymptotic`), the user-loading optimizer (`loading`), and reproducible
-experiment runners with CSV output (`experiments`). A small CLI (`cli`)
-fronts the solvers and sweeps.
+(`asymptotic`), the user-loading optimizer (`loading`), reproducible
+experiment runners with CSV output (`experiments`), and the slow reference
+routes that check them (`oracles`). A small CLI (`cli`) fronts the solvers
+and sweeps.
 
 The package exports the entry points listed in ``__all__``; every other
 public name is imported from its own module, as in
@@ -19,18 +20,17 @@ from .asymptotic import (
     gamma_exp_even,
     gamma_uncorrelated,
     solve_exponential_fixed_point,
-    solve_fixed_point,
 )
 from .channel import SystemConfig, sample_channel, trial_rng
 from .experiments import (
-    brute_force_optimal_x,
     run_cdf_experiment,
     run_correlation_sweep,
     run_loading_sweep,
     write_csv,
 )
 from .loading import eta_threshold, loading_constants, optimal_x_exact
-from .precoding import compute_metrics, slnr_leave_one_out
+from .oracles import brute_force_optimal_x, slnr_leave_one_out
+from .precoding import compute_metrics
 
 __all__ = [
     "__version__",
@@ -42,7 +42,6 @@ __all__ = [
     "gamma_uncorrelated",
     "gamma_common_r",
     "gamma_exp_even",
-    "solve_fixed_point",
     "solve_exponential_fixed_point",
     "optimal_x_exact",
     "eta_threshold",

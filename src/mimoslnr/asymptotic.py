@@ -6,17 +6,18 @@ fixed-point system
 
     gamma_k = trace( R_k (sum_j R_j / (1 + gamma_j) + K eta I)^{-1} ).
 
-:func:`solve_fixed_point` solves it for arbitrary ``R_k``. The map on the
-right is increasing, and at full load and high SNR its contraction factor
-``L`` tends to 1, so plain (Picard) iteration crawls there: 10 000 steps
-fall short at N = K and 60 dB. Both vector solvers therefore run safeguarded
+The map on the right is increasing, and at full load and high SNR its
+contraction factor ``L`` tends to 1, so plain (Picard) iteration crawls
+there: 10 000 steps fall short at N = K and 60 dB. The vector solver
+(:func:`_anderson`, behind :func:`solve_exponential_fixed_point` and the
+dense reference ``oracles.solve_fixed_point``) therefore runs safeguarded
 Anderson acceleration on the Picard step (Walker & Ni, SIAM J. Numer. Anal.
-49(4), 2011). They stop once ``residual * L / (1 - L)``, which bounds the
-distance to the fixed point to first order, is within the tolerance, with
-``L`` estimated from plain steps, or once rounding stops the residual from
-falling. The fixed point is unique (Wagner, Couillet, Debbah & Slock, IEEE
-Trans. IT 58(7), 2012), so the start only sets the path. Special cases reduce
-the system:
+49(4), 2011) from all zeros. It stops once ``residual * L / (1 - L)``, which
+bounds the distance to the fixed point to first order, is within the
+tolerance, with ``L`` estimated from plain steps, or once rounding stops the
+residual from falling. The fixed point is unique (Wagner, Couillet, Debbah &
+Slock, IEEE Trans. IT 58(7), 2012), so the start only sets the path.
+Special cases reduce the system:
 
 - uncorrelated channels (``R_k = I``) admit the closed form implemented in
   :func:`gamma_uncorrelated`;
@@ -40,7 +41,6 @@ the system:
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -51,14 +51,11 @@ from .linalg import _cholesky_solve, herm_eig
 __all__ = [
     "AsymptoticSolution",
     "FixedPointError",
-    "BoundCheck",
-    "solve_fixed_point",
     "solve_exponential_fixed_point",
     "gamma_uncorrelated",
     "gamma_common_r",
     "even_mean_correlation",
     "gamma_exp_even",
-    "check_common_r_bound",
 ]
 
 DEFAULT_TOL = 1e-12
@@ -106,64 +103,14 @@ class AsymptoticSolution:
 
 
 @one_blas_thread
-def solve_fixed_point(R, eta, tol=DEFAULT_TOL):
-    """Solve the coupled SLNR fixed-point system by accelerated iteration.
-
-    Safeguarded Anderson acceleration of the Picard step (see
-    :func:`_anderson`) from all zeros; the solution does not depend on the
-    path.
-
-    Parameters
-    ----------
-    R : sequence of (N, N) arrays
-        Per-user correlation matrices (K of them).
-    eta : float
-        Inverse SNR; must be positive and finite so the resolvent stays
-        definite.
-    tol : float
-        Positive finite relative tolerance: the run stops at a plain step
-        once both its residual and ``residual * L / (1 - L)`` are within
-        ``tol * (1 + max_k gamma_k)``, or on the rounding floor.
-
-    Returns
-    -------
-    AsymptoticSolution
-
-    Raises
-    ------
-    FixedPointError
-        After ``DEFAULT_MAX_ITER`` evaluations of the step, or at a plain
-        (Picard) iterate that is not finite (say from a NaN or inf entry of
-        ``R``).
-    """
-    check_positive_finite(eta, "eta")
-    check_positive_finite(tol, "tol")
-    Rs = np.asarray(R, dtype=complex)
-    if Rs.ndim != 3 or Rs.shape[1] != Rs.shape[2]:
-        raise ValueError(f"R must be K square matrices of equal size, got shape {Rs.shape}")
-    K, N, _ = Rs.shape
-    eye = np.eye(N, dtype=complex)
-    shift = (K * eta) * eye
-
-    def step(gamma):
-        # Exactly Hermitian positive definite: a real-weighted sum of the
-        # Hermitian R_k plus a positive multiple of the identity.
-        M = np.einsum("k,kij->ij", 1.0 / (1.0 + gamma), Rs) + shift
-        Minv = np.linalg.solve(M, eye)
-        return np.einsum("kij,ji->k", Rs, Minv).real
-
-    return _anderson(step, np.zeros(K), tol, DEFAULT_MAX_ITER)
-
-
-@one_blas_thread
 def solve_exponential_fixed_point(N, rho, theta, eta, tol=DEFAULT_TOL):
     """Solve the coupled system for exponential profiles with per-user phases.
 
     The users' matrices are ``R_k[m, n] = rho^|m-n| exp(1j (m-n) theta_k)``.
-    The start (all zeros), iteration, stopping rule, iteration cap and
-    errors are those of :func:`solve_fixed_point` on those matrices, but no
-    ``R_k`` is formed: ``M = sum_k w_k R_k + K eta I`` with ``w_k = 1/(1 + gamma_k)``
-    is Hermitian Toeplitz with lags
+    Safeguarded Anderson acceleration of the Picard step (see
+    :func:`_anderson`) runs from all zeros; the solution does not depend on
+    the path. No ``R_k`` is formed: ``M = sum_k w_k R_k + K eta I`` with
+    ``w_k = 1/(1 + gamma_k)`` is Hermitian Toeplitz with lags
 
         t_d = rho^d sum_k w_k exp(1j d theta_k)   (d >= 0; plus K eta at d = 0),
 
@@ -182,8 +129,13 @@ def solve_exponential_fixed_point(N, rho, theta, eta, tol=DEFAULT_TOL):
         Correlation coefficient in ``[0, 1)``.
     theta : (K,) array_like
         Finite per-user phases in radians.
-    eta, tol
-        As for :func:`solve_fixed_point`.
+    eta : float
+        Inverse SNR; must be positive and finite so the resolvent stays
+        definite.
+    tol : float
+        Positive finite relative tolerance: the run stops at a plain step
+        once both its residual and ``residual * L / (1 - L)`` are within
+        ``tol * (1 + max_k gamma_k)``, or on the rounding floor.
 
     Returns
     -------
@@ -192,7 +144,8 @@ def solve_exponential_fixed_point(N, rho, theta, eta, tol=DEFAULT_TOL):
     Raises
     ------
     FixedPointError
-        As :func:`solve_fixed_point`.
+        After ``DEFAULT_MAX_ITER`` evaluations of the step, or at a plain
+        (Picard) iterate that is not finite.
     numpy.linalg.LinAlgError
         If ``M`` is not numerically positive definite.
     """
@@ -583,27 +536,3 @@ def gamma_exp_even(N, K, rho, eta, tol=DEFAULT_TOL):
     """
     lam = herm_eig(even_mean_correlation(N, K, rho)).eigenvalues
     return gamma_common_r(lam, K, eta, tol=tol)
-
-
-class BoundCheck(NamedTuple):
-    """Shared-correlation SLNR against its uncorrelated upper bound."""
-
-    gamma: float
-    bound: float
-    holds: bool
-
-
-def check_common_r_bound(eigenvalues, K, eta):
-    """Shared-R SLNR versus the uncorrelated value, with the bound verdict.
-
-    The uncorrelated closed form upper-bounds the shared-R fixed point for
-    any trace-normalized eigenvalue profile, with equality exactly when all
-    eigenvalues are 1. The verdict allows for rounding (``1e-10``) and for
-    the distance from the root at which :func:`gamma_common_r`, run at
-    ``DEFAULT_TOL``, may stop.
-    """
-    lam = np.asarray(eigenvalues, dtype=float)
-    gamma = gamma_common_r(lam, K, eta)
-    bound = gamma_uncorrelated(lam.size / K, eta)
-    slack = 1e-10 + DEFAULT_TOL + _brent_rtol(DEFAULT_TOL) * gamma
-    return BoundCheck(gamma=gamma, bound=bound, holds=bool(gamma <= bound + slack))

@@ -41,15 +41,16 @@ def check_positive_finite(value, name):
     """Return ``value`` if it is positive and finite, else raise ``ValueError`` naming ``name``.
 
     The one check for an inverse SNR ``eta`` and a solver tolerance ``tol``.
-    A scalar is tested with plain comparisons (callers such as ``dfdx`` run
-    in tight loops, so a Python float is recognized before the costlier
-    ``np.ndim``); an array must hold only positive finite entries.
+    A Python float (``np.float64`` included) is tested with plain
+    comparisons, because callers such as ``dfdx`` run in tight loops; any
+    other scalar or array must hold only positive finite entries. A ``bool``
+    of any kind would pass for 1, so it is rejected.
     """
-    if isinstance(value, float) or np.ndim(value) == 0:
+    if isinstance(value, float):
         ok = 0.0 < value < math.inf
     else:
-        arr = np.asarray(value, dtype=float)
-        ok = bool(np.all((arr > 0.0) & (arr < np.inf)))
+        arr = np.asarray(value)
+        ok = arr.dtype != bool and bool(np.all((arr > 0.0) & (arr < np.inf)))
     if not ok:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
     return value
@@ -95,10 +96,10 @@ def eta_from_snr_db(snr_db):
     """Inverse SNR ``eta = 10**(-snr_db/10)`` of a scalar or an array of dB values.
 
     A scalar gives a Python float, an array an array of the same shape.
-    Raises ``ValueError`` when ``snr_db`` is a ``bool`` or not finite, or
-    its ``eta`` overflows or underflows to zero.
+    Raises ``ValueError`` when ``snr_db`` is a ``bool`` (or holds them) or
+    is not finite, or its ``eta`` overflows or underflows to zero.
     """
-    if isinstance(snr_db, (bool, np.bool_)):
+    if np.asarray(snr_db).dtype == bool:
         eta = math.nan  # a bool would pass for 0 or 1 dB and print as True
     elif np.ndim(snr_db) == 0:
         try:
@@ -143,6 +144,8 @@ class SystemConfig:
         check_count(self.K, "K")
         check_count(self.trials, "trials")
         check_index(self.seed, "seed")
+        if np.ndim(self.snr_db) != 0:
+            raise ValueError(f"snr_db must be a scalar, got {self.snr_db!r}")
         eta_from_snr_db(self.snr_db)  # raises on a non-finite or out-of-range SNR
 
     @property

@@ -13,20 +13,12 @@ import sys
 
 import numpy as np
 
-from .asymptotic import (
-    FixedPointError,
-    check_common_r_bound,
-    gamma_uncorrelated,
-    solve_exponential_fixed_point,
-    solve_fixed_point,
-)
+from .asymptotic import FixedPointError, solve_exponential_fixed_point
 from .channel import (
     PROFILE_KINDS,
     SystemConfig,
-    build_correlation,
     check_count,
     check_positive_finite,
-    eta_from_snr_db,
     sample_channel,
     trial_rng,
     user_phases,
@@ -35,20 +27,18 @@ from .experiments import (
     run_cdf_experiment,
     run_correlation_sweep,
     run_loading_sweep,
-    brute_force_optimal_x,
     write_csv,
 )
-from .linalg import EigConvergenceError, NotPsdError, psd_sqrt
+from .linalg import EigConvergenceError, NotPsdError
 from .loading import (
     BracketError,
-    dfdx,
     eta_threshold,
-    lambert_w0,
     optimal_x_exact,
     optimal_x_high_snr,
     optimal_x_low_snr,
 )
-from .precoding import compute_metrics, slnr_leave_one_out
+from .oracles import SELFTEST_CHECKS
+from .precoding import compute_metrics
 
 __all__ = ["main", "console_main"]
 
@@ -298,74 +288,12 @@ def _cmd_sweep_loading(resolved, config):
     return EXIT_OK
 
 
-def _selftest_checks():
-    rng = np.random.default_rng(20260810)
-
-    def closed_form_vs_fixed_point():
-        for x, snr_db in [(1.0, 0.0), (2.0, 10.0), (4.0, 25.0)]:
-            eta = eta_from_snr_db(snr_db)
-            K = 8
-            N = int(x * K)
-            R = [np.eye(N, dtype=complex)] * K
-            gamma = solve_fixed_point(R, eta).gamma
-            ref = gamma_uncorrelated(x, eta)
-            assert np.max(np.abs(gamma - ref)) <= 1e-10 * ref
-
-    def threshold_residual():
-        eta_o = eta_threshold()
-        assert abs(dfdx(1.0, eta_o)) < 1e-12
-
-    def lambert_residuals():
-        for z in [0.0, 0.5, 1.0, math.e, 50.0, -0.25, -1.0 / math.e + 1e-9]:
-            w = lambert_w0(z)
-            assert abs(w * math.exp(w) - z) <= 1e-12 * max(1.0, abs(z))
-
-    def psd_sqrt_roundtrip():
-        A = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-        R = A @ A.conj().T
-        S = psd_sqrt(R)
-        assert np.linalg.norm(S @ S - R) <= 1e-9 * np.linalg.norm(R)
-
-    def slnr_route_equivalence():
-        H = (rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8))) / np.sqrt(2)
-        fast = compute_metrics(H, 0.01).slnr
-        slow = slnr_leave_one_out(H, 0.01)
-        assert np.max(np.abs(fast - slow) / slow) <= 1e-8
-
-    def even_theta_sum_identity():
-        config = SystemConfig.make(8, 8, 0.0, kind="exp-even")
-        total = np.sum([build_correlation(8, 0.5, t) for t in user_phases(config)], axis=0)
-        assert np.max(np.abs(total - 8.0 * np.eye(8))) <= 1e-9
-
-    def exact_vs_brute_force():
-        for eta in [0.01, 0.05, 0.2]:
-            x_exact = optimal_x_exact(eta).x_star
-            x_brute = brute_force_optimal_x(eta)
-            assert abs(x_exact - x_brute) <= 1e-3
-
-    def common_r_bound():
-        for _ in range(50):
-            lam = rng.dirichlet(np.ones(16)) * 16
-            check = check_common_r_bound(lam, K=8, eta=0.05)
-            assert check.holds
-
-    return [
-        ("closed-form vs fixed point", closed_form_vs_fixed_point),
-        ("threshold derivative residual", threshold_residual),
-        ("lambert-w residuals", lambert_residuals),
-        ("psd sqrt roundtrip", psd_sqrt_roundtrip),
-        ("slnr route equivalence", slnr_route_equivalence),
-        ("even-theta sum identity", even_theta_sum_identity),
-        ("exact vs brute force", exact_vs_brute_force),
-        ("common-R upper bound", common_r_bound),
-    ]
-
-
 def _cmd_selftest(resolved, config):
+    rng = np.random.default_rng(20260810)
     failures = 0
-    for name, check in _selftest_checks():
+    for name, check in SELFTEST_CHECKS:
         try:
-            check()
+            check(rng)
         except Exception as exc:  # report every failing check, keep going
             failures += 1
             print(f"FAIL {name}: {exc}")

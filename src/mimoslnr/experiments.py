@@ -24,9 +24,9 @@ from .channel import (
 )
 from .linalg import herm_eig
 from .loading import (
-    CLAMPED_AT_ONE, eta_threshold, objective_f, optimal_x_exact, optimal_x_high_snr,
-    optimal_x_low_snr,
+    CLAMPED_AT_ONE, eta_threshold, optimal_x_exact, optimal_x_high_snr, optimal_x_low_snr,
 )
+from .oracles import BRUTE_STEP, brute_force_optimal_x
 from .precoding import compute_metrics
 
 __all__ = [
@@ -35,15 +35,12 @@ __all__ = [
     "run_cdf_experiment",
     "run_correlation_sweep",
     "run_loading_sweep",
-    "brute_force_optimal_x",
     "write_csv",
 ]
 
-# The loading sweep's root tolerance, and the brute-force oracle's grid on
-# [BRUTE_LO, BRUTE_HI] with spacing BRUTE_STEP; the sweep echoes the
-# tolerance and the spacing into its CSV metadata.
+# The loading sweep's root tolerance; the sweep echoes it, and the
+# brute-force oracle's grid spacing, into its CSV metadata.
 LOADING_TOL = 1e-10
-BRUTE_LO, BRUTE_HI, BRUTE_STEP = 1.0, 1.5, 1e-4
 
 
 @dataclass
@@ -191,19 +188,6 @@ def run_correlation_sweep(
     )
 
 
-def brute_force_optimal_x(eta):
-    """Grid-search maximizer of the per-antenna rate; the independent oracle.
-
-    Exhaustively evaluates the objective on ``[BRUTE_LO, BRUTE_HI]`` in
-    steps of ``BRUTE_STEP`` and returns the best grid point, with no
-    derivative information.
-    """
-    count = int(round((BRUTE_HI - BRUTE_LO) / BRUTE_STEP)) + 1
-    grid = BRUTE_LO + BRUTE_STEP * np.arange(count)
-    values = objective_f(grid, eta)
-    return float(grid[int(np.argmax(values))])
-
-
 def run_loading_sweep(snr_db_grid):
     """Optimal loading fraction versus SNR, with oracle and approximations.
 
@@ -214,10 +198,10 @@ def run_loading_sweep(snr_db_grid):
     ``LOADING_TOL``.
     """
     start = time.perf_counter()
+    etas = eta_from_snr_db(snr_db_grid)  # before the float cast, which hides a bool grid
     snr_db_grid = np.asarray(snr_db_grid, dtype=float)
     eta_o = eta_threshold()
 
-    etas = eta_from_snr_db(snr_db_grid)
     x_exact = np.empty(snr_db_grid.size)
     clamped = np.empty(snr_db_grid.size)
     alpha_brute = np.empty(snr_db_grid.size)

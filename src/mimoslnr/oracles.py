@@ -1,0 +1,225 @@
+"""Reference routes: slow, independent computations that check the fast ones.
+
+None of these runs on a sweep's fast path except :func:`brute_force_optimal_x`,
+which fills the loading sweep's ``alpha_brute_force`` column. The tests,
+the benchmark's output checks and ``mimoslnr selftest`` (the ordered table
+:data:`SELFTEST_CHECKS`) all read them from here.
+"""
+
+import math
+from typing import NamedTuple
+
+import numpy as np
+
+from . import asymptotic
+from ._blas import one_blas_thread
+from .asymptotic import (
+    DEFAULT_TOL, _anderson, _brent_rtol, gamma_common_r, gamma_uncorrelated,
+)
+from .channel import (
+    SystemConfig, build_correlation, check_positive_finite, eta_from_snr_db, user_phases,
+)
+from .linalg import psd_sqrt, shifted_gram_solve
+from .loading import dfdx, eta_threshold, lambert_w0, objective_f, optimal_x_exact
+from .precoding import _as_channel, _cross_gram, compute_metrics
+
+__all__ = [
+    "BoundCheck", "SELFTEST_CHECKS", "solve_fixed_point", "slnr_leave_one_out", "slnr_ratio",
+    "check_common_r_bound", "brute_force_optimal_x",
+]
+
+# The brute-force oracle's grid on [BRUTE_LO, BRUTE_HI] with spacing
+# BRUTE_STEP; the loading sweep echoes the spacing into its CSV metadata.
+BRUTE_LO, BRUTE_HI, BRUTE_STEP = 1.0, 1.5, 1e-4
+
+
+@one_blas_thread
+def solve_fixed_point(R, eta, tol=DEFAULT_TOL):
+    """Solve the coupled SLNR fixed-point system by accelerated iteration.
+
+    Safeguarded Anderson acceleration of the Picard step (see
+    :func:`_anderson`) from all zeros; the solution does not depend on the
+    path.
+
+    Parameters
+    ----------
+    R : sequence of (N, N) arrays
+        Per-user correlation matrices (K of them).
+    eta : float
+        Inverse SNR; must be positive and finite so the resolvent stays
+        definite.
+    tol : float
+        Positive finite relative tolerance: the run stops at a plain step
+        once both its residual and ``residual * L / (1 - L)`` are within
+        ``tol * (1 + max_k gamma_k)``, or on the rounding floor.
+
+    Returns
+    -------
+    AsymptoticSolution
+
+    Raises
+    ------
+    FixedPointError
+        After ``DEFAULT_MAX_ITER`` evaluations of the step, or at a plain
+        (Picard) iterate that is not finite (say from a NaN or inf entry of
+        ``R``).
+    """
+    check_positive_finite(eta, "eta")
+    check_positive_finite(tol, "tol")
+    Rs = np.asarray(R, dtype=complex)
+    if Rs.ndim != 3 or Rs.shape[1] != Rs.shape[2]:
+        raise ValueError(f"R must be K square matrices of equal size, got shape {Rs.shape}")
+    K, N, _ = Rs.shape
+    eye = np.eye(N, dtype=complex)
+    shift = (K * eta) * eye
+
+    def step(gamma):
+        # Exactly Hermitian positive definite: a real-weighted sum of the
+        # Hermitian R_k plus a positive multiple of the identity.
+        M = np.einsum("k,kij->ij", 1.0 / (1.0 + gamma), Rs) + shift
+        Minv = np.linalg.solve(M, eye)
+        return np.einsum("kij,ji->k", Rs, Minv).real
+
+    return _anderson(step, np.zeros(K), tol, asymptotic.DEFAULT_MAX_ITER)
+
+
+def slnr_leave_one_out(H, eta):
+    """SLNR by K explicit leave-one-out solves; the slow oracle route.
+
+    Computes ``h_k* (sum_{i != k} h_i h_i* + K eta I)^{-1} h_k`` directly
+    for every user.
+    """
+    H = _as_channel(H)
+    check_positive_finite(eta, "eta")
+    K = H.shape[1]
+    out = np.empty(K)
+    for k in range(K):
+        Hk = np.delete(H, k, axis=1)
+        hk = H[:, k]
+        x = shifted_gram_solve(Hk, K * eta, hk)
+        out[k] = np.vdot(hk, x).real
+    return out
+
+
+def slnr_ratio(H, F, p, eta):
+    """Per-user SLNR as a plain leakage ratio for any precoder.
+
+    ``|h_k* f_k p_k|^2 / (sum_{i != k} |h_i* f_k p_k|^2 + eta)``; the noise
+    power is ``eta`` at unit transmit power, and the leakage runs over user
+    k's own beam.
+    """
+    G = _cross_gram(np.asarray(H, dtype=complex), np.asarray(F, dtype=complex))
+    p = np.asarray(p, dtype=float)
+    sig = np.abs(np.diag(G)) ** 2 * p**2
+    # Column k of |G|^2 holds |h_i* f_k|^2 over all i; drop the i = k term.
+    leak_cols = np.sum(np.abs(G) ** 2, axis=0) - np.abs(np.diag(G)) ** 2
+    return sig / (p**2 * leak_cols + eta)
+
+
+class BoundCheck(NamedTuple):
+    """Shared-correlation SLNR against its uncorrelated upper bound."""
+
+    gamma: float
+    bound: float
+    holds: bool
+
+
+def check_common_r_bound(eigenvalues, K, eta):
+    """Shared-R SLNR versus the uncorrelated value, with the bound verdict.
+
+    The uncorrelated closed form upper-bounds the shared-R fixed point for
+    any trace-normalized eigenvalue profile, with equality exactly when all
+    eigenvalues are 1. The verdict allows for rounding (``1e-10``) and for
+    the distance from the root at which :func:`gamma_common_r`, run at
+    ``DEFAULT_TOL``, may stop.
+    """
+    lam = np.asarray(eigenvalues, dtype=float)
+    gamma = gamma_common_r(lam, K, eta)
+    bound = gamma_uncorrelated(lam.size / K, eta)
+    slack = 1e-10 + DEFAULT_TOL + _brent_rtol(DEFAULT_TOL) * gamma
+    return BoundCheck(gamma=gamma, bound=bound, holds=bool(gamma <= bound + slack))
+
+
+def brute_force_optimal_x(eta):
+    """Grid-search maximizer of the per-antenna rate; the independent oracle.
+
+    Exhaustively evaluates the objective on ``[BRUTE_LO, BRUTE_HI]`` in
+    steps of ``BRUTE_STEP`` and returns the best grid point, with no
+    derivative information.
+    """
+    count = int(round((BRUTE_HI - BRUTE_LO) / BRUTE_STEP)) + 1
+    grid = BRUTE_LO + BRUTE_STEP * np.arange(count)
+    values = objective_f(grid, eta)
+    return float(grid[int(np.argmax(values))])
+
+
+# The selftest's checks. Each takes the run's one random stream and raises on
+# a failure; the table's order fixes what each check draws from it.
+
+
+def _closed_form_vs_fixed_point(rng):
+    for x, snr_db in [(1.0, 0.0), (2.0, 10.0), (4.0, 25.0)]:
+        eta = eta_from_snr_db(snr_db)
+        K = 8
+        N = int(x * K)
+        R = [np.eye(N, dtype=complex)] * K
+        gamma = solve_fixed_point(R, eta).gamma
+        ref = gamma_uncorrelated(x, eta)
+        assert np.max(np.abs(gamma - ref)) <= 1e-10 * ref
+
+
+def _threshold_residual(rng):
+    eta_o = eta_threshold()
+    assert abs(dfdx(1.0, eta_o)) < 1e-12
+
+
+def _lambert_residuals(rng):
+    for z in [0.0, 0.5, 1.0, math.e, 50.0, -0.25, -1.0 / math.e + 1e-9]:
+        w = lambert_w0(z)
+        assert abs(w * math.exp(w) - z) <= 1e-12 * max(1.0, abs(z))
+
+
+def _psd_sqrt_roundtrip(rng):
+    A = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    R = A @ A.conj().T
+    S = psd_sqrt(R)
+    assert np.linalg.norm(S @ S - R) <= 1e-9 * np.linalg.norm(R)
+
+
+def _slnr_route_equivalence(rng):
+    H = (rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8))) / np.sqrt(2)
+    fast = compute_metrics(H, 0.01).slnr
+    slow = slnr_leave_one_out(H, 0.01)
+    assert np.max(np.abs(fast - slow) / slow) <= 1e-8
+
+
+def _even_theta_sum_identity(rng):
+    config = SystemConfig.make(8, 8, 0.0, kind="exp-even")
+    total = np.sum([build_correlation(8, 0.5, t) for t in user_phases(config)], axis=0)
+    assert np.max(np.abs(total - 8.0 * np.eye(8))) <= 1e-9
+
+
+def _exact_vs_brute_force(rng):
+    for eta in [0.01, 0.05, 0.2]:
+        x_exact = optimal_x_exact(eta).x_star
+        x_brute = brute_force_optimal_x(eta)
+        assert abs(x_exact - x_brute) <= 1e-3
+
+
+def _common_r_bound(rng):
+    for _ in range(50):
+        lam = rng.dirichlet(np.ones(16)) * 16
+        check = check_common_r_bound(lam, K=8, eta=0.05)
+        assert check.holds
+
+
+SELFTEST_CHECKS = (
+    ("closed-form vs fixed point", _closed_form_vs_fixed_point),
+    ("threshold derivative residual", _threshold_residual),
+    ("lambert-w residuals", _lambert_residuals),
+    ("psd sqrt roundtrip", _psd_sqrt_roundtrip),
+    ("slnr route equivalence", _slnr_route_equivalence),
+    ("even-theta sum identity", _even_theta_sum_identity),
+    ("exact vs brute force", _exact_vs_brute_force),
+    ("common-R upper bound", _common_r_bound),
+)

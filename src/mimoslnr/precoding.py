@@ -10,9 +10,7 @@ the per-user SLNR collapses to the quadratic form
     SLNR_k = q_k / (1 - q_k),     q_k = h_k* (H H* + K eta I)^{-1} h_k,
 
 so ``q_k = Re(h_k* f_k)`` reads off the precoder itself: one factorization
-per realization serves the precoder and every user's SLNR. The direct
-leave-one-out evaluation and the plain leakage ratio are kept alongside as
-independent oracles.
+per realization serves the precoder and every user's SLNR.
 """
 
 from dataclasses import dataclass
@@ -28,8 +26,6 @@ __all__ = [
     "DegenerateUserError",
     "rzf_precode",
     "power_control",
-    "slnr_leave_one_out",
-    "slnr_ratio",
     "sinr_instantaneous",
     "compute_metrics",
 ]
@@ -67,6 +63,14 @@ def rzf_precode(H, beta):
     return shifted_gram_solve(H, beta, H)
 
 
+def _as_channel(H):
+    """``H`` as a complex array, checked to be an N x K matrix."""
+    H = np.asarray(H, dtype=complex)
+    if H.ndim != 2:
+        raise ValueError(f"H must be an N x K matrix, got shape {H.shape}")
+    return H
+
+
 def power_control(H, F):
     """Equal per-user power split: ``p_k = sqrt(1 / (K ||f_k||^2))``.
 
@@ -96,43 +100,10 @@ def _slnr_from_precoder(H, F):
     return q / (1.0 - q)
 
 
-def slnr_leave_one_out(H, eta):
-    """SLNR by K explicit leave-one-out solves; the slow oracle route.
-
-    Computes ``h_k* (sum_{i != k} h_i h_i* + K eta I)^{-1} h_k`` directly
-    for every user.
-    """
-    H = np.asarray(H, dtype=complex)
-    check_positive_finite(eta, "eta")
-    K = H.shape[1]
-    out = np.empty(K)
-    for k in range(K):
-        Hk = np.delete(H, k, axis=1)
-        hk = H[:, k]
-        x = shifted_gram_solve(Hk, K * eta, hk)
-        out[k] = np.vdot(hk, x).real
-    return out
-
-
 @one_blas_thread
 def _cross_gram(H, F):
     """G[k, i] = h_k* f_i."""
     return H.conj().T @ F
-
-
-def slnr_ratio(H, F, p, eta):
-    """Per-user SLNR as a plain leakage ratio for any precoder.
-
-    ``|h_k* f_k p_k|^2 / (sum_{i != k} |h_i* f_k p_k|^2 + eta)``; the noise
-    power is ``eta`` at unit transmit power, and the leakage runs over user
-    k's own beam.
-    """
-    G = _cross_gram(np.asarray(H, dtype=complex), np.asarray(F, dtype=complex))
-    p = np.asarray(p, dtype=float)
-    sig = np.abs(np.diag(G)) ** 2 * p**2
-    # Column k of |G|^2 holds |h_i* f_k|^2 over all i; drop the i = k term.
-    leak_cols = np.sum(np.abs(G) ** 2, axis=0) - np.abs(np.diag(G)) ** 2
-    return sig / (p**2 * leak_cols + eta)
 
 
 def sinr_instantaneous(H, F, p, eta):
@@ -158,7 +129,7 @@ def compute_metrics(H, eta):
     One factorization per realization: the precoder at ``beta = K * eta``
     also yields the SLNR quadratic forms.
     """
-    H = np.asarray(H, dtype=complex)
+    H = _as_channel(H)
     check_positive_finite(eta, "eta")
     F = rzf_precode(H, H.shape[1] * eta)
     p = power_control(H, F)

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from mimoslnr.asymptotic import check_common_r_bound, gamma_uncorrelated, solve_fixed_point
+from mimoslnr.asymptotic import gamma_uncorrelated
 from mimoslnr.channel import (
     SystemConfig, build_correlation, sample_channel, user_phases
 )
@@ -26,7 +26,8 @@ from mimoslnr.loading import (
     optimal_x_high_snr,
     optimal_x_low_snr,
 )
-from mimoslnr.precoding import compute_metrics, rzf_precode, power_control, slnr_ratio
+from mimoslnr.oracles import check_common_r_bound, slnr_ratio, solve_fixed_point
+from mimoslnr.precoding import compute_metrics, rzf_precode, power_control
 
 
 def report(tag, ok, detail):

@@ -19,7 +19,7 @@ def readme_section(heading):
 def test_all_is_the_documented_export_list():
     listed = readme_section("Library API").split("Every other public name", 1)[0]
     names = [name for name in re.findall(r"`(\w+)`", listed) if name != "__version__"]
-    assert len(names) == 18
+    assert len(names) == 17
     assert mimoslnr.__all__ == ["__version__", *names]
     for name in mimoslnr.__all__:
         assert hasattr(mimoslnr, name)

@@ -12,18 +12,17 @@ from mimoslnr.asymptotic import (
     FixedPointError,
     _brentq,
     _toeplitz_inverse_sums,
-    check_common_r_bound,
     even_mean_correlation,
     gamma_common_r,
     gamma_exp_even,
     gamma_uncorrelated,
     solve_exponential_fixed_point,
-    solve_fixed_point,
 )
 from mimoslnr.channel import (
     SystemConfig, build_correlation, sample_channel, trial_rng, user_phases
 )
 from mimoslnr.linalg import herm_eig
+from mimoslnr.oracles import check_common_r_bound, solve_fixed_point
 from mimoslnr.precoding import compute_metrics
 
 rng = np.random.default_rng(99)

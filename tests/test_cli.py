@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 import mimoslnr
-from mimoslnr import cli
-from mimoslnr.asymptotic import gamma_uncorrelated, solve_fixed_point
+from mimoslnr import cli, oracles
+from mimoslnr.asymptotic import gamma_uncorrelated
 from mimoslnr.channel import (
     PROFILE_KINDS, SystemConfig, build_correlation, trial_rng, user_phases
 )
 from mimoslnr.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from mimoslnr.oracles import solve_fixed_point
 
 
 def run_cli(capsys, *argv):
@@ -334,4 +335,21 @@ class TestSelftest:
             "ok   exact vs brute force",
             "ok   common-R upper bound",
             "selftest: all checks passed",
+        ]
+
+    def test_reports_a_failing_check_and_runs_the_rest(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracles, "slnr_leave_one_out", lambda H, eta: np.ones(H.shape[1]))
+        code, out, _ = run_cli(capsys, "selftest")
+        lines = [line for line in out.splitlines() if not line.startswith("#")]
+        assert code == EXIT_NUMERICAL
+        assert lines[4].startswith("FAIL slnr route equivalence:")
+        assert lines[:4] + lines[5:] == [
+            "ok   closed-form vs fixed point",
+            "ok   threshold derivative residual",
+            "ok   lambert-w residuals",
+            "ok   psd sqrt roundtrip",
+            "ok   even-theta sum identity",
+            "ok   exact vs brute force",
+            "ok   common-R upper bound",
+            "selftest: 1 check(s) failed",
         ]

@@ -6,7 +6,6 @@ from mimoslnr.experiments import (
     ExperimentResult,
     _format_column,
     _format_value,
-    brute_force_optimal_x,
     empirical_cdf,
     run_cdf_experiment,
     run_correlation_sweep,
@@ -14,6 +13,7 @@ from mimoslnr.experiments import (
     write_csv,
 )
 from mimoslnr.loading import eta_threshold, loading_constants, optimal_x_exact
+from mimoslnr.oracles import brute_force_optimal_x
 
 
 class TestEmpiricalCdf:

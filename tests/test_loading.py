@@ -183,7 +183,7 @@ class TestOptimalXExact:
 
     @pytest.mark.parametrize("eta", [0.01, 0.05, 0.2, 0.3])
     def test_agrees_with_grid_search(self, eta):
-        from mimoslnr.experiments import brute_force_optimal_x
+        from mimoslnr.oracles import brute_force_optimal_x
 
         assert abs(optimal_x_exact(eta).x_star - brute_force_optimal_x(eta)) <= 1e-3
 

@@ -12,9 +12,8 @@ from mimoslnr.precoding import (
     power_control,
     rzf_precode,
     sinr_instantaneous,
-    slnr_leave_one_out,
-    slnr_ratio,
 )
+from mimoslnr.oracles import slnr_leave_one_out, slnr_ratio
 
 rng = np.random.default_rng(777)
 

@@ -1,11 +1,12 @@
 """One validation point: every entry point that takes ``eta`` or ``tol``
-rejects a value that is not positive and finite with a ``ValueError`` naming
-it, before any iteration can spin on it. The same holds for a correlation
-coefficient outside ``[0, 1)``, a load ratio ``alpha`` that is not positive
-and finite, a non-finite phase, a ``bool`` SNR, ``rho`` or phase, a count
-(antennas, users, trials, draws) that is not an integer of at least 1, and
-a seed or trial number that is not an integer of at least 0 (or, for a
-trial, not below the trial count)."""
+rejects a value that is not positive and finite, or is a ``bool``, with a
+``ValueError`` naming it, before any iteration can spin on it. The same
+holds for a correlation coefficient outside ``[0, 1)``, a load ratio
+``alpha`` that is not positive and finite, a non-finite phase, a ``bool``
+SNR (or SNR array), ``rho`` or phase, an array SNR in a config, a channel
+``H`` that is not a matrix, a count (antennas, users, trials, draws) that is
+not an integer of at least 1, and a seed or trial number that is not an
+integer of at least 0 (or, for a trial, not below the trial count)."""
 
 import numpy as np
 import pytest
@@ -17,12 +18,11 @@ from mimoslnr.asymptotic import (
     gamma_exp_even,
     gamma_uncorrelated,
     solve_exponential_fixed_point,
-    solve_fixed_point,
 )
 from mimoslnr.channel import (
     PROFILE_KINDS, SystemConfig, build_correlation, eta_from_snr_db, sample_channel, trial_rng
 )
-from mimoslnr.experiments import run_correlation_sweep
+from mimoslnr.experiments import run_correlation_sweep, run_loading_sweep
 from mimoslnr.loading import (
     dfdx,
     objective_f,
@@ -30,10 +30,8 @@ from mimoslnr.loading import (
     optimal_x_high_snr,
     optimal_x_low_snr,
 )
-from mimoslnr.precoding import (
-    compute_metrics,
-    slnr_leave_one_out,
-)
+from mimoslnr.oracles import slnr_leave_one_out, solve_fixed_point
+from mimoslnr.precoding import compute_metrics
 
 H = np.array([[1.0, 0.5j], [0.2, 1.0], [0.0, 0.3]])
 R = [np.eye(4, dtype=complex)] * 2
@@ -126,7 +124,26 @@ def test_eta_must_be_positive_and_finite(entry, eta):
         ETA_ENTRY_POINTS[entry](eta)
 
 
-@pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0])
+# A bool passed for 1: compute_metrics(H, True) ran at eta = 1. The -array
+# entries build a float array around eta, so they get a bool array instead.
+@pytest.mark.parametrize("eta", [True, pytest.param(np.bool_(True), id="np.bool_-True")])
+@pytest.mark.parametrize("entry", [e for e in ETA_ENTRY_POINTS if not e.endswith("-array")])
+def test_eta_must_not_be_bool(entry, eta):
+    with pytest.raises(ValueError, match="eta"):
+        ETA_ENTRY_POINTS[entry](eta)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda eta: gamma_uncorrelated(2.0, eta), lambda eta: dfdx(1.2, eta),
+], ids=["gamma_uncorrelated-array", "dfdx-array"])
+def test_eta_array_must_not_be_bool(entry):
+    with pytest.raises(ValueError, match="eta"):
+        entry(np.array([True, True]))
+
+
+@pytest.mark.parametrize("tol", [
+    np.nan, 0.0, -1.0, True, pytest.param(np.bool_(True), id="np.bool_-True"),
+])
 @pytest.mark.parametrize("entry", TOL_ENTRY_POINTS)
 def test_tol_must_be_positive_and_finite(entry, tol):
     with pytest.raises(ValueError, match="tol"):
@@ -137,11 +154,32 @@ def test_tol_must_be_positive_and_finite(entry, tol):
 # "True" or "False".
 @pytest.mark.parametrize("snr_db", [
     np.nan, np.inf, -4000.0, True, False, pytest.param(np.bool_(True), id="np.bool_-True"),
+    pytest.param(np.array([True, False]), id="bool-array"),
 ])
 @pytest.mark.parametrize("entry", SNR_ENTRY_POINTS)
 def test_snr_must_be_a_finite_number(entry, snr_db):
     with pytest.raises(ValueError, match="snr_db"):
         SNR_ENTRY_POINTS[entry](snr_db)
+
+
+# A bool grid ran as 0 and 1 dB and wrote snr_db_min = 0.0, snr_db_max = 1.0.
+def test_loading_sweep_grid_must_not_be_bool():
+    with pytest.raises(ValueError, match="snr_db"):
+        run_loading_sweep(np.array([True, False]))
+
+
+# An array SNR made a config that compute_metrics then failed on with a TypeError.
+def test_config_snr_must_be_a_scalar():
+    with pytest.raises(ValueError, match="snr_db"):
+        SystemConfig.make(4, 2, np.array([1.0, 2.0]))
+
+
+# A 1-D channel raised IndexError (tuple index out of range) from both.
+@pytest.mark.parametrize("channel", [np.ones(4), np.ones((4, 2, 2))], ids=["1-D", "3-D"])
+@pytest.mark.parametrize("entry", [compute_metrics, slnr_leave_one_out])
+def test_channel_must_be_a_matrix(entry, channel):
+    with pytest.raises(ValueError, match="H"):
+        entry(channel, 0.1)
 
 
 @pytest.mark.parametrize("rho", [
