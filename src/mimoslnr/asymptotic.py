@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import one_blas_thread
-from .channel import check_count, check_positive_finite, check_rho
+from .channel import check_count, check_positive_finite, check_rho, check_vector
 from .linalg import _cholesky_solve, herm_eig
 
 __all__ = [
@@ -151,11 +151,7 @@ def solve_exponential_fixed_point(N, rho, theta, eta, tol=DEFAULT_TOL):
     """
     check_count(N, "N")
     check_rho(rho)
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 1 or theta.size < 1:
-        raise ValueError(f"theta must be a nonempty 1-D array, got shape {theta.shape}")
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("theta must be finite")
+    theta = check_vector(theta, "theta")
     check_positive_finite(eta, "eta")
     check_positive_finite(tol, "tol")
     K = theta.size
@@ -465,13 +461,9 @@ def gamma_common_r(eigenvalues, K, eta, tol=DEFAULT_TOL):
     Zero eigenvalues contribute zero to the sum (the continuous limit of
     the summand), so rank-deficient inputs do not crash.
     """
-    lam = np.asarray(eigenvalues, dtype=float)
-    if lam.ndim != 1 or lam.size < 1:
-        raise ValueError("eigenvalues must be a nonempty 1-D array")
-    if not np.all(np.isfinite(lam)):
-        raise ValueError("eigenvalues must be finite")
+    lam = check_vector(eigenvalues, "eigenvalues")
     N = lam.size
-    spectral = float(np.max(np.abs(lam))) if lam.size else 0.0
+    spectral = float(np.max(np.abs(lam)))
     if np.any(lam < -1e-10 * max(spectral, 1.0)):
         raise ValueError(f"eigenvalues must be nonnegative, got min {lam.min():.3e}")
     lam = np.clip(lam, 0.0, None)

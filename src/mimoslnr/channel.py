@@ -26,6 +26,7 @@ __all__ = [
     "check_count",
     "check_index",
     "check_rho",
+    "check_vector",
     "eta_from_snr_db",
     "user_phases",
     "build_correlation",
@@ -81,15 +82,32 @@ def check_index(value, name):
 
 
 def check_rho(value):
-    """Return ``value`` if it lies in ``[0, 1)``, else raise ``ValueError`` naming ``rho``."""
-    if isinstance(value, (bool, np.bool_)) or not 0.0 <= value < 1.0:
+    """Return ``value`` if it is a scalar in ``[0, 1)``, else raise ``ValueError`` naming it."""
+    if np.ndim(value) or isinstance(value, (bool, np.bool_)) or not 0.0 <= value < 1.0:
         raise ValueError(f"rho must lie in [0, 1), got {value!r}")
     return value
 
 
 def _check_theta(value):
-    if isinstance(value, (bool, np.bool_)) or not math.isfinite(value):
+    if np.ndim(value) or isinstance(value, (bool, np.bool_)) or not math.isfinite(value):
         raise ValueError(f"theta must be finite, got {value!r}")
+
+
+def check_vector(value, name):
+    """``value`` as a float array if it is a nonempty 1-D array of finite numbers.
+
+    The one check for an array input (phases, eigenvalues, sweep grids); anything
+    else, a ``bool`` array included, raises ``ValueError`` naming ``name``.
+    """
+    arr = np.asarray(value)
+    if arr.dtype == bool or arr.ndim != 1 or arr.size < 1:
+        raise ValueError(
+            f"{name} must be a nonempty 1-D array of numbers, got {arr.dtype} shape {arr.shape}"
+        )
+    arr = arr.astype(float, copy=False)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
+    return arr
 
 
 def eta_from_snr_db(snr_db):

@@ -13,28 +13,15 @@ import sys
 
 import numpy as np
 
-from .asymptotic import FixedPointError, solve_exponential_fixed_point
+from .asymptotic import DEFAULT_TOL, FixedPointError, solve_exponential_fixed_point
 from .channel import (
-    PROFILE_KINDS,
-    SystemConfig,
-    check_count,
-    check_positive_finite,
-    sample_channel,
-    trial_rng,
+    PROFILE_KINDS, SystemConfig, check_count, check_positive_finite, sample_channel, trial_rng,
     user_phases,
 )
-from .experiments import (
-    run_cdf_experiment,
-    run_correlation_sweep,
-    run_loading_sweep,
-    write_csv,
-)
+from .experiments import run_cdf_experiment, run_correlation_sweep, run_loading_sweep, write_csv
 from .linalg import EigConvergenceError, NotPsdError
 from .loading import (
-    BracketError,
-    eta_threshold,
-    optimal_x_exact,
-    optimal_x_high_snr,
+    LOADING_TOL, BracketError, eta_threshold, optimal_x_exact, optimal_x_high_snr,
     optimal_x_low_snr,
 )
 from .oracles import SELFTEST_CHECKS
@@ -63,7 +50,7 @@ _KEYS = {
     "trials": (int, 100, "Monte Carlo trials", None),
     "seed": (int, 0, "random seed", None),
     "out": (str, None, "output CSV path (sweep commands)", None),
-    "tol": (float, 1e-12, "solver tolerance", None),
+    "tol": (float, DEFAULT_TOL, "solver tolerance", None),
     "rate_units": (str, "nats", "units of reported rates", ("nats", "bits")),
     "rho_grid": (str, "0.0:0.9:10", "rho grid lo:hi:count", None),
     "snr_grid": (str, "0.0:40.0:81", "SNR grid lo:hi:count", None),
@@ -93,17 +80,8 @@ def _add_flags(sub):
 def _build_parser():
     parser = _Parser(prog="mimoslnr", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("asymptotic", "print the deterministic per-user SLNR for a profile"),
-        ("metrics", "sample one channel and print per-user SLNR/SINR"),
-        ("loading", "print the optimal user loading for a given SNR"),
-        ("sweep-cdf", "write SLNR/SINR CDF samples against the asymptotic value"),
-        ("sweep-correlation", "write asymptotic SLNR versus rho for three theta schemes"),
-        ("sweep-loading", "write optimal loading versus SNR with approximations"),
-        ("selftest", "run quick oracle cross-checks; nonzero exit on failure"),
-    ]:
-        sub = commands.add_parser(name, help=help_text)
-        _add_flags(sub)
+    for name, (_, help_text) in _COMMANDS.items():
+        _add_flags(commands.add_parser(name, help=help_text))
     return parser
 
 
@@ -156,13 +134,8 @@ def _resolve(args):
         if flag_value is not None:
             resolved[key] = flag_value
     config = SystemConfig.make(
-        N=resolved["n"],
-        K=resolved["k"],
-        snr_db=resolved["snr_db"],
-        kind=resolved["profile"],
-        rho=resolved["rho"],
-        theta=resolved["theta"],
-        trials=resolved["trials"],
+        resolved["n"], resolved["k"], resolved["snr_db"], kind=resolved["profile"],
+        rho=resolved["rho"], theta=resolved["theta"], trials=resolved["trials"],
         seed=resolved["seed"],
     )
     check_positive_finite(resolved["tol"], "tol")
@@ -221,7 +194,7 @@ def _cmd_metrics(resolved, config):
 def _cmd_loading(resolved, config):
     eta = config.eta
     units = resolved["rate_units"]
-    solution = optimal_x_exact(eta, tol=min(resolved["tol"], 1e-10))
+    solution = optimal_x_exact(eta, tol=min(resolved["tol"], LOADING_TOL))
     eta_o = eta_threshold()
     print(f"snr_db = {resolved['snr_db']}")
     print(f"eta = {eta!r}")
@@ -238,54 +211,40 @@ def _cmd_loading(resolved, config):
     return EXIT_OK
 
 
-def _require_out(resolved):
-    if not resolved["out"]:
+def _write_sweep(resolved, run):
+    """Run a sweep and write its CSV to ``out``, which is checked first.
+
+    Every CSV carries the full resolved configuration; experiment-specific
+    entries written by the runner take precedence over the echo.
+    """
+    out = resolved["out"]
+    if not out:
         raise UsageError("missing required key 'out' (CSV output path)")
-    return resolved["out"]
-
-
-def _merge_resolved(result, resolved):
-    # Every CSV carries the full resolved configuration; experiment-specific
-    # entries written by the runner take precedence over the echo.
+    result = run()
     for key in sorted(resolved):
-        if key == "out" or resolved[key] is None:
-            continue
-        result.metadata.setdefault(key, resolved[key])
-    return result
+        if key != "out" and resolved[key] is not None:
+            result.metadata.setdefault(key, resolved[key])
+    write_csv(result, out)
+    print(f"# wrote {out} ({len(next(iter(result.columns.values())))} rows)")
+    return EXIT_OK
 
 
 def _cmd_sweep_cdf(resolved, config):
-    out = _require_out(resolved)
-    result = run_cdf_experiment(config)
-    write_csv(_merge_resolved(result, resolved), out)
-    print(f"# wrote {out} ({len(result.columns['cdf_level'])} rows)")
-    return EXIT_OK
+    return _write_sweep(resolved, lambda: run_cdf_experiment(config))
 
 
 def _cmd_sweep_correlation(resolved, config):
-    out = _require_out(resolved)
-    rho_grid = _parse_grid(resolved["rho_grid"], "rho_grid")
-    result = run_correlation_sweep(
-        N=config.N,
-        alpha=config.K / config.N,
-        snr_db=config.snr_db,
-        rho_grid=rho_grid,
-        trials_for_random_theta=resolved["theta_draws"],
-        seed=config.seed,
-        tol=resolved["tol"],
-    )
-    write_csv(_merge_resolved(result, resolved), out)
-    print(f"# wrote {out} ({rho_grid.size} rows)")
-    return EXIT_OK
+    return _write_sweep(resolved, lambda: run_correlation_sweep(
+        N=config.N, alpha=config.K / config.N, snr_db=config.snr_db,
+        rho_grid=_parse_grid(resolved["rho_grid"], "rho_grid"),
+        trials_for_random_theta=resolved["theta_draws"], seed=config.seed, tol=resolved["tol"],
+    ))
 
 
 def _cmd_sweep_loading(resolved, config):
-    out = _require_out(resolved)
-    snr_grid = _parse_grid(resolved["snr_grid"], "snr_grid")
-    result = run_loading_sweep(snr_grid)
-    write_csv(_merge_resolved(result, resolved), out)
-    print(f"# wrote {out} ({snr_grid.size} rows)")
-    return EXIT_OK
+    return _write_sweep(
+        resolved, lambda: run_loading_sweep(_parse_grid(resolved["snr_grid"], "snr_grid"))
+    )
 
 
 def _cmd_selftest(resolved, config):
@@ -306,14 +265,17 @@ def _cmd_selftest(resolved, config):
     return EXIT_OK
 
 
+# The one declaration of each subcommand: name -> (handler, help text).
 _COMMANDS = {
-    "asymptotic": _cmd_asymptotic,
-    "metrics": _cmd_metrics,
-    "loading": _cmd_loading,
-    "sweep-cdf": _cmd_sweep_cdf,
-    "sweep-correlation": _cmd_sweep_correlation,
-    "sweep-loading": _cmd_sweep_loading,
-    "selftest": _cmd_selftest,
+    "asymptotic": (_cmd_asymptotic, "print the deterministic per-user SLNR for a profile"),
+    "metrics": (_cmd_metrics, "sample one channel and print per-user SLNR/SINR"),
+    "loading": (_cmd_loading, "print the optimal user loading for a given SNR"),
+    "sweep-cdf": (_cmd_sweep_cdf, "write SLNR/SINR CDF samples against the asymptotic value"),
+    "sweep-correlation": (
+        _cmd_sweep_correlation, "write asymptotic SLNR versus rho for three theta schemes"
+    ),
+    "sweep-loading": (_cmd_sweep_loading, "write optimal loading versus SNR with approximations"),
+    "selftest": (_cmd_selftest, "run quick oracle cross-checks; nonzero exit on failure"),
 }
 
 
@@ -324,7 +286,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
         resolved, config = _resolve(args)
         _echo(resolved)
-        return _COMMANDS[args.command](resolved, config)
+        return _COMMANDS[args.command][0](resolved, config)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

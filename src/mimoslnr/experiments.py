@@ -16,15 +16,16 @@ import numpy as np
 from . import __version__
 from ._blas import one_blas_thread
 from .asymptotic import (
-    gamma_common_r, gamma_exp_even, gamma_uncorrelated, solve_exponential_fixed_point
+    DEFAULT_TOL, gamma_common_r, gamma_exp_even, gamma_uncorrelated, solve_exponential_fixed_point,
 )
 from .channel import (
-    SystemConfig, build_correlation, check_count, check_index, check_rho,
+    SystemConfig, build_correlation, check_count, check_index, check_rho, check_vector,
     eta_from_snr_db, sample_channel, trial_rng, user_phases,
 )
 from .linalg import herm_eig
 from .loading import (
-    CLAMPED_AT_ONE, eta_threshold, optimal_x_exact, optimal_x_high_snr, optimal_x_low_snr,
+    CLAMPED_AT_ONE, LOADING_TOL, eta_threshold, optimal_x_exact, optimal_x_high_snr,
+    optimal_x_low_snr,
 )
 from .oracles import BRUTE_STEP, brute_force_optimal_x
 from .precoding import compute_metrics
@@ -37,11 +38,6 @@ __all__ = [
     "run_loading_sweep",
     "write_csv",
 ]
-
-# The loading sweep's root tolerance; the sweep echoes it, and the
-# brute-force oracle's grid spacing, into its CSV metadata.
-LOADING_TOL = 1e-10
-
 
 @dataclass
 class ExperimentResult:
@@ -112,7 +108,7 @@ def run_cdf_experiment(config):
 
 @one_blas_thread
 def run_correlation_sweep(
-    N, alpha, snr_db, rho_grid, trials_for_random_theta=20, seed=0, tol=1e-12
+    N, alpha, snr_db, rho_grid, trials_for_random_theta=20, seed=0, tol=DEFAULT_TOL
 ):
     """Asymptotic SLNR versus correlation coefficient for three phase schemes.
 
@@ -134,7 +130,7 @@ def run_correlation_sweep(
     K = check_count(int(round(alpha * N)), "round(alpha * N)")
     check_count(trials_for_random_theta, "trials_for_random_theta")
     eta = eta_from_snr_db(snr_db)
-    rho_grid = np.asarray(rho_grid, dtype=float)
+    rho_grid = check_vector(rho_grid, "rho_grid")
     # Every rho is checked before the first solve, so a bad one fails fast.
     try:
         for rho in rho_grid:
@@ -198,8 +194,8 @@ def run_loading_sweep(snr_db_grid):
     ``LOADING_TOL``.
     """
     start = time.perf_counter()
-    etas = eta_from_snr_db(snr_db_grid)  # before the float cast, which hides a bool grid
-    snr_db_grid = np.asarray(snr_db_grid, dtype=float)
+    snr_db_grid = check_vector(snr_db_grid, "snr_db_grid")
+    etas = eta_from_snr_db(snr_db_grid)
     eta_o = eta_threshold()
 
     x_exact = np.empty(snr_db_grid.size)
@@ -209,7 +205,7 @@ def run_loading_sweep(snr_db_grid):
     alpha_high = np.full(snr_db_grid.size, np.nan)
 
     for i, eta in enumerate(etas):
-        sol = optimal_x_exact(eta, tol=LOADING_TOL)
+        sol = optimal_x_exact(eta)
         x_exact[i] = sol.x_star
         clamped[i] = 1.0 if sol.method == CLAMPED_AT_ONE else 0.0
         alpha_brute[i] = 1.0 / brute_force_optimal_x(eta)

@@ -55,6 +55,10 @@ CLAMPED_AT_ONE = "clamped-at-one"
 # Loose upper bound on the optimal loading ratio: 3*(2*sqrt(3) - 3).
 X_UPPER_LOOSE = 3.0 * (2.0 * math.sqrt(3.0) - 3.0)
 
+# Default root tolerance of optimal_x_exact; the loading sweep runs at it
+# and echoes it into its CSV metadata.
+LOADING_TOL = 1e-10
+
 _INV_E = math.exp(-1.0)
 
 
@@ -146,7 +150,7 @@ def eta_threshold():
     return _brentq(g, 0.05, 1.0, 1e-14, 8.9e-16, 100)[0]
 
 
-def optimal_x_exact(eta, tol=1e-10):
+def optimal_x_exact(eta, tol=LOADING_TOL):
     """Maximize the per-antenna rate over ``x >= 1`` by derivative bisection.
 
     At or above :func:`eta_threshold` the optimum is clamped at 1 (the sign

@@ -21,7 +21,7 @@ from .channel import (
 )
 from .linalg import psd_sqrt, shifted_gram_solve
 from .loading import dfdx, eta_threshold, lambert_w0, objective_f, optimal_x_exact
-from .precoding import _as_channel, _cross_gram, compute_metrics
+from .precoding import _as_channel, compute_metrics
 
 __all__ = [
     "BoundCheck", "SELFTEST_CHECKS", "solve_fixed_point", "slnr_leave_one_out", "slnr_ratio",
@@ -101,6 +101,7 @@ def slnr_leave_one_out(H, eta):
     return out
 
 
+@one_blas_thread
 def slnr_ratio(H, F, p, eta):
     """Per-user SLNR as a plain leakage ratio for any precoder.
 
@@ -108,7 +109,7 @@ def slnr_ratio(H, F, p, eta):
     power is ``eta`` at unit transmit power, and the leakage runs over user
     k's own beam.
     """
-    G = _cross_gram(np.asarray(H, dtype=complex), np.asarray(F, dtype=complex))
+    G = np.asarray(H, dtype=complex).conj().T @ np.asarray(F, dtype=complex)  # h_k* f_i
     p = np.asarray(p, dtype=float)
     sig = np.abs(np.diag(G)) ** 2 * p**2
     # Column k of |G|^2 holds |h_i* f_k|^2 over all i; drop the i = k term.

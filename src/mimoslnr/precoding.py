@@ -101,11 +101,6 @@ def _slnr_from_precoder(H, F):
 
 
 @one_blas_thread
-def _cross_gram(H, F):
-    """G[k, i] = h_k* f_i."""
-    return H.conj().T @ F
-
-
 def sinr_instantaneous(H, F, p, eta):
     """Per-user SINR: interference received from the other users' beams.
 
@@ -113,7 +108,7 @@ def sinr_instantaneous(H, F, p, eta):
     power being ``eta`` at unit transmit power. Note the index order
     ``h_k* f_i``, transposed relative to the SLNR leakage.
     """
-    G = _cross_gram(np.asarray(H, dtype=complex), np.asarray(F, dtype=complex))
+    G = np.asarray(H, dtype=complex).conj().T @ np.asarray(F, dtype=complex)  # h_k* f_i
     p = np.asarray(p, dtype=float)
     sig = np.abs(np.diag(G)) ** 2 * p**2
     # Row k of |G p|^2 holds |h_k* f_i p_i|^2 over all i; drop the i = k term.

@@ -1,5 +1,6 @@
-"""The documented API: the README's export list is ``mimoslnr.__all__``, and
-its library quick start runs as written."""
+"""The documented API: the README's export list is ``mimoslnr.__all__``, its
+library quick start runs as written, and the subcommands that ``cli._COMMANDS``
+declares are the ones the ``cli`` docstring lists and the CLI quick start runs."""
 
 import os
 import re
@@ -7,6 +8,7 @@ import re
 import numpy as np
 
 import mimoslnr
+from mimoslnr import cli
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -23,6 +25,13 @@ def test_all_is_the_documented_export_list():
     assert mimoslnr.__all__ == ["__version__", *names]
     for name in mimoslnr.__all__:
         assert hasattr(mimoslnr, name)
+
+
+def test_subcommands_are_documented_where_declared():
+    listed = cli.__doc__.split("Subcommands:", 1)[1].split(".", 1)[0]
+    block = readme_section("Quick start (CLI)").split("```sh\n", 1)[1].split("```", 1)[0]
+    run = {line.split()[1] for line in block.splitlines() if line.startswith("mimoslnr ")}
+    assert set(cli._COMMANDS) == set(re.findall(r"``([\w-]+)``", listed)) == run
 
 
 def test_library_quick_start_runs(capsys):

@@ -248,6 +248,9 @@ class TestCsvOutput:
     (dict(N=8, alpha=0.75, trials_for_random_theta=0), "trials_for_random_theta"),
     (dict(N=8, alpha=0.75, rho_grid=[0.3, 1.5]), "rho_grid"),
     (dict(N=8, alpha=0.75, rho_grid=[np.nan]), "rho_grid"),
+    # A scalar grid raised a TypeError; an empty one wrote a header-only CSV.
+    (dict(N=8, alpha=0.75, rho_grid=0.5), "rho_grid"),
+    (dict(N=8, alpha=0.75, rho_grid=[]), "rho_grid"),
 ])
 def test_correlation_sweep_rejects_bad_arguments(kwargs, name):
     kwargs = {"snr_db": 20.0, "rho_grid": [0.3], **kwargs}

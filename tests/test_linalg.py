@@ -17,6 +17,8 @@ from mimoslnr.linalg import (
     psd_sqrt,
     shifted_gram_solve,
 )
+from mimoslnr.oracles import slnr_ratio
+from mimoslnr.precoding import sinr_instantaneous
 
 rng = np.random.default_rng(1234)
 
@@ -219,6 +221,22 @@ class TestOneBlasThread:
 
         with pytest.raises(ValueError, match="finite"):
             shifted_gram_solve(Probe(), 1.0, np.eye(3))
+        assert seen == [[1] * len(found)]
+        assert self.threads(found) == [2] * len(found)
+
+    @pytest.mark.parametrize("entry", [sinr_instantaneous, slnr_ratio])
+    def test_standalone_product_on_one_thread(self, pools, entry):
+        # No zpotrf runs here: the channel records the counts when the library reads it.
+        found, seen = pools
+        H = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+
+        class Probe:
+            def __array__(self, dtype=None, copy=None):
+                seen.append(TestOneBlasThread.threads(found))
+                return H.astype(dtype)
+
+        p = np.ones(3)
+        np.testing.assert_array_equal(entry(Probe(), H, p, 0.1), entry(H, H, p, 0.1))
         assert seen == [[1] * len(found)]
         assert self.threads(found) == [2] * len(found)
 

@@ -3,8 +3,9 @@ rejects a value that is not positive and finite, or is a ``bool``, with a
 ``ValueError`` naming it, before any iteration can spin on it. The same
 holds for a correlation coefficient outside ``[0, 1)``, a load ratio
 ``alpha`` that is not positive and finite, a non-finite phase, a ``bool``
-SNR (or SNR array), ``rho`` or phase, an array SNR in a config, a channel
-``H`` that is not a matrix, a count (antennas, users, trials, draws) that is
+SNR (or SNR array), ``rho`` or phase, an array SNR, ``rho`` or common phase,
+a phase array or sweep grid that is not a nonempty 1-D array of finite
+numbers, a channel ``H`` that is not a matrix, a count (antennas, users, trials, draws) that is
 not an integer of at least 1, and a seed or trial number that is not an
 integer of at least 0 (or, for a trial, not below the trial count)."""
 
@@ -168,6 +169,14 @@ def test_loading_sweep_grid_must_not_be_bool():
         run_loading_sweep(np.array([True, False]))
 
 
+# A scalar or 2-D grid raised a TypeError, and an empty one a ValueError from
+# numpy's min that did not name the grid.
+@pytest.mark.parametrize("grid", [10.0, [], [[1.0, 2.0]]], ids=["scalar", "empty", "2-D"])
+def test_loading_sweep_grid_must_be_a_vector(grid):
+    with pytest.raises(ValueError, match="snr_db_grid"):
+        run_loading_sweep(grid)
+
+
 # An array SNR made a config that compute_metrics then failed on with a TypeError.
 def test_config_snr_must_be_a_scalar():
     with pytest.raises(ValueError, match="snr_db"):
@@ -182,8 +191,11 @@ def test_channel_must_be_a_matrix(entry, channel):
         entry(channel, 0.1)
 
 
+# An array rho made a config whose rho was an array, or failed on numpy's
+# ambiguous truth value without naming rho.
 @pytest.mark.parametrize("rho", [
     np.nan, np.inf, 1.0, -0.1, False, pytest.param(np.bool_(False), id="np.bool_-False"),
+    pytest.param(np.array([0.1]), id="array-1"), pytest.param(np.array([0.1, 0.2]), id="array-2"),
 ])
 @pytest.mark.parametrize("entry", RHO_ENTRY_POINTS)
 def test_rho_must_lie_in_unit_interval(entry, rho):
@@ -191,14 +203,20 @@ def test_rho_must_lie_in_unit_interval(entry, rho):
         RHO_ENTRY_POINTS[entry](rho)
 
 
-@pytest.mark.parametrize("theta", [[0.1, np.nan], [0.1, np.inf], [-np.inf, 0.1], [], [[0.1, 2.0]]])
+# A bool array ran as phases of 0 and 1 rad.
+@pytest.mark.parametrize("theta", [
+    [0.1, np.nan], [0.1, np.inf], [-np.inf, 0.1], [], [[0.1, 2.0]],
+    pytest.param(np.array([True, False]), id="bool-array"),
+])
 def test_theta_must_be_finite_phases(theta):
     with pytest.raises(ValueError, match="theta"):
         solve_exponential_fixed_point(4, 0.5, theta, 0.1)
 
 
+# An array theta raised a TypeError that did not name it.
 @pytest.mark.parametrize("theta", [
     np.nan, np.inf, -np.inf, True, pytest.param(np.bool_(False), id="np.bool_-False"),
+    pytest.param(np.array([0.1]), id="array-1"),
 ])
 @pytest.mark.parametrize("kind", PROFILE_KINDS)
 def test_profile_theta_must_be_finite(kind, theta):
