@@ -81,16 +81,22 @@ def check_index(value, name):
     return value
 
 
+def _is_number(value):
+    # A bool of any kind, 0-d arrays included, would pass for 0 or 1.
+    return np.ndim(value) == 0 and np.asarray(value).dtype != bool
+
+
 def check_rho(value):
-    """Return ``value`` if it is a scalar in ``[0, 1)``, else raise ``ValueError`` naming it."""
-    if np.ndim(value) or isinstance(value, (bool, np.bool_)) or not 0.0 <= value < 1.0:
+    """``value`` as a float if it is a number in ``[0, 1)``, else raise ``ValueError`` naming it."""
+    if not _is_number(value) or not 0.0 <= value < 1.0:
         raise ValueError(f"rho must lie in [0, 1), got {value!r}")
-    return value
+    return float(value)
 
 
 def _check_theta(value):
-    if np.ndim(value) or isinstance(value, (bool, np.bool_)) or not math.isfinite(value):
+    if not _is_number(value) or not math.isfinite(value):
         raise ValueError(f"theta must be finite, got {value!r}")
+    return float(value)
 
 
 def check_vector(value, name):
@@ -156,8 +162,9 @@ class SystemConfig:
     def __post_init__(self):
         if self.kind not in PROFILE_KINDS:
             raise ValueError(f"profile kind must be one of {PROFILE_KINDS}, got {self.kind!r}")
-        check_rho(self.rho)
-        _check_theta(self.theta)
+        # Stored as floats, so a 0-d array or numpy scalar is not kept.
+        object.__setattr__(self, "rho", check_rho(self.rho))
+        object.__setattr__(self, "theta", _check_theta(self.theta))
         check_count(self.N, "N")
         check_count(self.K, "K")
         check_count(self.trials, "trials")
@@ -208,8 +215,8 @@ def build_correlation(N, rho, theta):
     are ``build_correlation(N, rho, t)`` over ``t`` in :func:`user_phases`.
     """
     check_count(N, "N")
-    check_rho(rho)
-    _check_theta(theta)
+    rho = check_rho(rho)
+    theta = _check_theta(theta)
     if rho == 0.0:
         return np.eye(N, dtype=complex)
     d = np.subtract.outer(np.arange(N), np.arange(N))

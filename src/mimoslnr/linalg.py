@@ -13,10 +13,13 @@ thread costs more than it saves, and a threaded Cholesky would make the
 results depend on the core count.
 """
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import zpotrf, zpotrs
 
 from ._blas import one_blas_thread
 
@@ -37,6 +40,43 @@ HERMITIAN_RTOL = 1e-12
 # Eigenvalues of a nominally PSD matrix may round slightly negative; anything
 # above -PSD_EIG_RTOL * ||A||_2 is clipped to zero instead of rejected.
 PSD_EIG_RTOL = 1e-10
+
+
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _flapack_path():
+    """The file of scipy's compiled LAPACK module, found without importing scipy."""
+    spec = importlib.util.find_spec("scipy")
+    for root in spec.submodule_search_locations if spec else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                return path
+    raise ImportError(f"no {_FLAPACK} extension file")
+
+
+def _load_cholesky_pair():
+    """LAPACK's ``zpotrf`` and ``zpotrs`` from scipy's compiled ``_flapack`` module.
+
+    The module is loaded from its file and registered under its own name, so
+    neither ``scipy`` nor ``scipy.linalg`` is imported and a later
+    ``import scipy.linalg`` shares it. These are the callables that
+    ``scipy.linalg.lapack`` exports; if the file cannot be found or loaded,
+    they are imported from there. Called at import, before ``_blas.pools()``
+    first reads which OpenBLAS libraries are mapped.
+    """
+    try:
+        spec = importlib.util.spec_from_file_location(_FLAPACK, _flapack_path())
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        flapack = sys.modules.setdefault(_FLAPACK, module)
+    except ImportError:  # no such file, or one that will not load
+        from scipy.linalg import lapack as flapack
+    return flapack.zpotrf, flapack.zpotrs
+
+
+zpotrf, zpotrs = _load_cholesky_pair()
 
 
 class NotHermitianError(ValueError):
@@ -174,9 +214,10 @@ def shifted_gram_solve(H, beta, B):
     explicit inverse; for ``beta > 0`` the matrix is positive definite and
     factorization is both stabler and cheaper at the dimensions targeted
     here (up to a few hundred). LAPACK's ``zpotrf`` and ``zpotrs`` are
-    called directly, the routines behind scipy's ``cho_factor`` and
-    ``cho_solve`` without their per-call wrapping. A factorization that
-    fails raises :class:`numpy.linalg.LinAlgError`.
+    called directly (see :func:`_cholesky_solve`), the routines behind
+    scipy's ``cho_factor`` and ``cho_solve`` without their per-call
+    wrapping. A factorization that fails raises
+    :class:`numpy.linalg.LinAlgError`.
     """
     H = np.asarray(H, dtype=complex)
     B = np.asarray(B, dtype=complex)
@@ -211,10 +252,12 @@ def shifted_gram_solve(H, beta, B):
 def _cholesky_solve(A, B, what, overwrite_a=False):
     """Solve ``A X = B`` by one Cholesky factorization of ``A``.
 
-    LAPACK's ``zpotrf`` and ``zpotrs`` read only the lower triangle of
-    ``A``, which must be Hermitian positive definite; ``overwrite_a`` lets
-    ``zpotrf`` factorize a column-major ``A`` in place. If the factorization
-    fails, :class:`numpy.linalg.LinAlgError` names ``A`` as ``what``.
+    LAPACK's ``zpotrf`` and ``zpotrs``, as scipy's compiled ``_flapack``
+    module exports them (see :func:`_load_cholesky_pair`; no scipy Python
+    package is imported), read only the lower triangle of ``A``, which must
+    be Hermitian positive definite; ``overwrite_a`` lets ``zpotrf``
+    factorize a column-major ``A`` in place. If the factorization fails,
+    :class:`numpy.linalg.LinAlgError` names ``A`` as ``what``.
     """
     chol, info = zpotrf(A, lower=1, clean=0, overwrite_a=int(overwrite_a))
     if info != 0:

@@ -171,6 +171,33 @@ class TestShiftedGramSolve:
             shifted_gram_solve(H, bad, np.eye(3))
 
 
+class TestCholeskyPair:
+    def test_fast_path_binds_the_registered_extension(self):
+        flapack = sys.modules["scipy.linalg._flapack"]
+        assert (linalg.zpotrf, linalg.zpotrs) == (flapack.zpotrf, flapack.zpotrs)
+
+    def test_fallback_imports_scipy_linalg_lapack(self, monkeypatch):
+        from scipy.linalg import lapack
+
+        calls = []
+
+        def missing():
+            calls.append(1)
+            raise ImportError("no extension file")
+
+        monkeypatch.setattr(linalg, "_flapack_path", missing)
+        pair = linalg._load_cholesky_pair()
+        assert calls == [1]
+        assert pair[0] is lapack.zpotrf and pair[1] is lapack.zpotrs
+
+        H = rng.standard_normal((12, 6)) + 1j * rng.standard_normal((12, 6))
+        B = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
+        fast = shifted_gram_solve(H, 0.3, B)
+        monkeypatch.setattr(linalg, "zpotrf", pair[0])
+        monkeypatch.setattr(linalg, "zpotrs", pair[1])
+        np.testing.assert_array_equal(shifted_gram_solve(H, 0.3, B), fast)
+
+
 def test_eig_convergence_error_is_runtime_error():
     assert issubclass(EigConvergenceError, RuntimeError)
 

@@ -3,7 +3,8 @@ rejects a value that is not positive and finite, or is a ``bool``, with a
 ``ValueError`` naming it, before any iteration can spin on it. The same
 holds for a correlation coefficient outside ``[0, 1)``, a load ratio
 ``alpha`` that is not positive and finite, a non-finite phase, a ``bool``
-SNR (or SNR array), ``rho`` or phase, an array SNR, ``rho`` or common phase,
+SNR (or SNR array), ``rho`` or phase (a 0-d ``bool`` array included), an
+array SNR, ``rho`` or common phase (a 0-d array is stored as a float),
 a phase array or sweep grid that is not a nonempty 1-D array of finite
 numbers, a channel ``H`` that is not a matrix, a count (antennas, users, trials, draws) that is
 not an integer of at least 1, and a seed or trial number that is not an
@@ -196,6 +197,7 @@ def test_channel_must_be_a_matrix(entry, channel):
 @pytest.mark.parametrize("rho", [
     np.nan, np.inf, 1.0, -0.1, False, pytest.param(np.bool_(False), id="np.bool_-False"),
     pytest.param(np.array([0.1]), id="array-1"), pytest.param(np.array([0.1, 0.2]), id="array-2"),
+    pytest.param(np.array(False), id="0d-bool-array"),
 ])
 @pytest.mark.parametrize("entry", RHO_ENTRY_POINTS)
 def test_rho_must_lie_in_unit_interval(entry, rho):
@@ -216,7 +218,7 @@ def test_theta_must_be_finite_phases(theta):
 # An array theta raised a TypeError that did not name it.
 @pytest.mark.parametrize("theta", [
     np.nan, np.inf, -np.inf, True, pytest.param(np.bool_(False), id="np.bool_-False"),
-    pytest.param(np.array([0.1]), id="array-1"),
+    pytest.param(np.array([0.1]), id="array-1"), pytest.param(np.array(True), id="0d-bool-array"),
 ])
 @pytest.mark.parametrize("kind", PROFILE_KINDS)
 def test_profile_theta_must_be_finite(kind, theta):
@@ -224,6 +226,13 @@ def test_profile_theta_must_be_finite(kind, theta):
         SystemConfig.make(N=4, K=2, snr_db=10.0, kind=kind, rho=0.5, theta=theta)
     with pytest.raises(ValueError, match="theta"):
         build_correlation(4, 0.5, theta)
+
+
+# A 0-d array rho or theta was kept in the frozen config as an array.
+@pytest.mark.parametrize("field", ["rho", "theta"])
+def test_config_stores_rho_and_theta_as_floats(field):
+    config = SystemConfig.make(8, 4, 10.0, kind="exp-even", **{field: np.array(0.3)})
+    assert type(getattr(config, field)) is float and getattr(config, field) == 0.3
 
 
 @pytest.mark.parametrize("count", [
