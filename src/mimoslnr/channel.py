@@ -256,9 +256,12 @@ def sample_channel(config, trial):
     correlated = config.kind != "identity" and config.rho > 0.0
     theta = user_phases(config, rng) if correlated else None
 
-    # CN(0, 1) entries: independent real/imaginary parts of variance 1/2.
-    shape = (config.N, config.K)
-    Hw = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    # CN(0, 1) entries: independent real/imaginary parts of variance 1/2,
+    # all real parts drawn before all imaginary ones.
+    z = rng.standard_normal((2, config.N, config.K))
+    Hw = np.empty((config.N, config.K), dtype=complex)
+    Hw.real, Hw.imag = z
+    Hw /= np.sqrt(2.0)
     if not correlated:
         return ChannelRealization(H=Hw)
     H = np.empty_like(Hw)

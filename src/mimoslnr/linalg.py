@@ -31,6 +31,7 @@ __all__ = [
     "hermitian_part",
     "herm_eig",
     "psd_sqrt",
+    "shifted_gram_inverse",
     "shifted_gram_solve",
 ]
 
@@ -56,8 +57,8 @@ def _flapack_path():
     raise ImportError(f"no {_FLAPACK} extension file")
 
 
-def _load_cholesky_pair():
-    """LAPACK's ``zpotrf`` and ``zpotrs`` from scipy's compiled ``_flapack`` module.
+def _load_cholesky_routines():
+    """LAPACK's ``zpotrf``, ``zpotrs`` and ``zpotri`` from scipy's compiled ``_flapack`` module.
 
     The module is loaded from its file and registered under its own name, so
     neither ``scipy`` nor ``scipy.linalg`` is imported and a later
@@ -73,10 +74,10 @@ def _load_cholesky_pair():
         flapack = sys.modules.setdefault(_FLAPACK, module)
     except ImportError:  # no such file, or one that will not load
         from scipy.linalg import lapack as flapack
-    return flapack.zpotrf, flapack.zpotrs
+    return flapack.zpotrf, flapack.zpotrs, flapack.zpotri
 
 
-zpotrf, zpotrs = _load_cholesky_pair()
+zpotrf, zpotrs, zpotri = _load_cholesky_routines()
 
 
 class NotHermitianError(ValueError):
@@ -214,22 +215,16 @@ def shifted_gram_solve(H, beta, B):
     explicit inverse; for ``beta > 0`` the matrix is positive definite and
     factorization is both stabler and cheaper at the dimensions targeted
     here (up to a few hundred). LAPACK's ``zpotrf`` and ``zpotrs`` are
-    called directly (see :func:`_cholesky_solve`), the routines behind
+    called directly (see :func:`_cholesky`), the routines behind
     scipy's ``cho_factor`` and ``cho_solve`` without their per-call
     wrapping. A factorization that fails raises
     :class:`numpy.linalg.LinAlgError`.
     """
-    H = np.asarray(H, dtype=complex)
+    H = _checked_channel(H, beta)
     B = np.asarray(B, dtype=complex)
-    if H.ndim != 2:
-        raise ValueError(f"H must be a matrix, got shape {H.shape}")
-    if not (np.isrealobj(beta) or np.isscalar(beta)) or not 0.0 < float(beta) < np.inf:
-        raise ValueError(f"beta must be positive and finite, got {beta!r}")
-    # Checked here, on O(n k + n m) entries, so the O(n^2) Gram matrix and
-    # its factorization need no check of their own; ``rzf_precode`` passes
-    # one array as both ``H`` and ``B``, scanned once.
-    if not (np.all(np.isfinite(H)) and (B is H or np.all(np.isfinite(B)))):
-        raise ValueError("H and B must be finite")
+    # ``rzf_precode`` passes one array as both ``H`` and ``B``, scanned once.
+    if B is not H and not np.all(np.isfinite(B)):
+        raise ValueError("B must be finite")
     n = H.shape[0]
     vector_rhs = B.ndim == 1
     if vector_rhs:
@@ -242,24 +237,79 @@ def shifted_gram_solve(H, beta, B):
         # zpotrf rejects a 0 x 0 matrix; the empty system's solution is empty.
         X = np.empty_like(B)
         return X[:, 0] if vector_rhs else X
-    W = H @ H.conj().T
-    W = 0.5 * (W + W.conj().T)
+    W = _gram(H)
     W[np.diag_indices(n)] += float(beta)
     X = _cholesky_solve(W, B, "shifted Gram matrix")
     return X[:, 0] if vector_rhs else X
 
 
-def _cholesky_solve(A, B, what, overwrite_a=False):
-    """Solve ``A X = B`` by one Cholesky factorization of ``A``.
+@one_blas_thread
+def shifted_gram_inverse(H, beta):
+    """The Gram matrix ``G = H H*`` and the inverse ``(G + beta I)^{-1}``.
 
-    LAPACK's ``zpotrf`` and ``zpotrs``, as scipy's compiled ``_flapack``
-    module exports them (see :func:`_load_cholesky_pair`; no scipy Python
-    package is imported), read only the lower triangle of ``A``, which must
-    be Hermitian positive definite; ``overwrite_a`` lets ``zpotrf``
+    ``H`` must be a finite matrix and ``beta`` positive and finite, as for
+    :func:`shifted_gram_solve`. Both results are exactly Hermitian. One
+    Cholesky factorization (``zpotrf``) gives the inverse through LAPACK's
+    ``zpotri``. A factorization that fails raises
+    :class:`numpy.linalg.LinAlgError`.
+    """
+    H = _checked_channel(H, beta)
+    n = H.shape[0]
+    G = _gram(H)
+    if n == 0:
+        return G, G.copy()
+    W = G.copy(order="F")  # column-major, so zpotrf factorizes it in place
+    W[np.diag_indices(n)] += float(beta)
+    # zpotri fails only on a zero pivot, which a factorization that succeeded
+    # rules out. It fills the lower triangle and keeps the factor's zeroed
+    # upper one, so adding the conjugate transpose mirrors it and doubles
+    # the real diagonal, which halving restores exactly.
+    factor = _cholesky(W, "shifted Gram matrix", overwrite_a=True, clean=True)
+    W_inv, _ = zpotri(factor, lower=1, overwrite_c=1)
+    W_inv = W_inv + W_inv.conj().T
+    W_inv[np.diag_indices(n)] *= 0.5
+    return G, W_inv
+
+
+def _checked_channel(H, beta):
+    """``H`` as a finite complex matrix, once ``beta`` is known to be a positive finite shift.
+
+    Checked here, on the O(n k) entries of ``H``, so the O(n^2) Gram matrix
+    and its factorization need no check of their own.
+    """
+    H = np.asarray(H, dtype=complex)
+    if H.ndim != 2:
+        raise ValueError(f"H must be a matrix, got shape {H.shape}")
+    if not (np.isrealobj(beta) or np.isscalar(beta)) or not 0.0 < float(beta) < np.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta!r}")
+    if not np.all(np.isfinite(H)):
+        raise ValueError("H must be finite")
+    return H
+
+
+def _gram(H):
+    """``H H*``, symmetrized exactly: the product itself may round asymmetrically."""
+    G = H @ H.conj().T
+    return 0.5 * (G + G.conj().T)
+
+
+def _cholesky(A, what, overwrite_a=False, clean=False):
+    """The lower Cholesky factor of ``A`` by LAPACK's ``zpotrf``.
+
+    ``zpotrf`` and the other routines bound at import come from scipy's
+    compiled ``_flapack`` module (see :func:`_load_cholesky_routines`; no
+    scipy Python package is imported). It reads only the lower triangle of
+    ``A``, which must be Hermitian positive definite, and leaves the upper
+    one as it was unless ``clean`` zeroes it; ``overwrite_a`` lets it
     factorize a column-major ``A`` in place. If the factorization fails,
     :class:`numpy.linalg.LinAlgError` names ``A`` as ``what``.
     """
-    chol, info = zpotrf(A, lower=1, clean=0, overwrite_a=int(overwrite_a))
+    chol, info = zpotrf(A, lower=1, clean=int(clean), overwrite_a=int(overwrite_a))
     if info != 0:
         raise np.linalg.LinAlgError(f"{what} is not positive definite (zpotrf info {info})")
-    return zpotrs(chol, B, lower=1)[0]
+    return chol
+
+
+def _cholesky_solve(A, B, what, overwrite_a=False):
+    """Solve ``A X = B`` by one Cholesky factorization of ``A`` (see :func:`_cholesky`)."""
+    return zpotrs(_cholesky(A, what, overwrite_a), B, lower=1)[0]

@@ -7,10 +7,16 @@ on the smaller Gram matrix: for ``K <= N`` the push-through identity
 regularization fixed at ``beta = K * eta`` (transmit power normalized to 1)
 the per-user SLNR collapses to the quadratic form
 
-    SLNR_k = q_k / (1 - q_k),     q_k = h_k* (H H* + K eta I)^{-1} h_k,
+    SLNR_k = q_k / (1 - q_k),     q_k = h_k* (H H* + K eta I)^{-1} h_k.
 
-so ``q_k = Re(h_k* f_k)`` reads off the precoder itself: one factorization
-per realization serves the precoder and every user's SLNR.
+Every metric needs only the cross gains ``h_k* f_i`` and the norms
+``||f_k||^2``. For ``K <= N`` the same identity gives both from the K x K
+Gram ``G = H* H`` and ``W^{-1} = (G + K eta I)^{-1}``, so
+:func:`compute_metrics` never forms ``F``:
+
+    h_k* f_i = [G W^{-1}]_ki,   q_k = Re [G W^{-1}]_kk,   ||f_k||^2 = [W^{-1} G W^{-1}]_kk.
+
+One factorization per realization serves every user's SLNR, SINR and power.
 """
 
 from dataclasses import dataclass
@@ -19,7 +25,7 @@ import numpy as np
 
 from ._blas import one_blas_thread
 from .channel import check_positive_finite
-from .linalg import shifted_gram_solve
+from .linalg import shifted_gram_inverse, shifted_gram_solve
 
 __all__ = [
     "MetricsPerUser",
@@ -81,23 +87,15 @@ def power_control(H, F):
     F = np.asarray(F, dtype=complex)
     if H.shape != F.shape:
         raise ValueError(f"F has shape {F.shape}, expected {H.shape} to match H")
-    K = F.shape[1]
-    norms_sq = np.sum(np.abs(F) ** 2, axis=0)
-    if np.any(norms_sq == 0.0):
-        bad = int(np.flatnonzero(norms_sq == 0.0)[0])
+    return np.sqrt(_power_sq(np.sum(np.abs(F) ** 2, axis=0)))
+
+
+def _power_sq(norms_sq):
+    """``p_k^2 = 1 / (K ||f_k||^2)`` from the squared column norms ``||f_k||^2``."""
+    if np.any(norms_sq <= 0.0):
+        bad = int(np.flatnonzero(norms_sq <= 0.0)[0])
         raise DegenerateUserError(f"user {bad} has a zero precoding column")
-    return np.sqrt(1.0 / (K * norms_sq))
-
-
-def _slnr_from_precoder(H, F):
-    """SLNR lemma ``q_k / (1 - q_k)`` with ``q_k = Re(h_k* f_k)``.
-
-    Valid for ``F = rzf_precode(H, K * eta)``, whose columns are the
-    resolvent ``(H H* + K eta I)^{-1}`` applied to each ``h_k``.
-    """
-    q = np.sum(H.conj() * F, axis=0).real
-    q = np.clip(q, 0.0, _Q_CLAMP)
-    return q / (1.0 - q)
+    return 1.0 / (norms_sq.size * norms_sq)
 
 
 @one_blas_thread
@@ -108,28 +106,45 @@ def sinr_instantaneous(H, F, p, eta):
     power being ``eta`` at unit transmit power. Note the index order
     ``h_k* f_i``, transposed relative to the SLNR leakage.
     """
-    G = np.asarray(H, dtype=complex).conj().T @ np.asarray(F, dtype=complex)  # h_k* f_i
-    p = np.asarray(p, dtype=float)
-    sig = np.abs(np.diag(G)) ** 2 * p**2
-    # Row k of |G p|^2 holds |h_k* f_i p_i|^2 over all i; drop the i = k term.
-    weighted = np.abs(G) ** 2 * p**2
-    interference = np.sum(weighted, axis=1) - np.diag(weighted)
-    return sig / (interference + eta)
+    C = np.asarray(H, dtype=complex).conj().T @ np.asarray(F, dtype=complex)  # h_k* f_i
+    return _sinr(C, np.asarray(p, dtype=float) ** 2, eta)
+
+
+def _sinr(C, power_sq, eta):
+    """The SINR from the cross gains ``C[k, i] = h_k* f_i`` and the powers ``p_i^2``."""
+    # Row k of |C|^2 p^2 holds |h_k* f_i p_i|^2 over all i; the i = k term is the signal.
+    weighted = np.abs(C) ** 2 * power_sq
+    signal = np.diagonal(weighted)
+    return signal / (np.sum(weighted, axis=1) - signal + eta)
 
 
 @one_blas_thread
 def compute_metrics(H, eta):
     """SLNR, SINR, and squared power scalars for one channel realization.
 
-    One factorization per realization: the precoder at ``beta = K * eta``
-    also yields the SLNR quadratic forms.
+    One factorization per realization, at ``beta = K * eta``. Every metric
+    follows from the cross gains ``C[k, i] = h_k* f_i`` and the norms
+    ``||f_k||^2``. For ``K <= N`` neither needs the N x K precoder: with the
+    K x K Gram ``G = H* H`` and ``W^{-1} = (G + K eta I)^{-1}``,
+
+        C = G W^{-1},   q_k = Re C[k, k],   ||f_k||^2 = [W^{-1} G W^{-1}]_kk.
+
+    ``q_k`` is read off ``G W^{-1}``, not ``I - K eta W^{-1}``, which
+    cancels at low SNR. For ``K > N`` the precoder ``F`` is solved on the
+    N x N Gram and ``C = H* F``.
     """
     H = _as_channel(H)
     check_positive_finite(eta, "eta")
-    F = rzf_precode(H, H.shape[1] * eta)
-    p = power_control(H, F)
-    return MetricsPerUser(
-        slnr=_slnr_from_precoder(H, F),
-        sinr=sinr_instantaneous(H, F, p, eta),
-        power_sq=p**2,
-    )
+    N, K = H.shape
+    if K <= N:
+        G, W_inv = shifted_gram_inverse(H.conj().T, K * eta)
+        C = G @ W_inv
+        # sum_j W^{-1}[k, j] C[j, k], with W^{-1}[k, j] = conj(W^{-1}[j, k]).
+        norms_sq = np.sum(W_inv.conj() * C, axis=0).real
+    else:
+        F = rzf_precode(H, K * eta)
+        C = H.conj().T @ F
+        norms_sq = np.sum(np.abs(F) ** 2, axis=0)
+    power_sq = _power_sq(norms_sq)
+    q = np.clip(np.diagonal(C).real, 0.0, _Q_CLAMP)
+    return MetricsPerUser(slnr=q / (1.0 - q), sinr=_sinr(C, power_sq, eta), power_sq=power_sq)

@@ -1,14 +1,15 @@
 """The library's import footprint: what a fresh process loads to use it.
 
-The Cholesky pair ``zpotrf``/``zpotrs`` comes from scipy's compiled LAPACK
-module, ``scipy.linalg._flapack``, loaded from its file: importing the
-``scipy.linalg`` package for it would add about 85 scipy modules and 26 MiB
-of RSS to every process. ``scipy.optimize`` alone adds about 240 modules and
-21 MiB more, and the library's scalar roots run on its own Brent port
-instead. A future use of either package (say ``newton_krylov`` as a
-fallback solver) has to import it lazily, on the path that needs it, or
-these tests fail. The child also runs ``mimoslnr selftest``, so the
-reference routes in ``mimoslnr.oracles`` are held to the same rule.
+The Cholesky routines ``zpotrf``/``zpotrs``/``zpotri`` come from scipy's
+compiled LAPACK module, ``scipy.linalg._flapack``, loaded from its file:
+importing the ``scipy.linalg`` package for them would add about 85 scipy
+modules and 26 MiB of RSS to every process. ``scipy.optimize`` alone adds
+about 240 modules and 21 MiB more, and the library's scalar roots run on its
+own Brent port instead. A future use of either package (say
+``newton_krylov`` as a fallback solver) has to import it lazily, on the path
+that needs it, or these tests fail. The child also runs ``mimoslnr
+selftest``, so the reference routes in ``mimoslnr.oracles`` are held to the
+same rule.
 """
 
 import json
@@ -45,7 +46,8 @@ import json
 from mimoslnr import linalg
 import scipy.linalg
 print(json.dumps([scipy.linalg.lapack.zpotrf is linalg.zpotrf,
-                  scipy.linalg.lapack.zpotrs is linalg.zpotrs]))
+                  scipy.linalg.lapack.zpotrs is linalg.zpotrs,
+                  scipy.linalg.lapack.zpotri is linalg.zpotri]))
 """
 
 
@@ -76,4 +78,4 @@ def test_public_calls_load_only_the_lapack_extension(scipy_modules):
 
 
 def test_later_scipy_linalg_import_shares_the_extension():
-    assert run_child(SHARED_CHILD) == [True, True]
+    assert run_child(SHARED_CHILD) == [True, True, True]

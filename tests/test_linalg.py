@@ -15,6 +15,7 @@ from mimoslnr.linalg import (
     herm_eig,
     hermitian_part,
     psd_sqrt,
+    shifted_gram_inverse,
     shifted_gram_solve,
 )
 from mimoslnr.oracles import slnr_ratio
@@ -171,10 +172,45 @@ class TestShiftedGramSolve:
             shifted_gram_solve(H, bad, np.eye(3))
 
 
+class TestShiftedGramInverse:
+    @pytest.mark.parametrize("n,k", [(1, 1), (4, 8), (8, 8), (8, 4)])
+    def test_inverts_the_shifted_gram(self, n, k):
+        H = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        G, W_inv = shifted_gram_inverse(H, 0.37)
+        assert np.array_equal(G, G.conj().T) and np.array_equal(W_inv, W_inv.conj().T)
+        np.testing.assert_allclose(G, H @ H.conj().T, rtol=1e-14, atol=1e-14)
+        resid = (G + 0.37 * np.eye(n)) @ W_inv - np.eye(n)
+        assert np.linalg.norm(resid) <= 1e-12 * n
+
+    def test_matches_the_solve(self):
+        H = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+        _, W_inv = shifted_gram_inverse(H, 0.5)
+        np.testing.assert_allclose(W_inv, shifted_gram_solve(H, 0.5, np.eye(6)), rtol=1e-12)
+
+    def test_empty_system(self):
+        G, W_inv = shifted_gram_inverse(np.zeros((0, 2)), 1.0)
+        assert G.shape == W_inv.shape == (0, 0)
+
+    def test_singular_gram_is_linalg_error(self):
+        H = np.ones((2, 3), dtype=complex)
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            shifted_gram_inverse(H, 1e-300)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_input(self, bad):
+        H = np.ones((3, 2), dtype=complex)
+        with pytest.raises(ValueError, match="beta"):
+            shifted_gram_inverse(H, bad)
+        H[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            shifted_gram_inverse(H, 1.0)
+
+
 class TestCholeskyPair:
     def test_fast_path_binds_the_registered_extension(self):
         flapack = sys.modules["scipy.linalg._flapack"]
-        assert (linalg.zpotrf, linalg.zpotrs) == (flapack.zpotrf, flapack.zpotrs)
+        routines = (linalg.zpotrf, linalg.zpotrs, linalg.zpotri)
+        assert routines == (flapack.zpotrf, flapack.zpotrs, flapack.zpotri)
 
     def test_fallback_imports_scipy_linalg_lapack(self, monkeypatch):
         from scipy.linalg import lapack
@@ -186,16 +222,17 @@ class TestCholeskyPair:
             raise ImportError("no extension file")
 
         monkeypatch.setattr(linalg, "_flapack_path", missing)
-        pair = linalg._load_cholesky_pair()
+        routines = linalg._load_cholesky_routines()
         assert calls == [1]
-        assert pair[0] is lapack.zpotrf and pair[1] is lapack.zpotrs
+        assert routines == (lapack.zpotrf, lapack.zpotrs, lapack.zpotri)
 
         H = rng.standard_normal((12, 6)) + 1j * rng.standard_normal((12, 6))
         B = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
-        fast = shifted_gram_solve(H, 0.3, B)
-        monkeypatch.setattr(linalg, "zpotrf", pair[0])
-        monkeypatch.setattr(linalg, "zpotrs", pair[1])
-        np.testing.assert_array_equal(shifted_gram_solve(H, 0.3, B), fast)
+        fast = shifted_gram_solve(H, 0.3, B), shifted_gram_inverse(H, 0.3)
+        for name, routine in zip(("zpotrf", "zpotrs", "zpotri"), routines):
+            monkeypatch.setattr(linalg, name, routine)
+        np.testing.assert_array_equal(shifted_gram_solve(H, 0.3, B), fast[0])
+        np.testing.assert_array_equal(shifted_gram_inverse(H, 0.3), fast[1])
 
 
 def test_eig_convergence_error_is_runtime_error():

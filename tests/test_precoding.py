@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mimoslnr import precoding
-from mimoslnr.channel import SystemConfig, sample_channel
+from mimoslnr import linalg
+from mimoslnr.channel import SystemConfig, eta_from_snr_db, sample_channel
 from mimoslnr.linalg import shifted_gram_solve
 from mimoslnr.precoding import (
     DegenerateUserError,
@@ -221,21 +221,51 @@ class TestMetrics:
         np.testing.assert_allclose(shares, np.full(6, 1.0 / 6), rtol=1e-9)
 
     def test_default_beta(self):
-        # compute_metrics regularizes at beta = K * eta.
+        # compute_metrics regularizes at beta = K * eta. It takes p^2 from the
+        # K x K resolvent, not from the precoder, so the two agree to rounding;
+        # a wrong beta would be off by O(1).
         H = random_channel(8, 4)
         m = compute_metrics(H, 0.5)
-        assert np.array_equal(m.power_sq, power_control(H, rzf_precode(H, 4 * 0.5)) ** 2)
+        ref = power_control(H, rzf_precode(H, 4 * 0.5)) ** 2
+        np.testing.assert_allclose(m.power_sq, ref, rtol=1e-12)
 
     def test_one_factorization_per_realization(self, monkeypatch):
         calls = []
+        zpotrf = linalg.zpotrf
 
-        def counting_solve(*args, **kwargs):
+        def counting_zpotrf(*args, **kwargs):
             calls.append(args)
-            return shifted_gram_solve(*args, **kwargs)
+            return zpotrf(*args, **kwargs)
 
-        monkeypatch.setattr(precoding, "shifted_gram_solve", counting_solve)
-        compute_metrics(random_channel(16, 8), 0.01)
-        assert len(calls) == 1
+        monkeypatch.setattr(linalg, "zpotrf", counting_zpotrf)
+        # K < N and K = N take the K x K route, K > N the N x N one.
+        for N, K in [(16, 8), (8, 8), (8, 12)]:
+            calls.clear()
+            compute_metrics(random_channel(N, K), 0.01)
+            assert len(calls) == 1, (N, K)
+
+    @pytest.mark.parametrize("N,K", [(1, 1), (8, 1), (16, 8), (12, 12), (8, 12)])
+    @pytest.mark.parametrize("snr_db", [-100.0, -30.0, 0.0, 20.0, 40.0])
+    def test_matches_explicit_precoder_route(self, N, K, snr_db):
+        # For K <= N the metrics come from the K x K resolvent alone; the
+        # explicit route forms F, its powers and both ratios from F.
+        H = random_channel(N, K)
+        eta = eta_from_snr_db(snr_db)
+        m = compute_metrics(H, eta)
+        F = rzf_precode(H, K * eta)
+        p = power_control(H, F)
+        np.testing.assert_allclose(m.power_sq, p**2, rtol=1e-10)
+        np.testing.assert_allclose(m.sinr, sinr_instantaneous(H, F, p, eta), rtol=1e-10)
+        np.testing.assert_allclose(m.slnr, slnr_ratio(H, F, p, eta), rtol=1e-8)
+
+    @pytest.mark.parametrize("N,K", [(16, 8), (12, 12)])
+    def test_low_snr_slnr_matches_leave_one_out(self, N, K):
+        # At -100 dB, q_k ~ ||h_k||^2 / (K eta) ~ 1e-10: taken as
+        # 1 - K eta [W^{-1}]_kk it would cancel to a relative error near 1e-6.
+        H = random_channel(N, K)
+        eta = eta_from_snr_db(-100.0)
+        slow = slnr_leave_one_out(H, eta)
+        assert np.max(np.abs(compute_metrics(H, eta).slnr - slow) / slow) <= 1e-8
 
     @pytest.mark.parametrize("N,K", [(8, 4), (64, 32), (5, 1)])
     @pytest.mark.parametrize("snr_db", [100.0, 200.0, 300.0, 400.0])
