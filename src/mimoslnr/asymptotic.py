@@ -343,16 +343,19 @@ def gamma_uncorrelated(x, eta):
     so the bits are those of the array form, without its per-call cost.
     """
     if isinstance(x, float) and isinstance(eta, float):
-        if x < 0.0:
-            raise ValueError("x must be nonnegative")
+        if not 0.0 <= x < math.inf:
+            raise ValueError(f"x must be nonnegative and finite, got {x!r}")
         check_positive_finite(eta, "eta")
         b = eta + (1.0 - x)
         disc = math.sqrt(b * b + 4.0 * eta * x)
         return 2.0 * x / (b + disc) if b > 0.0 else (disc - b) / (2.0 * eta)
-    x_arr = np.asarray(x, dtype=float)
+    x_arr = np.asarray(x)
+    # A bool would pass for 0 or 1. NaN carries through min and max, and
+    # ``initial`` keeps an empty x valid; two reductions, no temporary array.
+    low, high = x_arr.min(initial=0.0), x_arr.max(initial=0.0)
+    if x_arr.dtype == bool or not (low >= 0.0 and high < math.inf):
+        raise ValueError(f"x must be nonnegative and finite, got {x!r}")
     eta_arr = np.asarray(eta, dtype=float)
-    if np.any(x_arr < 0):
-        raise ValueError("x must be nonnegative")
     check_positive_finite(eta, "eta")
     b = eta_arr + (1.0 - x_arr)
     disc = np.sqrt(b * b + 4.0 * eta_arr * x_arr)

@@ -19,8 +19,8 @@ from .asymptotic import (
     DEFAULT_TOL, gamma_common_r, gamma_exp_even, gamma_uncorrelated, solve_exponential_fixed_point,
 )
 from .channel import (
-    SystemConfig, build_correlation, check_count, check_index, check_rho, check_vector,
-    eta_from_snr_db, sample_channel, trial_rng, user_phases,
+    SystemConfig, _is_number, build_correlation, check_count, check_index, check_rho,
+    check_vector, eta_from_snr_db, sample_channel, trial_rng, user_phases,
 )
 from .linalg import herm_eig
 from .loading import (
@@ -125,8 +125,8 @@ def run_correlation_sweep(
     start = time.perf_counter()
     check_count(N, "N")
     check_index(seed, "seed")
-    if isinstance(alpha, (bool, np.bool_)) or not 0.0 < alpha < math.inf:
-        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
+    if not _is_number(alpha) or not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be a positive finite number, got {alpha!r}")
     K = check_count(int(round(alpha * N)), "round(alpha * N)")
     check_count(trials_for_random_theta, "trials_for_random_theta")
     eta = eta_from_snr_db(snr_db)

@@ -218,12 +218,13 @@ def shifted_gram_solve(H, beta, B):
     called directly (see :func:`_cholesky`), the routines behind
     scipy's ``cho_factor`` and ``cho_solve`` without their per-call
     wrapping. A factorization that fails raises
-    :class:`numpy.linalg.LinAlgError`.
+    :class:`numpy.linalg.LinAlgError`. The reference routes in
+    ``mimoslnr.oracles`` solve with it; the metrics take
+    :func:`shifted_gram_inverse` instead.
     """
     H = _checked_channel(H, beta)
     B = np.asarray(B, dtype=complex)
-    # ``rzf_precode`` passes one array as both ``H`` and ``B``, scanned once.
-    if B is not H and not np.all(np.isfinite(B)):
+    if not np.all(np.isfinite(B)):
         raise ValueError("B must be finite")
     n = H.shape[0]
     vector_rhs = B.ndim == 1
@@ -280,8 +281,10 @@ def _checked_channel(H, beta):
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2:
         raise ValueError(f"H must be a matrix, got shape {H.shape}")
-    if not (np.isrealobj(beta) or np.isscalar(beta)) or not 0.0 < float(beta) < np.inf:
-        raise ValueError(f"beta must be positive and finite, got {beta!r}")
+    # A real number only: a bool would pass for 1, and float() rejects a complex shift.
+    shift = np.asarray(beta)
+    if shift.ndim != 0 or shift.dtype.kind not in "iuf" or not 0.0 < float(shift) < np.inf:
+        raise ValueError(f"beta must be a positive finite real number, got {beta!r}")
     if not np.all(np.isfinite(H)):
         raise ValueError("H must be finite")
     return H

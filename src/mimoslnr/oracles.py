@@ -1,5 +1,9 @@
 """Reference routes: slow, independent computations that check the fast ones.
 
+The explicit precoder route (:func:`rzf_precode` and the functions that
+take its ``F``) solves the definition on the N x N Gram, sharing no identity
+and no linear-algebra kernel with ``precoding.compute_metrics``.
+
 None of these runs on a sweep's fast path except :func:`brute_force_optimal_x`,
 which fills the loading sweep's ``alpha_brute_force`` column. The tests,
 the benchmark's output checks and ``mimoslnr selftest`` (the ordered table
@@ -21,11 +25,12 @@ from .channel import (
 )
 from .linalg import psd_sqrt, shifted_gram_solve
 from .loading import dfdx, eta_threshold, lambert_w0, objective_f, optimal_x_exact
-from .precoding import _as_channel, compute_metrics
+from .precoding import _as_channel, _power_sq, _sinr, compute_metrics
 
 __all__ = [
-    "BoundCheck", "SELFTEST_CHECKS", "solve_fixed_point", "slnr_leave_one_out", "slnr_ratio",
-    "check_common_r_bound", "brute_force_optimal_x",
+    "BoundCheck", "SELFTEST_CHECKS", "solve_fixed_point", "slnr_leave_one_out", "rzf_precode",
+    "power_control", "sinr_instantaneous", "slnr_ratio", "check_common_r_bound",
+    "brute_force_optimal_x",
 ]
 
 # The brute-force oracle's grid on [BRUTE_LO, BRUTE_HI] with spacing
@@ -99,6 +104,41 @@ def slnr_leave_one_out(H, eta):
         x = shifted_gram_solve(Hk, K * eta, hk)
         out[k] = np.vdot(hk, x).real
     return out
+
+
+def rzf_precode(H, beta):
+    """Columns ``f_k = (H H* + beta I)^{-1} h_k`` for every user, by the definition.
+
+    One solve on the N x N shifted Gram matrix for every shape. For
+    ``K < N`` that Gram is rank deficient, so the shift must not vanish
+    against it.
+    """
+    return shifted_gram_solve(H, beta, H)
+
+
+def power_control(H, F):
+    """Equal per-user power split: ``p_k = sqrt(1 / (K ||f_k||^2))``.
+
+    Guarantees ``sum_k p_k^2 ||f_k||^2 == 1``, the normalized total transmit
+    power, with each user contributing ``1 / K``.
+    """
+    H = np.asarray(H, dtype=complex)
+    F = np.asarray(F, dtype=complex)
+    if H.shape != F.shape:
+        raise ValueError(f"F has shape {F.shape}, expected {H.shape} to match H")
+    return np.sqrt(_power_sq(np.sum(np.abs(F) ** 2, axis=0)))
+
+
+@one_blas_thread
+def sinr_instantaneous(H, F, p, eta):
+    """Per-user SINR: interference received from the other users' beams.
+
+    ``|h_k* f_k p_k|^2 / (sum_{i != k} |h_k* f_i p_i|^2 + eta)``, the noise
+    power being ``eta`` at unit transmit power. Note the index order
+    ``h_k* f_i``, transposed relative to the SLNR leakage.
+    """
+    C = np.asarray(H, dtype=complex).conj().T @ np.asarray(F, dtype=complex)  # h_k* f_i
+    return _sinr(C, np.asarray(p, dtype=float) ** 2, eta)
 
 
 @one_blas_thread

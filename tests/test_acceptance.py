@@ -26,8 +26,10 @@ from mimoslnr.loading import (
     optimal_x_high_snr,
     optimal_x_low_snr,
 )
-from mimoslnr.oracles import check_common_r_bound, slnr_ratio, solve_fixed_point
-from mimoslnr.precoding import compute_metrics, rzf_precode, power_control
+from mimoslnr.oracles import (
+    check_common_r_bound, power_control, rzf_precode, slnr_ratio, solve_fixed_point,
+)
+from mimoslnr.precoding import compute_metrics
 
 
 def report(tag, ok, detail):

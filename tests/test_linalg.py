@@ -18,8 +18,7 @@ from mimoslnr.linalg import (
     shifted_gram_inverse,
     shifted_gram_solve,
 )
-from mimoslnr.oracles import slnr_ratio
-from mimoslnr.precoding import sinr_instantaneous
+from mimoslnr.oracles import sinr_instantaneous, slnr_ratio
 
 rng = np.random.default_rng(1234)
 
@@ -171,6 +170,15 @@ class TestShiftedGramSolve:
         with pytest.raises(ValueError, match="beta"):
             shifted_gram_solve(H, bad, np.eye(3))
 
+    # A complex shift failed in float() with a TypeError, and a bool passed for 1.
+    @pytest.mark.parametrize("beta", [1j, 1.0 + 0j, True, np.True_, np.array([1.0])])
+    def test_rejects_a_beta_that_is_not_a_real_number(self, beta):
+        H = np.ones((3, 2), dtype=complex)
+        with pytest.raises(ValueError, match="beta"):
+            shifted_gram_solve(H, beta, np.eye(3))
+        with pytest.raises(ValueError, match="beta"):
+            shifted_gram_inverse(H, beta)
+
 
 class TestShiftedGramInverse:
     @pytest.mark.parametrize("n,k", [(1, 1), (4, 8), (8, 8), (8, 4)])
@@ -305,7 +313,7 @@ class TestOneBlasThread:
         assert self.threads(found) == [2] * len(found)
 
     def test_nested_call_restores_once(self, pools):
-        # run_cdf_experiment -> compute_metrics -> shifted_gram_solve: an inner
+        # run_cdf_experiment -> compute_metrics -> shifted_gram_inverse: an inner
         # call that restored early would show 2 threads in a later trial.
         found, seen = pools
         run_cdf_experiment(SystemConfig.make(N=8, K=4, snr_db=10.0, trials=3, seed=5))

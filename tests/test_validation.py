@@ -271,10 +271,13 @@ def test_bad_seed_fails_before_the_first_solve(monkeypatch):
         INDEX_ENTRY_POINTS["run_correlation_sweep-seed"](0.5)
 
 
-# inf overflowed in round(alpha * N), nan failed without naming alpha, and
-# True was taken for 1.
+# inf overflowed in round(alpha * N), nan failed without naming alpha, True
+# (a 0-d bool array too) was taken for 1, and an array failed in numpy's
+# truth-value check without naming alpha.
 @pytest.mark.parametrize("alpha", [
     np.inf, np.nan, -0.5, 0.0, True, pytest.param(np.bool_(True), id="np.bool_-True"),
+    pytest.param(np.array(True), id="0d-bool-array"),
+    pytest.param(np.array([0.5, 0.6]), id="array"),
 ])
 def test_sweep_alpha_must_be_positive_and_finite(alpha):
     with pytest.raises(ValueError, match="alpha"):
