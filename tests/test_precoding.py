@@ -43,6 +43,20 @@ class TestRzfPrecode:
         resid = H @ (H.conj().T @ F) + beta * F - H
         assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(H)
 
+    @pytest.mark.parametrize("N,K", [(64, 32), (16, 15), (12, 12), (8, 12), (1, 3), (3, 1)])
+    @pytest.mark.parametrize("eta", [1.0, 0.01])
+    def test_matches_n_by_n_solve(self, N, K, eta):
+        # The Cholesky N x N solve against numpy's LU on both sides of the
+        # push-through identity: (H H* + beta I)^{-1} H == H (H* H + beta I)^{-1}.
+        H = random_channel(N, K)
+        beta = K * eta
+        F = rzf_precode(H, beta)
+        Hh = H.conj().T
+        ref_n = np.linalg.solve(H @ Hh + beta * np.eye(N), H)
+        ref_k = H @ np.linalg.inv(Hh @ H + beta * np.eye(K))
+        assert np.linalg.norm(F - ref_n) <= 1e-12 * np.linalg.norm(ref_n)
+        assert np.linalg.norm(F - ref_k) <= 1e-12 * np.linalg.norm(ref_k)
+
     def test_singular_gram_is_linalg_error(self):
         # Two equal users make H* H singular; a vanishing shift cannot save it.
         H = np.zeros((8, 4), dtype=complex)
