@@ -12,11 +12,15 @@ there: 10 000 steps fall short at N = K and 60 dB. The vector solver
 (:func:`_anderson`, behind :func:`solve_exponential_fixed_point` and the
 dense reference ``oracles.solve_fixed_point``) therefore runs safeguarded
 Anderson acceleration on the Picard step (Walker & Ni, SIAM J. Numer. Anal.
-49(4), 2011) from all zeros. It stops once ``residual * L / (1 - L)``, which
-bounds the distance to the fixed point to first order, is within the
-tolerance, with ``L`` estimated from plain steps, or once rounding stops the
-residual from falling. The fixed point is unique (Wagner, Couillet, Debbah &
-Slock, IEEE Trans. IT 58(7), 2012), so the start only sets the path.
+49(4), 2011). It stops once ``residual * L / (1 - L)``, which bounds the
+distance to the fixed point to first order, is within the tolerance, with
+``L`` estimated from plain steps, or once rounding stops the residual from
+falling. The fixed point is unique (Wagner, Couillet, Debbah & Slock, IEEE
+Trans. IT 58(7), 2012), so the start only sets the path. The dense reference
+starts from all zeros, and so does the Toeplitz solver unless it is given a
+``start``: the correlation sweep starts each phase draw at the uncorrelated
+closed form, exact at ``rho = 0``, and carries the draw's gammas from one
+``rho`` to the next.
 Special cases reduce the system:
 
 - uncorrelated channels (``R_k = I``) admit the closed form implemented in
@@ -103,13 +107,14 @@ class AsymptoticSolution:
 
 
 @one_blas_thread
-def solve_exponential_fixed_point(N, rho, theta, eta, tol=DEFAULT_TOL):
+def solve_exponential_fixed_point(N, rho, theta, eta, tol=DEFAULT_TOL, *, start=None):
     """Solve the coupled system for exponential profiles with per-user phases.
 
     The users' matrices are ``R_k[m, n] = rho^|m-n| exp(1j (m-n) theta_k)``.
     Safeguarded Anderson acceleration of the Picard step (see
-    :func:`_anderson`) runs from all zeros; the solution does not depend on
-    the path. No ``R_k`` is formed: ``M = sum_k w_k R_k + K eta I`` with
+    :func:`_anderson`) runs from ``start``, all zeros by default; the
+    solution does not depend on the path, but a start near it shortens the
+    path. No ``R_k`` is formed: ``M = sum_k w_k R_k + K eta I`` with
     ``w_k = 1/(1 + gamma_k)`` is Hermitian Toeplitz with lags
 
         t_d = rho^d sum_k w_k exp(1j d theta_k)   (d >= 0; plus K eta at d = 0),
@@ -136,6 +141,9 @@ def solve_exponential_fixed_point(N, rho, theta, eta, tol=DEFAULT_TOL):
         Positive finite relative tolerance: the run stops at a plain step
         once both its residual and ``residual * L / (1 - L)`` are within
         ``tol * (1 + max_k gamma_k)``, or on the rounding floor.
+    start : (K,) array_like, optional
+        Keyword only: the first iterate, K finite nonnegative numbers, such
+        as the solution at a nearby ``rho``. ``None`` starts from all zeros.
 
     Returns
     -------
@@ -143,6 +151,9 @@ def solve_exponential_fixed_point(N, rho, theta, eta, tol=DEFAULT_TOL):
 
     Raises
     ------
+    ValueError
+        If an argument is invalid; for ``start``, anything but K finite
+        nonnegative numbers.
     FixedPointError
         After ``DEFAULT_MAX_ITER`` evaluations of the step, or at a plain
         (Picard) iterate that is not finite.
@@ -155,6 +166,15 @@ def solve_exponential_fixed_point(N, rho, theta, eta, tol=DEFAULT_TOL):
     check_positive_finite(eta, "eta")
     check_positive_finite(tol, "tol")
     K = theta.size
+    if start is None:
+        start = np.zeros(K)
+    else:
+        start = check_vector(start, "start")
+        if start.size != K or not start.min() >= 0.0:
+            raise ValueError(
+                f"start must be K={K} nonnegative numbers, "
+                f"got {start.size} with min {start.min():.3g}"
+            )
     lags = np.arange(N)
     decay = rho ** lags
     phase = np.exp(1j * np.outer(theta, lags))  # (K, N): exp(1j d theta_k)
@@ -167,7 +187,7 @@ def solve_exponential_fixed_point(N, rho, theta, eta, tol=DEFAULT_TOL):
         t[0] += K * eta
         return (unphase @ (fold * inverse_sums(t))).real
 
-    return _anderson(step, np.zeros(K), tol, DEFAULT_MAX_ITER)
+    return _anderson(step, start, tol, DEFAULT_MAX_ITER)
 
 
 def _toeplitz_inverse_sums(N):

@@ -82,8 +82,10 @@ def check_index(value, name):
 
 
 def _is_number(value):
-    # A bool of any kind, 0-d arrays included, would pass for 0 or 1.
-    return np.ndim(value) == 0 and np.asarray(value).dtype != bool
+    # A real number only: a bool of any kind, 0-d arrays included, would pass
+    # for 0 or 1, and a complex, string or None fails the range checks with a
+    # TypeError that does not name the input.
+    return np.ndim(value) == 0 and np.asarray(value).dtype.kind in "iuf"
 
 
 def check_rho(value):
@@ -102,11 +104,12 @@ def _check_theta(value):
 def check_vector(value, name):
     """``value`` as a float array if it is a nonempty 1-D array of finite numbers.
 
-    The one check for an array input (phases, eigenvalues, sweep grids); anything
-    else, a ``bool`` array included, raises ``ValueError`` naming ``name``.
+    The one check for an array input (phases, eigenvalues, sweep grids, a
+    solver's start); anything else, a ``bool``, complex or string array
+    included, raises ``ValueError`` naming ``name``.
     """
     arr = np.asarray(value)
-    if arr.dtype == bool or arr.ndim != 1 or arr.size < 1:
+    if arr.dtype.kind not in "iuf" or arr.ndim != 1 or arr.size < 1:
         raise ValueError(
             f"{name} must be a nonempty 1-D array of numbers, got {arr.dtype} shape {arr.shape}"
         )

@@ -121,6 +121,14 @@ def run_correlation_sweep(
     (scalar fixed point over the shared eigenvalues, which do not depend on
     the phase itself). The uncorrelated value rides along as the reference
     line.
+
+    The random-phase column is a continuation in ``rho``. Draw ``d``'s
+    phases come once from ``trial_rng(seed, d)``, before the ``rho`` loop.
+    Its first solve starts at the uncorrelated closed form for every user,
+    exact at ``rho = 0`` (where ``R_k = I``), and each later solve starts at
+    the draw's gammas from the previous ``rho`` of the grid, in grid order.
+    The fixed point is unique, so the start moves the answer only within
+    the tolerance.
     """
     start = time.perf_counter()
     check_count(N, "N")
@@ -144,14 +152,19 @@ def run_correlation_sweep(
     random_avg_col = np.empty(rho_grid.size)
     random_single_col = np.empty(rho_grid.size)
     common_col = np.empty(rho_grid.size)
+    thetas = [
+        user_phases(random_config, trial_rng(seed, draw))
+        for draw in range(trials_for_random_theta)
+    ]
+    gammas = [np.full(K, ref)] * trials_for_random_theta
 
     for i, rho in enumerate(rho_grid):
         even_col[i] = gamma_exp_even(N, K, rho, eta, tol=tol)
 
         draw_means = np.empty(trials_for_random_theta)
-        for draw in range(trials_for_random_theta):
-            theta = user_phases(random_config, trial_rng(seed, draw))
-            sol = solve_exponential_fixed_point(N, rho, theta, eta, tol=tol)
+        for draw, theta in enumerate(thetas):
+            sol = solve_exponential_fixed_point(N, rho, theta, eta, tol=tol, start=gammas[draw])
+            gammas[draw] = sol.gamma
             draw_means[draw] = float(np.mean(sol.gamma))
         random_avg_col[i] = float(np.mean(draw_means))
         random_single_col[i] = draw_means[0]

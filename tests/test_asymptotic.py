@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from mimoslnr import asymptotic
 from mimoslnr.asymptotic import (
+    DEFAULT_TOL,
     EPS,
     FixedPointError,
     _brentq,
@@ -492,6 +493,65 @@ class TestAcceleratedSolvers:
         explicit = np.array([np.trace(inverse, offset=-k) for k in range(N)])
         sums = _toeplitz_inverse_sums(N)(t)
         assert np.max(np.abs(sums - explicit)) <= 1e-13 * np.max(np.abs(explicit))
+
+
+class TestContinuation:
+    """Solves started at a nearby solution, as the correlation sweep chains them."""
+
+    CONTINUATION_RHO = np.linspace(0.0, 0.99, 12)
+
+    @pytest.mark.parametrize("order", ["forward", "reverse"])
+    @pytest.mark.parametrize("snr_db", [20.0, 60.0, 80.0])
+    @pytest.mark.parametrize("N,K", [(16, 8), (16, 16), (64, 32), (64, 64)])
+    def test_carried_start_matches_even_closed_form(self, N, K, snr_db, order):
+        # Even phases, so every user's exact value is gamma_exp_even. Each
+        # point starts at the last one's gammas, the first at the closed
+        # form, as the sweep runs. The warm start must land within the
+        # tolerance, or be no worse than the cold start: that one misses by
+        # up to 3e-9 relative at 64x64 and 80 dB, where the stop rule's bound
+        # understates the error.
+        eta = 10.0 ** (-snr_db / 10.0)
+        theta = 2.0 * np.pi * np.arange(K) / K
+        grid = self.CONTINUATION_RHO if order == "forward" else self.CONTINUATION_RHO[::-1]
+        gamma = np.full(K, gamma_uncorrelated(N / K, eta))
+        for rho in grid:
+            gamma = solve_exponential_fixed_point(N, rho, theta, eta, start=gamma).gamma
+            exact = gamma_exp_even(N, K, rho, eta, tol=1e-15)
+            cold = solve_exponential_fixed_point(N, rho, theta, eta).gamma
+            allowed = max(DEFAULT_TOL * (1.0 + gamma.max()), np.abs(cold - exact).max())
+            assert np.abs(gamma - exact).max() <= allowed, rho
+
+    def test_closed_form_start_is_exact_at_rho_zero(self):
+        # The sweep's first start: R_k = I at rho = 0, so the closed form is
+        # the fixed point and the solver only confirms it (22 steps from zeros).
+        N, K, eta = 64, 48, 0.01
+        theta = np.random.default_rng(1).uniform(0.0, 2.0 * np.pi, K)
+        ref = gamma_uncorrelated(N / K, eta)
+        sol = solve_exponential_fixed_point(N, 0.0, theta, eta, start=np.full(K, ref))
+        assert sol.iterations <= 2
+        assert np.abs(sol.gamma - ref).max() <= DEFAULT_TOL * (1.0 + ref)
+
+    def test_default_start_is_all_zeros(self):
+        theta = np.random.default_rng(2).uniform(0.0, 2.0 * np.pi, 12)
+        cold = solve_exponential_fixed_point(32, 0.6, theta, 0.01)
+        zeros = solve_exponential_fixed_point(32, 0.6, theta, 0.01, start=np.zeros(12))
+        assert np.array_equal(cold.gamma, zeros.gamma)
+        assert cold.iterations == zeros.iterations
+
+    @pytest.mark.parametrize("start", [
+        np.ones(3), np.ones(5), [1.0, np.nan, 1.0, 1.0], [1.0, 1.0, -1e-3, 1.0],
+        [1.0, np.inf, 1.0, 1.0], np.ones((2, 2)), [],
+        pytest.param(np.array([True, False, True, True]), id="bool-array"),
+        pytest.param(np.ones(4, dtype=complex), id="complex-array"),
+        pytest.param(np.float64(1.0), id="scalar"),
+    ])
+    def test_bad_start_is_value_error(self, start):
+        with pytest.raises(ValueError, match="start"):
+            solve_exponential_fixed_point(8, 0.5, [0.1, 1.0, 2.0, 3.0], 0.1, start=start)
+
+    def test_start_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            solve_exponential_fixed_point(8, 0.5, [0.1, 1.0], 0.1, 1e-12, np.ones(2))
 
 
 class TestCommonRBound:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from mimoslnr.channel import SystemConfig
+from mimoslnr import experiments
+from mimoslnr.asymptotic import DEFAULT_TOL, solve_exponential_fixed_point
+from mimoslnr.channel import SystemConfig, trial_rng, user_phases
 from mimoslnr.experiments import (
     ExperimentResult,
     _format_column,
@@ -139,6 +141,53 @@ def test_correlation_sweep_converges_at_full_load_high_snr():
         assert np.all(np.isfinite(column)), name
     ref = sweep.columns["gamma_uncorrelated"][0]
     assert sweep.columns["gamma_exp_random_avg"][0] == pytest.approx(ref, rel=1e-10)
+
+
+SWEEP_RHO = np.linspace(0.0, 0.99, 12)
+
+
+def test_correlation_sweep_draws_each_phase_set_once(monkeypatch):
+    # The phases of draw d come from trial_rng(seed, d) once, not once per
+    # rho, and each rho's solve is the cold one up to the tolerance.
+    calls = []
+
+    def counting_rng(seed, trial):
+        calls.append((seed, trial))
+        return trial_rng(seed, trial)
+
+    monkeypatch.setattr(experiments, "trial_rng", counting_rng)
+    N, K, snr_db, seed, draws = 32, 24, 20.0, 3, 4
+    sweep = run_correlation_sweep(
+        N=N, alpha=K / N, snr_db=snr_db, rho_grid=SWEEP_RHO, trials_for_random_theta=draws,
+        seed=seed,
+    )
+    assert calls == [(seed, draw) for draw in range(draws)]
+    config = SystemConfig.make(N, K, snr_db, kind="exp-random")
+    eta = config.eta
+    for i, rho in enumerate(SWEEP_RHO):
+        means = [
+            np.mean(solve_exponential_fixed_point(
+                N, rho, user_phases(config, trial_rng(seed, draw)), eta
+            ).gamma)
+            for draw in range(draws)
+        ]
+        for name, cold in (
+            ("gamma_exp_random_avg", np.mean(means)), ("gamma_exp_random_single_draw", means[0])
+        ):
+            gap = abs(sweep.columns[name][i] - cold)
+            assert gap <= 2.0 * DEFAULT_TOL * (1.0 + cold), (name, rho)
+
+
+def test_correlation_sweep_reversed_grid_gives_same_columns():
+    # Each draw's gammas are carried along the grid in its order, so a
+    # reversed grid takes another path to the same fixed points. At 20 dB
+    # and 32 x 24 the two columns were within 0.6 tol (1 + gamma).
+    kwargs = dict(N=32, alpha=0.75, snr_db=20.0, trials_for_random_theta=3, seed=4)
+    forward = run_correlation_sweep(rho_grid=SWEEP_RHO, **kwargs).columns
+    reverse = run_correlation_sweep(rho_grid=SWEEP_RHO[::-1], **kwargs).columns
+    for name, column in forward.items():
+        back = reverse[name][::-1]
+        assert np.all(np.abs(column - back) <= 2.0 * DEFAULT_TOL * (1.0 + np.abs(column))), name
 
 
 class TestLoadingSweep:

@@ -5,10 +5,12 @@ holds for a correlation coefficient outside ``[0, 1)``, a load ratio
 ``alpha`` that is not positive and finite, a non-finite phase, a ``bool``
 SNR (or SNR array), ``rho`` or phase (a 0-d ``bool`` array included), an
 array SNR, ``rho`` or common phase (a 0-d array is stored as a float),
-a phase array or sweep grid that is not a nonempty 1-D array of finite
-numbers, a channel ``H`` that is not a matrix, a count (antennas, users, trials, draws) that is
-not an integer of at least 1, and a seed or trial number that is not an
-integer of at least 0 (or, for a trial, not below the trial count)."""
+a complex, string or ``None`` scalar where a real number is due, a phase
+array or sweep grid that is not a nonempty 1-D array of finite real
+numbers, a channel ``H`` that is not a matrix, a count (antennas, users,
+trials, draws) that is not an integer of at least 1, and a seed or trial
+number that is not an integer of at least 0 (or, for a trial, not below the
+trial count)."""
 
 import numpy as np
 import pytest
@@ -193,11 +195,12 @@ def test_channel_must_be_a_matrix(entry, channel):
 
 
 # An array rho made a config whose rho was an array, or failed on numpy's
-# ambiguous truth value without naming rho.
+# ambiguous truth value without naming rho; a complex or string rho failed
+# the range check with a TypeError that did not name it.
 @pytest.mark.parametrize("rho", [
     np.nan, np.inf, 1.0, -0.1, False, pytest.param(np.bool_(False), id="np.bool_-False"),
     pytest.param(np.array([0.1]), id="array-1"), pytest.param(np.array([0.1, 0.2]), id="array-2"),
-    pytest.param(np.array(False), id="0d-bool-array"),
+    pytest.param(np.array(False), id="0d-bool-array"), 0.5j, "0.5", None,
 ])
 @pytest.mark.parametrize("entry", RHO_ENTRY_POINTS)
 def test_rho_must_lie_in_unit_interval(entry, rho):
@@ -205,20 +208,24 @@ def test_rho_must_lie_in_unit_interval(entry, rho):
         RHO_ENTRY_POINTS[entry](rho)
 
 
-# A bool array ran as phases of 0 and 1 rad.
+# A bool array ran as phases of 0 and 1 rad, a complex one dropped its
+# imaginary parts with a warning, and a string one raised a ValueError from
+# numpy that did not name theta.
 @pytest.mark.parametrize("theta", [
     [0.1, np.nan], [0.1, np.inf], [-np.inf, 0.1], [], [[0.1, 2.0]],
     pytest.param(np.array([True, False]), id="bool-array"),
+    pytest.param(np.array([0.1, 2.0j]), id="complex-array"), ["0.1", "2.0"],
 ])
 def test_theta_must_be_finite_phases(theta):
     with pytest.raises(ValueError, match="theta"):
         solve_exponential_fixed_point(4, 0.5, theta, 0.1)
 
 
-# An array theta raised a TypeError that did not name it.
+# An array, None, complex or string theta raised a TypeError that did not name it.
 @pytest.mark.parametrize("theta", [
     np.nan, np.inf, -np.inf, True, pytest.param(np.bool_(False), id="np.bool_-False"),
     pytest.param(np.array([0.1]), id="array-1"), pytest.param(np.array(True), id="0d-bool-array"),
+    None, 0.5j, "0.5",
 ])
 @pytest.mark.parametrize("kind", PROFILE_KINDS)
 def test_profile_theta_must_be_finite(kind, theta):
@@ -272,12 +279,13 @@ def test_bad_seed_fails_before_the_first_solve(monkeypatch):
 
 
 # inf overflowed in round(alpha * N), nan failed without naming alpha, True
-# (a 0-d bool array too) was taken for 1, and an array failed in numpy's
-# truth-value check without naming alpha.
+# (a 0-d bool array too) was taken for 1, an array failed in numpy's
+# truth-value check without naming alpha, and a complex or string one failed
+# the range check with a TypeError that did not name it.
 @pytest.mark.parametrize("alpha", [
     np.inf, np.nan, -0.5, 0.0, True, pytest.param(np.bool_(True), id="np.bool_-True"),
     pytest.param(np.array(True), id="0d-bool-array"),
-    pytest.param(np.array([0.5, 0.6]), id="array"),
+    pytest.param(np.array([0.5, 0.6]), id="array"), 0.5 + 0j, "0.5", None,
 ])
 def test_sweep_alpha_must_be_positive_and_finite(alpha):
     with pytest.raises(ValueError, match="alpha"):
