@@ -381,7 +381,9 @@ def gamma_uncorrelated(x, eta):
     disc = np.sqrt(b * b + 4.0 * eta_arr * x_arr)
     # Where b > 0 the direct numerator -b + disc cancels; multiply through
     # by the conjugate to get the equivalent stable form 2x / (b + disc).
-    out = np.where(b > 0.0, 2.0 * x_arr / (b + disc), (disc - b) / (2.0 * eta_arr))
+    # Where b <= 0 that form is discarded, and b + disc may round to 0.
+    with np.errstate(divide="ignore"):
+        out = np.where(b > 0.0, 2.0 * x_arr / (b + disc), (disc - b) / (2.0 * eta_arr))
     if out.ndim == 0:
         return float(out)
     return out

@@ -16,8 +16,10 @@ the maximizer, and callers wanting bits divide by ``log(2)``.
 
 Scalar inputs given as Python floats (``np.float64`` included) run on
 ``math`` and plain float arithmetic rather than on 0-d numpy arrays: the
-root finder calls :func:`dfdx` about 30 times per SNR point, and one call
-on 0-d arrays costs more than ten times as much as on floats.
+root finder evaluates the derivative about 30 times per SNR point, and one
+evaluation on 0-d arrays costs more than ten times as much as on floats.
+It calls the float kernel of :func:`dfdx` directly, having checked ``eta``
+once.
 Arrays keep the numpy form, which is also the fallback for any scalar that
 ``math`` would reject (``x = 0``).
 """
@@ -116,10 +118,8 @@ def dfdx(x, eta):
     """
     check_positive_finite(eta, "eta")
     if isinstance(x, float) and isinstance(eta, float):
-        u = x + eta - 1.0
-        s = math.sqrt(u * u + 4.0 * eta)
         try:
-            return 1.0 / (x * s) - math.log((u + s) / (2.0 * eta)) / (x * x)
+            return _dfdx_float(x, eta)
         except (ZeroDivisionError, ValueError):
             pass
     x_arr = np.asarray(x, dtype=float)
@@ -130,6 +130,18 @@ def dfdx(x, eta):
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def _dfdx_float(x, eta):
+    """:func:`dfdx` on Python floats, unchecked; the bisection's inner call.
+
+    For ``x >= 1`` and a positive finite ``eta`` every operation is defined:
+    ``s > 0``, the log argument is positive, and an overflow gives ``inf``
+    rather than an exception.
+    """
+    u = x + eta - 1.0
+    s = math.sqrt(u * u + 4.0 * eta)
+    return 1.0 / (x * s) - math.log((u + s) / (2.0 * eta)) / (x * x)
 
 
 @lru_cache(maxsize=1)
@@ -172,7 +184,8 @@ def optimal_x_exact(eta, tol=LOADING_TOL):
             eta=eta,
         )
     lo, hi = 1.0, X_UPPER_LOOSE
-    if dfdx(hi, eta) >= 0.0:
+    # eta is checked above, so the bisection calls the unchecked kernel.
+    if _dfdx_float(hi, eta) >= 0.0:
         raise BracketError(
             f"derivative not negative at x={hi!r} for eta={eta!r}; no sign bracket"
         )
@@ -180,7 +193,7 @@ def optimal_x_exact(eta, tol=LOADING_TOL):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if dfdx(mid, eta) > 0.0:
+        if _dfdx_float(mid, eta) > 0.0:
             lo = mid
         else:
             hi = mid

@@ -24,7 +24,7 @@ from .channel import (
     SystemConfig, build_correlation, check_positive_finite, eta_from_snr_db, user_phases,
 )
 from .linalg import psd_sqrt, shifted_gram_solve
-from .loading import dfdx, eta_threshold, lambert_w0, objective_f, optimal_x_exact
+from .loading import dfdx, eta_threshold, lambert_w0, optimal_x_exact
 from .precoding import _as_channel, _power_sq, _sinr, compute_metrics
 
 __all__ = [
@@ -36,6 +36,13 @@ __all__ = [
 # The brute-force oracle's grid on [BRUTE_LO, BRUTE_HI] with spacing
 # BRUTE_STEP; the loading sweep echoes the spacing into its CSV metadata.
 BRUTE_LO, BRUTE_HI, BRUTE_STEP = 1.0, 1.5, 1e-4
+
+
+# The grid and its eta-free terms, built once and read-only.
+_GRID = BRUTE_LO + BRUTE_STEP * np.arange(int(round((BRUTE_HI - BRUTE_LO) / BRUTE_STEP)) + 1)
+_ONE_MINUS_GRID, _TWO_GRID = 1.0 - _GRID, 2.0 * _GRID
+for _terms in (_GRID, _ONE_MINUS_GRID, _TWO_GRID):
+    _terms.flags.writeable = False
 
 
 @one_blas_thread
@@ -181,17 +188,40 @@ def check_common_r_bound(eigenvalues, K, eta):
     return BoundCheck(gamma=gamma, bound=bound, holds=bool(gamma <= bound + slack))
 
 
+def _grid_objective(eta):
+    """``objective_f(grid, eta)`` on the oracle's grid, bit for bit.
+
+    The same operations as :func:`gamma_uncorrelated`'s array form, with
+    each of its two branches evaluated only where it is taken.
+    ``b = eta + (1 - x)`` is non-increasing along the grid, so ``b > 0``
+    holds on a prefix.
+    """
+    b = eta + _ONE_MINUS_GRID
+    split = int(np.count_nonzero(b > 0.0))
+    disc = b * b
+    disc += _GRID * (4.0 * eta)
+    np.sqrt(disc, out=disc)
+    # gamma into b: 2x / (b + disc) on the prefix, (disc - b) / (2 eta) after it.
+    head, tail = slice(None, split), slice(split, None)
+    np.add(b[head], disc[head], out=b[head])
+    np.divide(_TWO_GRID[head], b[head], out=b[head])
+    np.subtract(disc[tail], b[tail], out=b[tail])
+    np.divide(b[tail], 2.0 * eta, out=b[tail])
+    np.log1p(b, out=b)
+    b /= _GRID
+    return b
+
+
 def brute_force_optimal_x(eta):
     """Grid-search maximizer of the per-antenna rate; the independent oracle.
 
     Exhaustively evaluates the objective on ``[BRUTE_LO, BRUTE_HI]`` in
     steps of ``BRUTE_STEP`` and returns the best grid point, with no
-    derivative information.
+    derivative information and no assumption of a single maximum. The grid
+    is built once, at import.
     """
-    count = int(round((BRUTE_HI - BRUTE_LO) / BRUTE_STEP)) + 1
-    grid = BRUTE_LO + BRUTE_STEP * np.arange(count)
-    values = objective_f(grid, eta)
-    return float(grid[int(np.argmax(values))])
+    eta = float(check_positive_finite(eta, "eta"))
+    return float(_GRID[int(np.argmax(_grid_objective(eta)))])
 
 
 # The selftest's checks. Each takes the run's one random stream and raises on

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,16 @@ class TestGammaUncorrelated:
             scalar = [gamma_uncorrelated(float(x), eta) for x in xs]
             assert all(type(g) is float for g in scalar)
             assert list(map(repr, scalar)) == list(map(repr, vec.tolist()))
+
+    @pytest.mark.parametrize("eta", [1e-20, 1e-30])
+    def test_discarded_branch_warns_nothing(self, eta):
+        # Where b <= 0 the discarded form 2x / (b + disc) divides by an exact
+        # 0 at high SNR; it printed numpy's divide-by-zero warning.
+        xs = np.array([1.0, 1.2, 1.4, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vec = gamma_uncorrelated(xs, eta)
+        assert list(map(repr, vec.tolist())) == [repr(gamma_uncorrelated(float(x), eta)) for x in xs]
 
     def test_validation(self):
         # NaN and inf came back as nan and inf, and True was taken for x = 1.

@@ -123,6 +123,20 @@ class TestSweepCommands:
         assert run_cli(capsys, "sweep-loading", "--out", str(b), *args)[0] == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
+    def test_sweep_loading_stderr_empty_at_extreme_snr(self, tmp_path):
+        # The brute-force column printed numpy's divide-by-zero warning here.
+        # A fresh process, because pytest collects warnings instead of printing them.
+        src = os.path.dirname(os.path.dirname(mimoslnr.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "mimoslnr", "sweep-loading",
+             "--out", str(tmp_path / "loading.csv"), "--snr-grid=100:300:9"],
+            env=env, capture_output=True, timeout=300,
+        )
+        assert run.returncode == EXIT_OK
+        assert run.stderr == b""
+
     def test_sweep_cdf(self, capsys, tmp_path):
         out_path = tmp_path / "cdf.csv"
         code, _, _ = run_cli(capsys, "sweep-cdf", "--out", str(out_path),

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from mimoslnr import experiments
+from mimoslnr import experiments, oracles
 from mimoslnr.asymptotic import DEFAULT_TOL, solve_exponential_fixed_point
-from mimoslnr.channel import SystemConfig, trial_rng, user_phases
+from mimoslnr.channel import SystemConfig, eta_from_snr_db, trial_rng, user_phases
 from mimoslnr.experiments import (
     ExperimentResult,
     _format_column,
@@ -14,8 +14,8 @@ from mimoslnr.experiments import (
     run_loading_sweep,
     write_csv,
 )
-from mimoslnr.loading import eta_threshold, loading_constants, optimal_x_exact
-from mimoslnr.oracles import brute_force_optimal_x
+from mimoslnr.loading import eta_threshold, loading_constants, objective_f, optimal_x_exact
+from mimoslnr.oracles import BRUTE_HI, BRUTE_LO, BRUTE_STEP, brute_force_optimal_x
 
 
 class TestEmpiricalCdf:
@@ -223,7 +223,39 @@ class TestLoadingSweep:
         assert np.all(np.isfinite(high[in_regime])) and np.all(np.isnan(high[~in_regime]))
 
 
+def brute_force_definition(eta):
+    """The oracle's grid and the objective on it, built the plain way."""
+    count = int(round((BRUTE_HI - BRUTE_LO) / BRUTE_STEP)) + 1
+    grid = BRUTE_LO + BRUTE_STEP * np.arange(count)
+    return grid, objective_f(grid, eta)
+
+
+def brute_force_etas():
+    """-300..300 dB, the threshold and its float neighbours, and etas in
+    (0, 0.5], where b = eta + (1 - x) changes sign inside the grid. These
+    include each ``x - 1`` of a stretch of the grid, where ``b`` is exactly
+    0 at a grid point, and the floats on either side of it."""
+    eta_o = eta_threshold()
+    grid, _ = brute_force_definition(1.0)
+    edges = -(1.0 - grid[1:4001:40])
+    return np.concatenate([
+        eta_from_snr_db(np.linspace(-300.0, 300.0, 601)),
+        [np.nextafter(eta_o, 0.0), eta_o, np.nextafter(eta_o, 1.0)],
+        np.linspace(0.0, 0.5, 201)[1:],
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+    ])
+
+
 class TestBruteForceOracle:
+    def test_bit_equal_to_its_definition(self):
+        for eta in brute_force_etas():
+            grid, values = brute_force_definition(eta)
+            assert brute_force_optimal_x(eta) == grid[np.argmax(values)], f"eta={eta!r}"
+            # Every grid value, not only the winner: a branch taken one grid
+            # point early or late moves a value by a few ulps.
+            got = oracles._grid_objective(float(eta))
+            assert np.array_equal(got.view(np.int64), values.view(np.int64)), f"eta={eta!r}"
+
     def test_matches_exact_at_probe_points(self):
         for eta in (0.01, 0.1, 0.3):
             assert abs(brute_force_optimal_x(eta) - optimal_x_exact(eta).x_star) <= 1e-3

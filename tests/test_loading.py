@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from mimoslnr.channel import eta_from_snr_db
 from mimoslnr.loading import (
     CLAMPED_AT_ONE,
     EXACT_ROOT_FIND,
+    LOADING_TOL,
     X_UPPER_LOOSE,
     dfdx,
     eta_threshold,
@@ -64,6 +66,16 @@ class TestObjective:
         for eta in (1e-4, 0.1, 1.0, 50.0):
             assert np.all(objective_f(xs, eta) > 0.0)
 
+    @pytest.mark.parametrize("eta", [1e-20, 1e-30])
+    def test_no_warning_at_high_snr(self, eta):
+        # The brute-force oracle's grid; sweep-loading printed numpy's
+        # divide-by-zero warning from it at these SNRs.
+        xs = np.linspace(1.0, 1.5, 5001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = objective_f(xs, eta)
+        assert np.all(np.isfinite(values))
+
 
 class TestDerivative:
     @pytest.mark.parametrize("eta", [0.01, 0.05, 0.1, 0.2])
@@ -117,12 +129,19 @@ class TestDerivativeFloatPath:
 
     @pytest.mark.parametrize("grid", [(0.0, 40.0, 81), (-10.0, 60.0, 141), (55.0, 120.0, 14)])
     def test_root_bit_equal_to_array_path(self, monkeypatch, grid):
+        # The bisection calls the float kernel _dfdx_float; replacing that
+        # name with dfdx's numpy form makes every sign test take the array
+        # path. tol=1e-300 bisects down to adjacent floats, where the sign
+        # tests near the root turn on the last bits of the derivative: a
+        # reassociated kernel passes at the default tol but fails there.
         etas = eta_from_snr_db(np.linspace(*grid))
-        fast = np.array([optimal_x_exact(eta).x_star for eta in etas])
         real_dfdx = loading.dfdx
-        monkeypatch.setattr(loading, "dfdx", lambda x, eta: real_dfdx(np.asarray(x), eta))
-        slow = np.array([optimal_x_exact(eta).x_star for eta in etas])
-        assert np.array_equal(fast.view(np.int64), slow.view(np.int64))
+        for tol in (LOADING_TOL, 1e-300):
+            fast = np.array([optimal_x_exact(eta, tol).x_star for eta in etas])
+            with monkeypatch.context() as patch:
+                patch.setattr(loading, "_dfdx_float", lambda x, eta: real_dfdx(np.asarray(x), eta))
+                slow = np.array([optimal_x_exact(eta, tol).x_star for eta in etas])
+            assert np.array_equal(fast.view(np.int64), slow.view(np.int64)), f"tol={tol!r}"
 
 
 class TestOptimalXExact:

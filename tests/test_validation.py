@@ -34,7 +34,7 @@ from mimoslnr.loading import (
     optimal_x_high_snr,
     optimal_x_low_snr,
 )
-from mimoslnr.oracles import slnr_leave_one_out, solve_fixed_point
+from mimoslnr.oracles import brute_force_optimal_x, slnr_leave_one_out, solve_fixed_point
 from mimoslnr.precoding import compute_metrics
 
 H = np.array([[1.0, 0.5j], [0.2, 1.0], [0.0, 0.3]])
@@ -57,6 +57,7 @@ ETA_ENTRY_POINTS = {
     "optimal_x_exact": lambda eta: optimal_x_exact(eta),
     "optimal_x_low_snr": lambda eta: optimal_x_low_snr(eta),
     "optimal_x_high_snr": lambda eta: optimal_x_high_snr(eta),
+    "brute_force_optimal_x": brute_force_optimal_x,
 }
 
 TOL_ENTRY_POINTS = {
@@ -138,8 +139,8 @@ def test_eta_must_not_be_bool(entry, eta):
 
 
 @pytest.mark.parametrize("entry", [
-    lambda eta: gamma_uncorrelated(2.0, eta), lambda eta: dfdx(1.2, eta),
-], ids=["gamma_uncorrelated-array", "dfdx-array"])
+    lambda eta: gamma_uncorrelated(2.0, eta), lambda eta: dfdx(1.2, eta), brute_force_optimal_x,
+], ids=["gamma_uncorrelated-array", "dfdx-array", "brute_force_optimal_x"])
 def test_eta_array_must_not_be_bool(entry):
     with pytest.raises(ValueError, match="eta"):
         entry(np.array([True, True]))
