@@ -40,7 +40,10 @@ Special cases reduce the system:
   fixed point is unique, so every ``gamma_k`` is equal, and
   :func:`gamma_exp_even` solves the scalar fixed point of
   :func:`gamma_common_r` over the eigenvalues of the closed-form user
-  average :func:`even_mean_correlation`.
+  average :func:`even_mean_correlation`;
+- a phase shared by every user, ``R_k = D R D*`` with ``D`` diagonal and
+  unitary, leaves the eigenvalues of ``R[m, n] = rho^|m-n|``, whatever the
+  phase: :func:`gamma_exp_common`.
 """
 
 import math
@@ -50,7 +53,7 @@ import numpy as np
 
 from ._blas import one_blas_thread
 from .channel import check_count, check_positive_finite, check_rho, check_vector
-from .linalg import _cholesky_solve, herm_eig
+from .linalg import EigConvergenceError, _cholesky_solve
 
 __all__ = [
     "AsymptoticSolution",
@@ -60,6 +63,7 @@ __all__ = [
     "gamma_common_r",
     "even_mean_correlation",
     "gamma_exp_even",
+    "gamma_exp_common",
 ]
 
 DEFAULT_TOL = 1e-12
@@ -543,13 +547,43 @@ def even_mean_correlation(N, K, rho):
     return np.where(d % K == 0, rho ** d, 0.0)
 
 
+def _lag_eigenvalues(N, step, rho):
+    """Ascending eigenvalues of ``even_mean_correlation(N, step, rho)``.
+
+    That matrix is real symmetric Toeplitz, ``rho^|d|`` on the lags ``d``
+    that ``step`` divides and 0 elsewhere, so LAPACK's real symmetric
+    eigenvalue routine serves and no eigenvector is formed. A solver that
+    does not converge raises :class:`EigConvergenceError` naming N.
+    """
+    A = even_mean_correlation(N, step, rho)
+    try:
+        return np.linalg.eigvalsh(A)
+    except np.linalg.LinAlgError as exc:
+        raise EigConvergenceError(
+            f"eigenvalues did not converge for a {N}x{N} real symmetric Toeplitz matrix"
+        ) from exc
+
+
+@one_blas_thread
 def gamma_exp_even(N, K, rho, eta, tol=DEFAULT_TOL):
     """Deterministic SLNR shared by every user of the exp-even profile.
 
     Every ``gamma_k`` is equal (see the module docstring), so averaging the
     system over k leaves the fixed point of :func:`gamma_common_r` over the
-    eigenvalues of :func:`even_mean_correlation`: one N x N
-    eigendecomposition in place of K dense matrices.
+    eigenvalues of :func:`even_mean_correlation`: the eigenvalues of one
+    real symmetric N x N matrix in place of K dense matrices.
     """
-    lam = herm_eig(even_mean_correlation(N, K, rho)).eigenvalues
-    return gamma_common_r(lam, K, eta, tol=tol)
+    return gamma_common_r(_lag_eigenvalues(N, K, rho), K, eta, tol=tol)
+
+
+@one_blas_thread
+def gamma_exp_common(N, K, rho, eta, tol=DEFAULT_TOL):
+    """Deterministic SLNR shared by K users with one exponential correlation.
+
+    Every user has ``R[m, n] = rho^|m-n| exp(1j (m-n) theta)`` for one
+    phase ``theta``. That is ``D R_0 D*`` with ``D = diag(exp(1j m theta))``
+    unitary, so its eigenvalues are those of the real ``R_0[m, n] = rho^|m-n|``
+    for every ``theta``, and the value is the fixed point of
+    :func:`gamma_common_r` over them.
+    """
+    return gamma_common_r(_lag_eigenvalues(N, 1, rho), K, eta, tol=tol)

@@ -23,6 +23,7 @@ __all__ = [
     "SystemConfig",
     "ChannelRealization",
     "check_positive_finite",
+    "check_positive_number",
     "check_count",
     "check_index",
     "check_rho",
@@ -55,6 +56,18 @@ def check_positive_finite(value, name):
     if not ok:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
     return value
+
+
+def check_positive_number(value, name):
+    """:func:`check_positive_finite` for an input that must be one number.
+
+    An array of any shape but 0-d raises ``ValueError`` naming ``name``; a
+    one-element array would otherwise pass the check and fail later in
+    ``float()`` with a ``TypeError``. A Python float skips the shape test.
+    """
+    if not isinstance(value, float) and np.ndim(value) != 0:
+        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+    return check_positive_finite(value, name)
 
 
 def _check_integer(value, name):

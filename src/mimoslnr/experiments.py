@@ -16,13 +16,13 @@ import numpy as np
 from . import __version__
 from ._blas import one_blas_thread
 from .asymptotic import (
-    DEFAULT_TOL, gamma_common_r, gamma_exp_even, gamma_uncorrelated, solve_exponential_fixed_point,
+    DEFAULT_TOL, gamma_exp_common, gamma_exp_even, gamma_uncorrelated,
+    solve_exponential_fixed_point,
 )
 from .channel import (
-    SystemConfig, _is_number, build_correlation, check_count, check_index, check_rho,
-    check_vector, eta_from_snr_db, sample_channel, trial_rng, user_phases,
+    SystemConfig, _is_number, check_count, check_index, check_rho, check_vector,
+    eta_from_snr_db, sample_channel, trial_rng, user_phases,
 )
-from .linalg import herm_eig
 from .loading import (
     CLAMPED_AT_ONE, LOADING_TOL, eta_threshold, optimal_x_exact, optimal_x_high_snr,
     optimal_x_low_snr,
@@ -118,9 +118,9 @@ def run_correlation_sweep(
     per-user gammas averaged over users; additionally averaged over
     ``trials_for_random_theta`` independent phase draws, with the
     single-draw average reported in its own column), and the common phase
-    (scalar fixed point over the shared eigenvalues, which do not depend on
-    the phase itself). The uncorrelated value rides along as the reference
-    line.
+    (:func:`gamma_exp_common`, the scalar fixed point over the shared
+    eigenvalues, which do not depend on the phase itself). The uncorrelated
+    value rides along as the reference line.
 
     The random-phase column is a continuation in ``rho``. Draw ``d``'s
     phases come once from ``trial_rng(seed, d)``, before the ``rho`` loop.
@@ -169,8 +169,7 @@ def run_correlation_sweep(
         random_avg_col[i] = float(np.mean(draw_means))
         random_single_col[i] = draw_means[0]
 
-        lam = herm_eig(build_correlation(N, rho, 0.0)).eigenvalues
-        common_col[i] = gamma_common_r(lam, K, eta, tol=tol)
+        common_col[i] = gamma_exp_common(N, K, rho, eta, tol=tol)
 
     columns = {
         "rho": rho_grid.copy(),

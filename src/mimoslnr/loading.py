@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .asymptotic import _brentq, gamma_uncorrelated
-from .channel import check_positive_finite
+from .channel import check_positive_finite, check_positive_number
 
 __all__ = [
     "LoadingSolution",
@@ -172,9 +172,8 @@ def optimal_x_exact(eta, tol=LOADING_TOL):
     runs until the interval is shorter than ``tol`` or, for a ``tol`` below
     the float spacing there, until the midpoint rounds onto an endpoint.
     """
-    check_positive_finite(eta, "eta")
+    eta = float(check_positive_number(eta, "eta"))
     check_positive_finite(tol, "tol")
-    eta = float(eta)
     if eta >= eta_threshold():
         return LoadingSolution(
             x_star=1.0,

@@ -21,7 +21,8 @@ from .asymptotic import (
     DEFAULT_TOL, _anderson, _brent_rtol, gamma_common_r, gamma_uncorrelated,
 )
 from .channel import (
-    SystemConfig, build_correlation, check_positive_finite, eta_from_snr_db, user_phases,
+    SystemConfig, build_correlation, check_positive_finite, check_positive_number,
+    eta_from_snr_db, user_phases,
 )
 from .linalg import psd_sqrt, shifted_gram_solve
 from .loading import dfdx, eta_threshold, lambert_w0, optimal_x_exact
@@ -220,7 +221,7 @@ def brute_force_optimal_x(eta):
     derivative information and no assumption of a single maximum. The grid
     is built once, at import.
     """
-    eta = float(check_positive_finite(eta, "eta"))
+    eta = float(check_positive_number(eta, "eta"))
     return float(_GRID[int(np.argmax(_grid_objective(eta)))])
 
 

@@ -246,6 +246,16 @@ class TestErrorPaths:
         assert code == EXIT_NUMERICAL
         assert "Toeplitz resolvent is not positive definite" in err
 
+    def test_eigensolver_failure_in_sweep_is_numerical_failure(self, capsys, monkeypatch, tmp_path):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        code, _, err = run_cli(capsys, "sweep-correlation", "--n", "8", "--k", "4",
+                               "--theta-draws", "1", "--out", str(tmp_path / "sweep.csv"))
+        assert code == EXIT_NUMERICAL
+        assert "eigenvalues did not converge for a 8x8" in err
+
     def test_singular_gram_is_numerical_failure(self, capsys, monkeypatch):
         # Users 0 and 1 share one channel with exact entries, so the Gram
         # matrix H* H is singular in floats and the shift K*eta = 4e-40

@@ -115,6 +115,18 @@ class TestSlnr:
         slow = slnr_leave_one_out(H, eta)
         assert np.max(np.abs(fast - slow) / slow) <= 1e-8
 
+    def test_near_square_k_above_n_at_80_db(self):
+        # K > N takes the N x N inverse, and q/(1 - q) amplifies its error as
+        # q -> 1, so near square and at high SNR the 1e-8 margin is thinnest.
+        # Worst of these three channels: 4.0e-10.
+        seeded = np.random.default_rng(5)
+        eta = eta_from_snr_db(80.0)
+        for _ in range(3):
+            H = (seeded.standard_normal((63, 64)) + 1j * seeded.standard_normal((63, 64)))
+            H /= np.sqrt(2.0)
+            slow = slnr_leave_one_out(H, eta)
+            assert np.max(np.abs(compute_metrics(H, eta).slnr - slow) / slow) <= 1e-8
+
     def test_matches_leakage_ratio_pipeline(self):
         # Quadratic form route against the explicit precode/power/ratio
         # route; the two are tied together by the matrix inversion lemma.

@@ -19,6 +19,7 @@ from mimoslnr import experiments
 from mimoslnr.asymptotic import (
     even_mean_correlation,
     gamma_common_r,
+    gamma_exp_common,
     gamma_exp_even,
     gamma_uncorrelated,
     solve_exponential_fixed_point,
@@ -48,6 +49,7 @@ ETA_ENTRY_POINTS = {
     "solve_fixed_point": lambda eta: solve_fixed_point(R, eta),
     "solve_exponential_fixed_point": lambda eta: solve_exponential_fixed_point(4, 0.5, THETA, eta),
     "gamma_exp_even": lambda eta: gamma_exp_even(4, 2, 0.5, eta),
+    "gamma_exp_common": lambda eta: gamma_exp_common(4, 2, 0.5, eta),
     "gamma_uncorrelated": lambda eta: gamma_uncorrelated(2.0, eta),
     "gamma_uncorrelated-array": lambda eta: gamma_uncorrelated(2.0, np.array([0.1, eta])),
     "gamma_common_r": lambda eta: gamma_common_r(LAM, 2, eta),
@@ -66,6 +68,7 @@ TOL_ENTRY_POINTS = {
         4, 0.5, THETA, 0.1, tol=tol
     ),
     "gamma_exp_even": lambda tol: gamma_exp_even(4, 2, 0.5, 0.1, tol=tol),
+    "gamma_exp_common": lambda tol: gamma_exp_common(4, 2, 0.5, 0.1, tol=tol),
     "gamma_common_r": lambda tol: gamma_common_r(LAM, 2, 0.1, tol=tol),
     "optimal_x_exact": lambda tol: optimal_x_exact(0.01, tol=tol),
     "run_correlation_sweep": lambda tol: run_correlation_sweep(
@@ -86,6 +89,7 @@ RHO_ENTRY_POINTS = {
     "build_correlation": lambda rho: build_correlation(4, rho, 0.0),
     "even_mean_correlation": lambda rho: even_mean_correlation(4, 2, rho),
     "gamma_exp_even": lambda rho: gamma_exp_even(4, 2, rho, 0.1),
+    "gamma_exp_common": lambda rho: gamma_exp_common(4, 2, rho, 0.1),
     "solve_exponential_fixed_point": lambda rho: solve_exponential_fixed_point(4, rho, THETA, 0.1),
 }
 
@@ -144,6 +148,23 @@ def test_eta_must_not_be_bool(entry, eta):
 def test_eta_array_must_not_be_bool(entry):
     with pytest.raises(ValueError, match="eta"):
         entry(np.array([True, True]))
+
+
+# optimal_x_exact and brute_force_optimal_x take one eta: a one-element array
+# failed in float() with a TypeError that did not name it. A 0-d array is a
+# number and gives the float's result.
+@pytest.mark.parametrize(
+    "eta", [np.array([0.1]), np.array([0.1, 0.2])], ids=["1-element", "2-element"]
+)
+@pytest.mark.parametrize("entry", ["optimal_x_exact", "brute_force_optimal_x"])
+def test_scalar_eta_must_be_one_number(entry, eta):
+    with pytest.raises(ValueError, match="eta"):
+        ETA_ENTRY_POINTS[entry](eta)
+
+
+@pytest.mark.parametrize("entry", ["optimal_x_exact", "brute_force_optimal_x"])
+def test_scalar_eta_takes_a_0d_array(entry):
+    assert ETA_ENTRY_POINTS[entry](np.array(0.1)) == ETA_ENTRY_POINTS[entry](0.1)
 
 
 @pytest.mark.parametrize("tol", [
