@@ -31,10 +31,10 @@ Special cases reduce the system:
 - the exponential model ``R_k[m, n] = rho^|m-n| exp(1j (m-n) theta_k)``
   makes ``sum_j R_j / (1 + gamma_j)`` a Hermitian Toeplitz matrix set by N
   lags, so :func:`solve_exponential_fixed_point` solves the system on those
-  lags for any phases, without forming the K matrices ``R_k``. One Cholesky
-  factorization and one solve per step give the first column of the
-  inverse, and the Gohberg-Semencul formula turns it into the inverse's
-  diagonal sums;
+  lags for any phases, without forming the K matrices ``R_k``. One
+  Cholesky solve per step (one LAPACK ``zposv`` call) gives the first
+  column of the inverse, and the Gohberg-Semencul formula turns it into
+  the inverse's diagonal sums;
 - evenly spaced phases ``theta_k = 2 pi k / K`` put every user on one
   orbit ``R_k = D^k R_0 D^-k`` with ``D = diag(exp(2j pi m / K))``. The
   fixed point is unique, so every ``gamma_k`` is equal, and
@@ -44,8 +44,18 @@ Special cases reduce the system:
 - a phase shared by every user, ``R_k = D R D*`` with ``D`` diagonal and
   unitary, leaves the eigenvalues of ``R[m, n] = rho^|m-n|``, whatever the
   phase: :func:`gamma_exp_common`.
+
+Neither scalar route forms an N x N matrix. ``rho^|m-n|`` is a
+Kac-Murdock-Szego (KMS) matrix, whose inverse is tridiagonal, so its
+eigenvalues come from a tridiagonal eigensolver
+(``linalg._kms_eigenvalues``). The even-phase user average keeps ``rho^|d|``
+only on the lags ``d`` that K divides, so grouping the indices by
+``m mod K`` splits it into a direct sum of KMS matrices in ``rho^K``:
+``N mod K`` blocks of size ``ceil(N/K)`` and the rest of size
+``floor(N/K)``, two distinct spectra at most.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -53,7 +63,7 @@ import numpy as np
 
 from ._blas import one_blas_thread
 from .channel import check_count, check_positive_finite, check_rho, check_vector
-from .linalg import EigConvergenceError, _cholesky_solve
+from .linalg import EigConvergenceError, _cholesky_solve, _kms_eigenvalues, _least_squares
 
 __all__ = [
     "AsymptoticSolution",
@@ -179,9 +189,23 @@ def solve_exponential_fixed_point(N, rho, theta, eta, tol=DEFAULT_TOL, *, start=
                 f"start must be K={K} nonnegative numbers, "
                 f"got {start.size} with min {start.min():.3g}"
             )
+    return _solve_toeplitz(_phase_table(N, theta), rho, eta, tol, start)
+
+
+def _phase_table(N, theta):
+    """The (K, N) table ``exp(1j d theta_k)`` over the lags ``d`` and the users' phases."""
+    return np.exp(1j * np.outer(theta, np.arange(N)))
+
+
+def _solve_toeplitz(phase, rho, eta, tol, start):
+    """:func:`solve_exponential_fixed_point` on checked inputs and the users' phase table.
+
+    ``phase`` is :func:`_phase_table` of the phases, which does not depend
+    on ``rho``: the correlation sweep builds it once per draw.
+    """
+    K, N = phase.shape
     lags = np.arange(N)
     decay = rho ** lags
-    phase = np.exp(1j * np.outer(theta, lags))  # (K, N): exp(1j d theta_k)
     unphase = phase.conj()
     fold = np.where(lags > 0, 2.0, 1.0) * decay
     inverse_sums = _toeplitz_inverse_sums(N)
@@ -194,12 +218,21 @@ def solve_exponential_fixed_point(N, rho, theta, eta, tol=DEFAULT_TOL, *, start=
     return _anderson(step, start, tol, DEFAULT_MAX_ITER)
 
 
+@functools.lru_cache(maxsize=8)
+def _lag_table(N):
+    """The read-only N x N table ``|m - n|``, built once per N."""
+    lags = np.arange(N)
+    table = np.abs(np.subtract.outer(lags, lags))
+    table.flags.writeable = False
+    return table
+
+
 def _toeplitz_inverse_sums(N):
     """``sums(t)``: the subdiagonal sums of ``M^{-1}`` for N x N Hermitian Toeplitz ``M``.
 
     ``t`` is M's first column (``M[m, n] = t[m - n]`` for ``m >= n``), and
-    ``sums(t)[d]`` is the sum of the d-th subdiagonal of ``M^{-1}``. The
-    Cholesky factor of ``M`` gives the first column ``a`` of ``M^{-1}``, and
+    ``sums(t)[d]`` is the sum of the d-th subdiagonal of ``M^{-1}``. One
+    Cholesky solve of ``M`` gives the first column ``a`` of ``M^{-1}``, and
     the Gohberg-Semencul formula gives the rest of it:
 
         M^{-1} = (L(a) L(a)^H - L(b) L(b)^H) / a_0,   b = (0, conj(a_{N-1}), ..., conj(a_1)),
@@ -213,17 +246,17 @@ def _toeplitz_inverse_sums(N):
     :class:`numpy.linalg.LinAlgError` if ``M`` is not numerically positive
     definite.
     """
-    lags = np.arange(N)
-    lag_of = np.abs(np.subtract.outer(lags, lags))
-    weight = N - lags
+    lag_of = _lag_table(N)
+    weight = N - np.arange(N)
     first = np.zeros(N, dtype=complex)
     first[0] = 1.0
+    b = np.zeros(N, dtype=complex)
 
     def sums(t):
         # t[|m - n|] is M in the lower triangle, the only one the Cholesky
         # solve reads; the transpose hands it column-major memory to overwrite.
         a = _cholesky_solve(t[lag_of].T, first, "Toeplitz resolvent", overwrite_a=True)
-        b = np.concatenate(([0.0], a[:0:-1].conj()))
+        np.conjugate(a[:0:-1], out=b[1:])
         full = np.correlate(weight * a, a, "full") - np.correlate(weight * b, b, "full")
         return full[N - 1:] / a[0].real
 
@@ -236,9 +269,11 @@ def _anderson(step, gamma, tol, max_iter):
     Each iteration evaluates ``step`` once: at the plain (Picard) point, the
     last image ``g``, or at the Anderson extrapolate
     ``g - dG c``, where ``c`` fits the current residual ``f = g - gamma``
-    by the last HISTORY residual differences ``dF`` in least squares and
-    ``dG`` holds the matching image differences. An extrapolate is rejected,
-    and the history restarted from the plain point, when it is not finite,
+    by the last HISTORY residual differences ``dF`` in least squares (the
+    fit of ``np.linalg.lstsq`` with ``rcond=None``, by
+    ``linalg._least_squares``) and ``dG`` holds the matching image
+    differences. An extrapolate is rejected, and the history restarted from
+    the plain point, when it is not finite,
     has a negative entry (where the resolvent need not be definite) or
     raises the largest per-user relative residual ``|f_k| / (1 + g_k)``.
     Measured that way, the overshoot that full load needs far below the
@@ -271,7 +306,11 @@ def _anderson(step, gamma, tol, max_iter):
             "fixed point iterate is not finite at iteration 1", residual=res, iterations=1
         )
     it = 1
-    d_g, d_f = [], []
+    # The last HISTORY image and residual differences, oldest first, in the
+    # first ``m`` rows.
+    d_g, d_f = np.empty((2, HISTORY, g.size))
+    m = 0
+    fit = _least_squares(g.size, HISTORY)
     contraction = math.nan
     probed = False
     plain = True
@@ -311,22 +350,20 @@ def _anderson(step, gamma, tol, max_iter):
         probe = not probed and res <= FLOOR * scale
         check = max(res, bound if contraction < 1.0 else 0.0) <= tol * scale
         x, extrapolated = g, False
-        if d_f and not (probe or check):
-            coef = np.linalg.lstsq(np.array(d_f).T, f, rcond=None)[0]
-            x = g - np.array(d_g).T @ coef
-            extrapolated = bool(np.all(np.isfinite(x)) and x.min() >= 0.0)
+        if m and not (probe or check):
+            coef = fit(d_f[:m].T, f)
+            x = g - d_g[:m].T @ coef
+            extrapolated = bool(np.isfinite(x).all() and x.min() >= 0.0)
             if not extrapolated:
                 x = g
-                d_g.clear()
-                d_f.clear()
+                m = 0
         g_new = step(x)
         it += 1
         f_new = g_new - x
         res_new = float(np.abs(f_new).max())
         relative_new = np.abs(f_new / (1.0 + g_new)).max()
         if extrapolated and not relative_new <= relative:
-            d_g.clear()
-            d_f.clear()
+            m = 0
             stalled += 1
             continue
         if not math.isfinite(res_new):
@@ -335,10 +372,12 @@ def _anderson(step, gamma, tol, max_iter):
                 residual=res_new,
                 iterations=it,
             )
-        d_g.append(g_new - g)
-        d_f.append(f_new - f)
-        if len(d_f) > HISTORY:
-            del d_g[0], d_f[0]
+        if m == HISTORY:
+            d_g[:-1], d_f[:-1] = d_g[1:], d_f[1:]
+            m -= 1
+        np.subtract(g_new, g, out=d_g[m])
+        np.subtract(f_new, f, out=d_f[m])
+        m += 1
         if not extrapolated and not probed:
             if 0.0 < res_new < res:
                 contraction = res_new / res
@@ -518,7 +557,7 @@ def gamma_common_r(eigenvalues, K, eta, tol=DEFAULT_TOL):
         # difference would lose the root to rounding at high SNR.
         u = 1.0 + gamma
         s = eta * u
-        return 1.0 + u * (N / K - 1.0) - (u / K) * float(np.sum(s / (lam + s)))
+        return 1.0 + u * (N / K - 1.0) - (u / K) * float((s / (lam + s)).sum())
 
     max_iter = DEFAULT_MAX_ITER
     gamma, iterations, converged = _brentq(excess, 0.0, hi, tol, _brent_rtol(tol), max_iter)
@@ -547,21 +586,27 @@ def even_mean_correlation(N, K, rho):
     return np.where(d % K == 0, rho ** d, 0.0)
 
 
-def _lag_eigenvalues(N, step, rho):
-    """Ascending eigenvalues of ``even_mean_correlation(N, step, rho)``.
+def _even_mean_eigenvalues(N, K, rho):
+    """Ascending eigenvalues of ``even_mean_correlation(N, K, rho)``, ``rho^|m-n|`` for K = 1.
 
-    That matrix is real symmetric Toeplitz, ``rho^|d|`` on the lags ``d``
-    that ``step`` divides and 0 elsewhere, so LAPACK's real symmetric
-    eigenvalue routine serves and no eigenvector is formed. A solver that
-    does not converge raises :class:`EigConvergenceError` naming N.
+    That matrix is a direct sum of KMS blocks in ``rho^K`` (see the module
+    docstring); each block size's eigenvalues are computed once and repeated
+    once per block. A solver that does not converge raises
+    :class:`EigConvergenceError` naming N.
     """
-    A = even_mean_correlation(N, step, rho)
+    check_count(N, "N")
+    check_count(K, "K")
+    rho = check_rho(rho)
+    size, longer = divmod(N, K)
+    r = rho ** K
+    blocks = ((size + 1, longer), (size, K - longer))
     try:
-        return np.linalg.eigvalsh(A)
+        parts = [np.tile(_kms_eigenvalues(n, r), count) for n, count in blocks if n and count]
     except np.linalg.LinAlgError as exc:
         raise EigConvergenceError(
             f"eigenvalues did not converge for a {N}x{N} real symmetric Toeplitz matrix"
         ) from exc
+    return np.sort(np.concatenate(parts))
 
 
 @one_blas_thread
@@ -570,10 +615,10 @@ def gamma_exp_even(N, K, rho, eta, tol=DEFAULT_TOL):
 
     Every ``gamma_k`` is equal (see the module docstring), so averaging the
     system over k leaves the fixed point of :func:`gamma_common_r` over the
-    eigenvalues of :func:`even_mean_correlation`: the eigenvalues of one
-    real symmetric N x N matrix in place of K dense matrices.
+    eigenvalues of :func:`even_mean_correlation`: those of at most two KMS
+    blocks of about N/K rows, in place of K dense matrices.
     """
-    return gamma_common_r(_lag_eigenvalues(N, K, rho), K, eta, tol=tol)
+    return gamma_common_r(_even_mean_eigenvalues(N, K, rho), K, eta, tol=tol)
 
 
 @one_blas_thread
@@ -582,8 +627,8 @@ def gamma_exp_common(N, K, rho, eta, tol=DEFAULT_TOL):
 
     Every user has ``R[m, n] = rho^|m-n| exp(1j (m-n) theta)`` for one
     phase ``theta``. That is ``D R_0 D*`` with ``D = diag(exp(1j m theta))``
-    unitary, so its eigenvalues are those of the real ``R_0[m, n] = rho^|m-n|``
-    for every ``theta``, and the value is the fixed point of
-    :func:`gamma_common_r` over them.
+    unitary, so its eigenvalues are those of the real KMS matrix
+    ``R_0[m, n] = rho^|m-n|`` for every ``theta``, and the value is the
+    fixed point of :func:`gamma_common_r` over them.
     """
-    return gamma_common_r(_lag_eigenvalues(N, 1, rho), K, eta, tol=tol)
+    return gamma_common_r(_even_mean_eigenvalues(N, 1, rho), K, eta, tol=tol)

@@ -16,12 +16,12 @@ import numpy as np
 from . import __version__
 from ._blas import one_blas_thread
 from .asymptotic import (
-    DEFAULT_TOL, gamma_exp_common, gamma_exp_even, gamma_uncorrelated,
-    solve_exponential_fixed_point,
+    DEFAULT_TOL, _phase_table, _solve_toeplitz, gamma_exp_common, gamma_exp_even,
+    gamma_uncorrelated,
 )
 from .channel import (
-    SystemConfig, _is_number, check_count, check_index, check_rho, check_vector,
-    eta_from_snr_db, sample_channel, trial_rng, user_phases,
+    SystemConfig, _is_number, check_count, check_index, check_positive_finite, check_rho,
+    check_vector, eta_from_snr_db, sample_channel, trial_rng, user_phases,
 )
 from .loading import (
     CLAMPED_AT_ONE, LOADING_TOL, eta_threshold, optimal_x_exact, optimal_x_high_snr,
@@ -123,8 +123,9 @@ def run_correlation_sweep(
     value rides along as the reference line.
 
     The random-phase column is a continuation in ``rho``. Draw ``d``'s
-    phases come once from ``trial_rng(seed, d)``, before the ``rho`` loop.
-    Its first solve starts at the uncorrelated closed form for every user,
+    phases come once from ``trial_rng(seed, d)``, before the ``rho`` loop,
+    and so does their table ``exp(1j d theta_k)``, which ``rho`` leaves alone.
+    The draw's first solve starts at the uncorrelated closed form for every user,
     exact at ``rho = 0`` (where ``R_k = I``), and each later solve starts at
     the draw's gammas from the previous ``rho`` of the grid, in grid order.
     The fixed point is unique, so the start moves the answer only within
@@ -145,6 +146,7 @@ def run_correlation_sweep(
             check_rho(rho)
     except ValueError as exc:
         raise ValueError(f"rho_grid: {exc}") from None
+    check_positive_finite(tol, "tol")
     random_config = SystemConfig.make(N, K, snr_db, kind="exp-random")
     ref = gamma_uncorrelated(N / K, eta)
 
@@ -152,8 +154,8 @@ def run_correlation_sweep(
     random_avg_col = np.empty(rho_grid.size)
     random_single_col = np.empty(rho_grid.size)
     common_col = np.empty(rho_grid.size)
-    thetas = [
-        user_phases(random_config, trial_rng(seed, draw))
+    phases = [
+        _phase_table(N, user_phases(random_config, trial_rng(seed, draw)))
         for draw in range(trials_for_random_theta)
     ]
     gammas = [np.full(K, ref)] * trials_for_random_theta
@@ -162,8 +164,8 @@ def run_correlation_sweep(
         even_col[i] = gamma_exp_even(N, K, rho, eta, tol=tol)
 
         draw_means = np.empty(trials_for_random_theta)
-        for draw, theta in enumerate(thetas):
-            sol = solve_exponential_fixed_point(N, rho, theta, eta, tol=tol, start=gammas[draw])
+        for draw, phase in enumerate(phases):
+            sol = _solve_toeplitz(phase, rho, eta, tol, gammas[draw])
             gammas[draw] = sol.gamma
             draw_means[draw] = float(np.mean(sol.gamma))
         random_avg_col[i] = float(np.mean(draw_means))

@@ -15,6 +15,7 @@ results depend on the core count.
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 from typing import NamedTuple
@@ -42,6 +43,10 @@ HERMITIAN_RTOL = 1e-12
 # above -PSD_EIG_RTOL * ||A||_2 is clipped to zero instead of rejected.
 PSD_EIG_RTOL = 1e-10
 
+EPS = float(np.finfo(float).eps)
+# dpteqr's eigenvector argument, unread when no eigenvectors are asked for.
+_NO_VECTORS = np.zeros((1, 1))
+
 
 _FLAPACK = "scipy.linalg._flapack"
 
@@ -57,27 +62,36 @@ def _flapack_path():
     raise ImportError(f"no {_FLAPACK} extension file")
 
 
-def _load_cholesky_routines():
-    """LAPACK's ``zpotrf``, ``zpotrs`` and ``zpotri`` from scipy's compiled ``_flapack`` module.
+def _load_lapack():
+    """Scipy's compiled LAPACK module ``_flapack``, without importing scipy.
 
     The module is loaded from its file and registered under its own name, so
     neither ``scipy`` nor ``scipy.linalg`` is imported and a later
-    ``import scipy.linalg`` shares it. These are the callables that
+    ``import scipy.linalg`` shares it. Its routines are the callables that
     ``scipy.linalg.lapack`` exports; if the file cannot be found or loaded,
-    they are imported from there. Called at import, before ``_blas.pools()``
-    first reads which OpenBLAS libraries are mapped.
+    that module is imported instead. Called at import, before
+    ``_blas.pools()`` first reads which OpenBLAS libraries are mapped.
     """
     try:
         spec = importlib.util.spec_from_file_location(_FLAPACK, _flapack_path())
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-        flapack = sys.modules.setdefault(_FLAPACK, module)
+        return sys.modules.setdefault(_FLAPACK, module)
     except ImportError:  # no such file, or one that will not load
-        from scipy.linalg import lapack as flapack
-    return flapack.zpotrf, flapack.zpotrs, flapack.zpotri
+        from scipy.linalg import lapack
+
+        return lapack
 
 
-zpotrf, zpotrs, zpotri = _load_cholesky_routines()
+# The only LAPACK routines the library calls: the Cholesky solve, factor and
+# inverse, the least-squares fit of Anderson acceleration and its workspace
+# query, and the eigenvalues of a positive definite tridiagonal matrix.
+LAPACK_ROUTINES = ("zposv", "zpotrf", "zpotri", "dgelsd", "dgelsd_lwork", "dpteqr")
+_lapack = _load_lapack()
+zposv, zpotrf, zpotri, dgelsd, dgelsd_lwork, dpteqr = (
+    getattr(_lapack, name) for name in LAPACK_ROUTINES
+)
+del _lapack
 
 
 class NotHermitianError(ValueError):
@@ -214,9 +228,9 @@ def shifted_gram_solve(H, beta, B):
     Uses a Cholesky factorization of the shifted Gram matrix rather than an
     explicit inverse; for ``beta > 0`` the matrix is positive definite and
     factorization is both stabler and cheaper at the dimensions targeted
-    here (up to a few hundred). LAPACK's ``zpotrf`` and ``zpotrs`` are
-    called directly (see :func:`_cholesky`), the routines behind
-    scipy's ``cho_factor`` and ``cho_solve`` without their per-call
+    here (up to a few hundred). One call to LAPACK's ``zposv`` factorizes
+    and solves (see :func:`_cholesky_solve`), the routines behind scipy's
+    ``cho_factor`` and ``cho_solve`` in one call without their per-call
     wrapping. A factorization that fails raises
     :class:`numpy.linalg.LinAlgError`. The reference routes in
     ``mimoslnr.oracles`` solve with it; the metrics take
@@ -265,7 +279,7 @@ def shifted_gram_inverse(H, beta):
     # rules out. It fills the lower triangle and keeps the factor's zeroed
     # upper one, so adding the conjugate transpose mirrors it and doubles
     # the real diagonal, which halving restores exactly.
-    factor = _cholesky(W, "shifted Gram matrix", overwrite_a=True, clean=True)
+    factor = _cholesky(W, "shifted Gram matrix")
     W_inv, _ = zpotri(factor, lower=1, overwrite_c=1)
     W_inv = W_inv + W_inv.conj().T
     W_inv[np.diag_indices(n)] *= 0.5
@@ -296,23 +310,92 @@ def _gram(H):
     return 0.5 * (G + G.conj().T)
 
 
-def _cholesky(A, what, overwrite_a=False, clean=False):
-    """The lower Cholesky factor of ``A`` by LAPACK's ``zpotrf``.
+def _cholesky(A, what):
+    """The lower Cholesky factor of the column-major ``A``, in place, by LAPACK's ``zpotrf``.
 
     ``zpotrf`` and the other routines bound at import come from scipy's
-    compiled ``_flapack`` module (see :func:`_load_cholesky_routines`; no
-    scipy Python package is imported). It reads only the lower triangle of
-    ``A``, which must be Hermitian positive definite, and leaves the upper
-    one as it was unless ``clean`` zeroes it; ``overwrite_a`` lets it
-    factorize a column-major ``A`` in place. If the factorization fails,
-    :class:`numpy.linalg.LinAlgError` names ``A`` as ``what``.
+    compiled ``_flapack`` module (see :func:`_load_lapack`; no scipy Python
+    package is imported). It reads only the lower triangle of ``A``, which
+    must be Hermitian positive definite, and zeroes the upper one. If the
+    factorization fails, :class:`numpy.linalg.LinAlgError` names ``A`` as
+    ``what``.
     """
-    chol, info = zpotrf(A, lower=1, clean=int(clean), overwrite_a=int(overwrite_a))
+    chol, info = zpotrf(A, lower=1, clean=1, overwrite_a=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"{what} is not positive definite (zpotrf info {info})")
     return chol
 
 
 def _cholesky_solve(A, B, what, overwrite_a=False):
-    """Solve ``A X = B`` by one Cholesky factorization of ``A`` (see :func:`_cholesky`)."""
-    return zpotrs(_cholesky(A, what, overwrite_a), B, lower=1)[0]
+    """Solve ``A X = B`` by one call to LAPACK's ``zposv``.
+
+    ``zposv`` is ``zpotrf`` followed by ``zpotrs``, with the same bits. It
+    reads only the lower triangle of ``A``, which must be Hermitian positive
+    definite; ``overwrite_a`` lets it factorize a column-major ``A`` in
+    place. ``B`` keeps its shape, a vector included. If the factorization
+    fails, :class:`numpy.linalg.LinAlgError` names ``A`` as ``what``.
+    """
+    _, X, info = zposv(A, B, lower=1, overwrite_a=int(overwrite_a))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{what} is not positive definite (zposv info {info})")
+    return X
+
+
+def _kms_eigenvalues(n, r):
+    """Ascending eigenvalues of the n x n Kac-Murdock-Szego matrix ``r^|i-j|``, ``0 <= r < 1``.
+
+    With ``c = sqrt(1 - r^2)``, the lower bidiagonal ``B`` with diagonal
+    ``(c, 1, ..., 1)`` and subdiagonal ``-r`` whitens the AR(1) sequence
+    whose covariance is that matrix, so ``B^T B`` is ``c^2`` times its
+    inverse (tridiagonal: diagonal ``1, 1 + r^2, ..., 1 + r^2, 1``,
+    off-diagonal ``-r``; Kac, Murdock & Szego, J. Rat. Mech. Anal. 2, 1953).
+    Its eigenvalues are ``c^2 / mu`` over the eigenvalues ``mu`` of the
+    positive definite tridiagonal ``B B^T`` (diagonal
+    ``c^2, 1 + r^2, ..., 1 + r^2``, off-diagonal ``-r c, -r, ..., -r``),
+    which LAPACK's ``dpteqr`` computes without eigenvectors. That form, and
+    not ``B^T B``, is fed to it because its Cholesky pivots are
+    ``c^2, 1, ..., 1``: the last pivot of ``B^T B`` is ``c^2`` again, formed
+    by cancellation, and lost digits there as r nears 1 (3.4e-9 relative at
+    N = 64 and r = 0.999999, against 1.6e-13). If ``dpteqr`` fails,
+    :class:`numpy.linalg.LinAlgError` names its ``info``.
+    """
+    c2 = (1.0 - r) * (1.0 + r)
+    d = np.full(n, 1.0 + r * r)
+    d[0] = c2
+    # f2py wants a one-element off-diagonal even when n = 1.
+    e = np.full(max(n - 1, 1), -r)
+    e[0] = -r * math.sqrt(c2)
+    mu, _, _, info = dpteqr(d, e, _NO_VECTORS, compute_z=0, overwrite_d=1, overwrite_e=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"tridiagonal eigenvalues did not converge (dpteqr info {info})"
+        )
+    return c2 / mu[::-1]  # dpteqr returns them in descending order
+
+
+def _least_squares(rows, max_columns):
+    """``fit(A, b)``: the least-squares solution of ``A x = b`` by LAPACK's ``dgelsd``.
+
+    ``A`` has ``rows`` rows and at most ``max_columns`` columns, ``b`` has
+    ``rows`` entries. Singular values below ``eps * max(rows, columns)``
+    times the largest count as zero, the cutoff of
+    ``np.linalg.lstsq(A, b, rcond=None)``, whose minimum-norm solution
+    ``fit`` returns without lstsq's per-call wrapping (the same bits on
+    4,000 seeded fits, numpy 2.4 against scipy 1.17). The workspace is
+    queried once, for ``max_columns`` columns, which is enough for fewer.
+    A ``dgelsd`` that fails raises :class:`numpy.linalg.LinAlgError`.
+    """
+    work, iwork, _ = dgelsd_lwork(rows, max_columns, 1)
+    lwork, size_iwork = int(work), int(iwork)
+
+    def fit(A, b):
+        columns = A.shape[1]
+        if columns > rows:  # dgelsd returns the solution in b, so b needs room for it
+            b = np.concatenate((b, np.zeros(columns - rows)))
+        cond = EPS * max(rows, columns)
+        x, _, _, info = dgelsd(A, b, lwork, size_iwork, cond)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"least-squares fit did not converge (dgelsd info {info})")
+        return x[:columns]
+
+    return fit

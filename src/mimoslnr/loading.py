@@ -213,7 +213,7 @@ def optimal_x_low_snr(eta):
     ``c = 1 - sqrt(eta^2 + 4 eta) * log((eta + sqrt(eta^2 + 4 eta)) /
     (2 eta)) / 2``. At the threshold ``c = 1/2`` and the value is exactly 1.
     """
-    check_positive_finite(eta, "eta")
+    check_positive_number(eta, "eta")
     s = math.sqrt(eta * eta + 4.0 * eta)
     c = 1.0 - 0.5 * s * math.log((eta + s) / (2.0 * eta))
     disc = c * c - (1.0 - 2.0 * c) * (eta + 3.0)
@@ -230,7 +230,8 @@ def optimal_x_high_snr(eta):
     ``x_star = 1 - eta + eta * exp(1 + W((1 - eta) / (eta e)))`` with W the
     principal branch. Tends to 1 as ``eta -> 0`` and increases with ``eta``.
     """
-    if not 0.0 < eta < 1.0:
+    check_positive_number(eta, "eta")
+    if not eta < 1.0:
         raise ValueError(f"eta must lie in (0, 1), got {eta!r}")
     w = lambert_w0((1.0 - eta) / (eta * math.e))
     return 1.0 - eta + eta * math.exp(1.0 + w)

@@ -7,7 +7,7 @@ import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mimoslnr import asymptotic
+from mimoslnr import asymptotic, linalg
 from mimoslnr.asymptotic import (
     DEFAULT_TOL,
     EPS,
@@ -393,11 +393,11 @@ class TestStructuredRoutes:
             solve_exponential_fixed_point(64, 1.0 - 1e-16, np.zeros(1), 1e-30)
 
 
-# The scalar routes take their eigenvalues from LAPACK's real symmetric
-# routine; the oracle is the dense complex route they replaced, all of
-# herm_eig on matrices built user by user. Set before the comparison was
-# run: a relative 1e-12 (the largest change measured over N in {8, 16, 64,
-# 128}, four loads, three SNRs and 12 rho was 5.4e-14).
+# The scalar routes take their eigenvalues from the KMS blocks' tridiagonal
+# inverses (LAPACK's dpteqr); the oracle is the dense complex route they
+# replaced, all of herm_eig on matrices built user by user. Set before the
+# comparison was run: a relative 1e-12 (the largest change measured over N
+# in {8, 16, 64, 128}, four loads, three SNRs and 12 rho was 5.4e-14).
 EIG_ROUTE_RTOL = 1e-12
 
 
@@ -435,13 +435,91 @@ class TestRealEigenvalueRoute:
 
     @pytest.mark.parametrize("route", [gamma_exp_even, gamma_exp_common])
     def test_eigensolver_failure_is_eig_convergence_error(self, monkeypatch, route):
-        def fail(a):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        # info > n: the bidiagonal QR inside dpteqr did not converge.
+        def fail(d, e, z, **kwargs):
+            return d, e, z, d.size + 1
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        monkeypatch.setattr(linalg, "dpteqr", fail)
         with pytest.raises(EigConvergenceError, match="64x64") as excinfo:
             route(64, 48, 0.5, 0.01)
         assert isinstance(excinfo.value.__cause__, np.linalg.LinAlgError)
+        assert "dpteqr info" in str(excinfo.value.__cause__)
+
+
+# Tolerances of the structured kernels' tests, set before they were run.
+# The KMS eigenvalues against eigvalsh on the dense matrix: 1e-12 times the
+# spectral norm, since eigvalsh's own error is a few eps times the norm.
+KMS_ATOL = 1e-12
+# The dgelsd fit against np.linalg.lstsq: 1e-12 times the largest coefficient.
+FIT_RTOL = 1e-12
+
+
+def _cases_n_k():
+    for N in (1, 2, 7, 32, 64, 128):
+        for K in sorted({k for k in (1, 3, N // 3, N // 2, N - 1, N, N + 3) if k >= 1}):
+            yield N, K
+
+
+class TestStructuredKernels:
+    @pytest.mark.parametrize("N,K", list(_cases_n_k()))
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 0.9, 0.99])
+    def test_block_eigenvalues_match_dense(self, N, K, rho):
+        got = asymptotic._even_mean_eigenvalues(N, K, rho)
+        ref = np.linalg.eigvalsh(even_mean_correlation(N, K, rho))
+        assert got.shape == ref.shape
+        assert np.all(np.diff(got) >= 0.0)
+        assert np.max(np.abs(got - ref)) <= KMS_ATOL * max(1.0, ref.max())
+
+    @pytest.mark.parametrize("N", [2, 64, 256])
+    def test_kms_eigenvalues_one_ulp_below_one(self, N):
+        # The dense matrix is all but the rank-one all-ones matrix there, and
+        # eigvalsh rounds its tiny eigenvalues below zero; the tridiagonal
+        # inverse keeps every one positive and the trace at N.
+        lam = linalg._kms_eigenvalues(N, np.nextafter(1.0, 0.0))
+        assert lam.min() > 0.0
+        assert abs(lam.sum() - N) <= 1e-12 * N
+
+    def test_lag_table_is_built_once_and_read_only(self):
+        table = asymptotic._lag_table(16)
+        assert asymptotic._lag_table(16) is table
+        assert not table.flags.writeable
+        lags = np.arange(16)
+        np.testing.assert_array_equal(table, np.abs(np.subtract.outer(lags, lags)))
+
+    @pytest.mark.parametrize("rows,columns", [(48, 1), (48, 3), (48, 5), (7, 5), (3, 5), (1, 2)])
+    def test_least_squares_matches_lstsq(self, rows, columns):
+        fit = linalg._least_squares(rows, asymptotic.HISTORY)
+        gen = np.random.default_rng([rows, columns])
+        for scale in (1.0, 1e-8, 1e8):
+            A = scale * gen.standard_normal((rows, columns))
+            b = gen.standard_normal(rows)
+            ref = np.linalg.lstsq(A, b, rcond=None)[0]
+            np.testing.assert_allclose(fit(A, b), ref, rtol=0.0, atol=FIT_RTOL * np.abs(ref).max())
+
+    def test_least_squares_rank_deficient_history(self):
+        # Two equal residual differences: the minimum-norm solution splits
+        # their weight evenly, as np.linalg.lstsq does.
+        gen = np.random.default_rng(7)
+        A = gen.standard_normal((48, 4))
+        A[:, 3] = A[:, 1]
+        b = gen.standard_normal(48)
+        ref = np.linalg.lstsq(A, b, rcond=None)[0]
+        got = linalg._least_squares(48, asymptotic.HISTORY)(A, b)
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=FIT_RTOL * np.abs(ref).max())
+        assert got[1] == pytest.approx(got[3], rel=1e-12)
+
+    def test_least_squares_keeps_nearly_dependent_columns(self):
+        # Columns 1e-8 apart stay two columns under lstsq's cutoff
+        # eps * max(n, m); a looser one would drop the small singular value
+        # and return another solution. The conditioning (about 1e8) bounds
+        # the agreement between LAPACK builds, so the bar here is 1e-6.
+        gen = np.random.default_rng(8)
+        A = gen.standard_normal((48, 3))
+        A[:, 2] = A[:, 0] + 1e-8 * gen.standard_normal(48)
+        b = gen.standard_normal(48)
+        ref = np.linalg.lstsq(A, b, rcond=None)[0]
+        got = linalg._least_squares(48, asymptotic.HISTORY)(A, b)
+        np.testing.assert_allclose(got, ref, rtol=1e-6)
 
 
 def picard_oracle(R, eta, tol=1e-13, max_iter=200000):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import mimoslnr
-from mimoslnr import cli, oracles
+from mimoslnr import cli, linalg, oracles
 from mimoslnr.asymptotic import gamma_uncorrelated
 from mimoslnr.channel import (
     PROFILE_KINDS, SystemConfig, build_correlation, trial_rng, user_phases
@@ -247,10 +247,11 @@ class TestErrorPaths:
         assert "Toeplitz resolvent is not positive definite" in err
 
     def test_eigensolver_failure_in_sweep_is_numerical_failure(self, capsys, monkeypatch, tmp_path):
-        def fail(a):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        # The scalar columns' tridiagonal eigensolver reports that it did not converge.
+        def fail(d, e, z, **kwargs):
+            return d, e, z, d.size + 1
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        monkeypatch.setattr(linalg, "dpteqr", fail)
         code, _, err = run_cli(capsys, "sweep-correlation", "--n", "8", "--k", "4",
                                "--theta-draws", "1", "--out", str(tmp_path / "sweep.csv"))
         assert code == EXIT_NUMERICAL

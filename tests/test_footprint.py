@@ -1,7 +1,10 @@
 """The library's import footprint: what a fresh process loads to use it.
 
-The Cholesky routines ``zpotrf``/``zpotrs``/``zpotri`` come from scipy's
-compiled LAPACK module, ``scipy.linalg._flapack``, loaded from its file:
+The LAPACK routines the library calls (the Cholesky routines
+``zposv``/``zpotrf``/``zpotri``, the least-squares fit ``dgelsd`` with its
+workspace query ``dgelsd_lwork``, and the tridiagonal eigensolver
+``dpteqr``) come from scipy's compiled LAPACK module,
+``scipy.linalg._flapack``, loaded from its file:
 importing the ``scipy.linalg`` package for them would add about 85 scipy
 modules and 26 MiB of RSS to every process. ``scipy.optimize`` alone adds
 about 240 modules and 21 MiB more, and the library's scalar roots run on its
@@ -26,13 +29,14 @@ import json, sys
 import numpy as np
 from mimoslnr import (
     SystemConfig, gamma_common_r, gamma_exp_even, loading_constants, run_cdf_experiment,
-    run_loading_sweep, solve_exponential_fixed_point,
+    run_correlation_sweep, run_loading_sweep, solve_exponential_fixed_point,
 )
 from mimoslnr.cli import main
 
 loading_constants()
 run_loading_sweep(np.array([0.0, 10.0, 20.0]))
 gamma_exp_even(16, 8, 0.5, 0.01)
+run_correlation_sweep(16, 0.5, 10.0, np.array([0.0, 0.5]), trials_for_random_theta=1)
 gamma_common_r(np.ones(8), 8, 1e-6)
 solve_exponential_fixed_point(16, 0.5, np.linspace(0.0, 1.0, 8), 0.01)
 run_cdf_experiment(SystemConfig.make(N=8, K=4, snr_db=10.0, trials=2))
@@ -40,14 +44,16 @@ assert main(["selftest"]) == 0
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
-# scipy.linalg imported after the library finds the extension module it loaded.
-SHARED_CHILD = """
+# scipy.linalg imported after the library finds the extension module it
+# loaded: every routine the library binds is scipy's own callable.
+ROUTINES = ["zposv", "zpotrf", "zpotri", "dgelsd", "dgelsd_lwork", "dpteqr"]
+SHARED_CHILD = f"""
 import json
 from mimoslnr import linalg
 import scipy.linalg
-print(json.dumps([scipy.linalg.lapack.zpotrf is linalg.zpotrf,
-                  scipy.linalg.lapack.zpotrs is linalg.zpotrs,
-                  scipy.linalg.lapack.zpotri is linalg.zpotri]))
+names = {ROUTINES!r}
+print(json.dumps([sorted(linalg.LAPACK_ROUTINES) == sorted(names)]
+                 + [getattr(scipy.linalg.lapack, name) is getattr(linalg, name) for name in names]))
 """
 
 
@@ -78,4 +84,4 @@ def test_public_calls_load_only_the_lapack_extension(scipy_modules):
 
 
 def test_later_scipy_linalg_import_shares_the_extension():
-    assert run_child(SHARED_CHILD) == [True, True, True]
+    assert run_child(SHARED_CHILD) == [True] * (1 + len(ROUTINES))

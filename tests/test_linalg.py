@@ -217,8 +217,8 @@ class TestShiftedGramInverse:
 class TestCholeskyPair:
     def test_fast_path_binds_the_registered_extension(self):
         flapack = sys.modules["scipy.linalg._flapack"]
-        routines = (linalg.zpotrf, linalg.zpotrs, linalg.zpotri)
-        assert routines == (flapack.zpotrf, flapack.zpotrs, flapack.zpotri)
+        for name in linalg.LAPACK_ROUTINES:
+            assert getattr(linalg, name) is getattr(flapack, name), name
 
     def test_fallback_imports_scipy_linalg_lapack(self, monkeypatch):
         from scipy.linalg import lapack
@@ -230,17 +230,25 @@ class TestCholeskyPair:
             raise ImportError("no extension file")
 
         monkeypatch.setattr(linalg, "_flapack_path", missing)
-        routines = linalg._load_cholesky_routines()
+        module = linalg._load_lapack()
         assert calls == [1]
-        assert routines == (lapack.zpotrf, lapack.zpotrs, lapack.zpotri)
+        assert module is lapack
 
         H = rng.standard_normal((12, 6)) + 1j * rng.standard_normal((12, 6))
         B = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
-        fast = shifted_gram_solve(H, 0.3, B), shifted_gram_inverse(H, 0.3)
-        for name, routine in zip(("zpotrf", "zpotrs", "zpotri"), routines):
-            monkeypatch.setattr(linalg, name, routine)
-        np.testing.assert_array_equal(shifted_gram_solve(H, 0.3, B), fast[0])
-        np.testing.assert_array_equal(shifted_gram_inverse(H, 0.3), fast[1])
+        A, b = rng.standard_normal((12, 4)), rng.standard_normal(12)
+
+        def outputs():
+            return (
+                shifted_gram_solve(H, 0.3, B), *shifted_gram_inverse(H, 0.3),
+                linalg._kms_eigenvalues(9, 0.7), linalg._least_squares(12, 5)(A, b),
+            )
+
+        fast = outputs()
+        for name in linalg.LAPACK_ROUTINES:
+            monkeypatch.setattr(linalg, name, getattr(module, name))
+        for got, want in zip(outputs(), fast):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_eig_convergence_error_is_runtime_error():
@@ -259,13 +267,18 @@ class TestOneBlasThread:
         for _, set_ in found:
             set_(2)
         seen = []
-        real_zpotrf = linalg.zpotrf
 
-        def spy(*args, **kwargs):
-            seen.append(self.threads(found))
-            return real_zpotrf(*args, **kwargs)
+        # The Cholesky factorizations: shifted_gram_solve's zposv and
+        # shifted_gram_inverse's zpotrf.
+        def spy(routine):
+            def spied(*args, **kwargs):
+                seen.append(self.threads(found))
+                return routine(*args, **kwargs)
 
-        monkeypatch.setattr(linalg, "zpotrf", spy)
+            return spied
+
+        for name in ("zposv", "zpotrf"):
+            monkeypatch.setattr(linalg, name, spy(getattr(linalg, name)))
         yield found, seen
         for (_, set_), n in zip(found, saved):
             set_(n)
@@ -298,7 +311,7 @@ class TestOneBlasThread:
 
     @pytest.mark.parametrize("entry", [sinr_instantaneous, slnr_ratio])
     def test_standalone_product_on_one_thread(self, pools, entry):
-        # No zpotrf runs here: the channel records the counts when the library reads it.
+        # No factorization runs here: the channel records the counts when the library reads it.
         found, seen = pools
         H = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
 

@@ -150,19 +150,26 @@ def test_eta_array_must_not_be_bool(entry):
         entry(np.array([True, True]))
 
 
-# optimal_x_exact and brute_force_optimal_x take one eta: a one-element array
-# failed in float() with a TypeError that did not name it. A 0-d array is a
-# number and gives the float's result.
+# optimal_x_exact, brute_force_optimal_x and the two loading approximations
+# take one eta: a one-element array failed in float() with a TypeError that
+# did not name it, and a two-element one in optimal_x_high_snr's range test
+# with numpy's ambiguous-truth-value error. A 0-d array is a number and gives
+# the float's result.
+SCALAR_ETA_ENTRY_POINTS = [
+    "optimal_x_exact", "brute_force_optimal_x", "optimal_x_low_snr", "optimal_x_high_snr",
+]
+
+
 @pytest.mark.parametrize(
     "eta", [np.array([0.1]), np.array([0.1, 0.2])], ids=["1-element", "2-element"]
 )
-@pytest.mark.parametrize("entry", ["optimal_x_exact", "brute_force_optimal_x"])
+@pytest.mark.parametrize("entry", SCALAR_ETA_ENTRY_POINTS)
 def test_scalar_eta_must_be_one_number(entry, eta):
     with pytest.raises(ValueError, match="eta"):
         ETA_ENTRY_POINTS[entry](eta)
 
 
-@pytest.mark.parametrize("entry", ["optimal_x_exact", "brute_force_optimal_x"])
+@pytest.mark.parametrize("entry", SCALAR_ETA_ENTRY_POINTS)
 def test_scalar_eta_takes_a_0d_array(entry):
     assert ETA_ENTRY_POINTS[entry](np.array(0.1)) == ETA_ENTRY_POINTS[entry](0.1)
 
