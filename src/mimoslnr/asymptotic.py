@@ -39,8 +39,10 @@ Special cases reduce the system:
   orbit ``R_k = D^k R_0 D^-k`` with ``D = diag(exp(2j pi m / K))``. The
   fixed point is unique, so every ``gamma_k`` is equal, and
   :func:`gamma_exp_even` solves the scalar fixed point of
-  :func:`gamma_common_r` over the eigenvalues of the closed-form user
-  average :func:`even_mean_correlation`;
+  :func:`gamma_common_r` over the eigenvalues of the user average
+  ``(1/K) sum_k R_k``. Its closed form keeps ``rho^|m-n|`` on the lags
+  ``m - n`` that K divides and is 0 elsewhere
+  (``oracles.even_mean_correlation`` builds it as the tests' reference);
 - a phase shared by every user, ``R_k = D R D*`` with ``D`` diagonal and
   unitary, leaves the eigenvalues of ``R[m, n] = rho^|m-n|``, whatever the
   phase: :func:`gamma_exp_common`.
@@ -71,7 +73,6 @@ __all__ = [
     "solve_exponential_fixed_point",
     "gamma_uncorrelated",
     "gamma_common_r",
-    "even_mean_correlation",
     "gamma_exp_even",
     "gamma_exp_common",
 ]
@@ -238,27 +239,28 @@ def _toeplitz_inverse_sums(N):
         M^{-1} = (L(a) L(a)^H - L(b) L(b)^H) / a_0,   b = (0, conj(a_{N-1}), ..., conj(a_1)),
 
     with ``L(v)`` the lower triangular Toeplitz matrix with first column
-    ``v``. Summing along the diagonals,
+    ``v``. Summing along the diagonals, ``b``'s term is ``a``'s with weight
+    ``j``, so
 
-        s_d = sum_j (N - d - j) (a_{j+d} conj(a_j) - b_{j+d} conj(b_j)) / a_0,
+        s_d = sum_j (N - d - 2j) a_{j+d} conj(a_j) / a_0.
 
-    two correlations of length N. ``sums`` raises
-    :class:`numpy.linalg.LinAlgError` if ``M`` is not numerically positive
-    definite.
+    The weight is ``u_{j+d} + u_j`` with ``u_j = (N - 2j) / 2``, so with
+    ``c_d = sum_j u_{j+d} a_{j+d} conj(a_j)`` (``d`` from ``1 - N`` to
+    ``N - 1``), ``s_d = (c_d + conj(c_{-d})) / a_0``: one correlation of
+    length N. ``sums`` raises :class:`numpy.linalg.LinAlgError` if ``M`` is
+    not numerically positive definite.
     """
     lag_of = _lag_table(N)
-    weight = N - np.arange(N)
+    half_weight = (N - 2.0 * np.arange(N)) / 2.0
     first = np.zeros(N, dtype=complex)
     first[0] = 1.0
-    b = np.zeros(N, dtype=complex)
 
     def sums(t):
         # t[|m - n|] is M in the lower triangle, the only one the Cholesky
         # solve reads; the transpose hands it column-major memory to overwrite.
         a = _cholesky_solve(t[lag_of].T, first, "Toeplitz resolvent", overwrite_a=True)
-        np.conjugate(a[:0:-1], out=b[1:])
-        full = np.correlate(weight * a, a, "full") - np.correlate(weight * b, b, "full")
-        return full[N - 1:] / a[0].real
+        c = np.correlate(half_weight * a, a, "full")
+        return (c[N - 1:] + c[N - 1::-1].conj()) / a[0].real
 
     return sums
 
@@ -571,23 +573,8 @@ def gamma_common_r(eigenvalues, K, eta, tol=DEFAULT_TOL):
     return gamma
 
 
-def even_mean_correlation(N, K, rho):
-    """The user average ``(1/K) sum_k R_k`` of the exp-even profile, in closed form.
-
-    The phases ``theta_k = 2 pi k / K`` sum ``exp(1j d theta_k)`` over k to
-    K when K divides the lag ``d = m - n`` and to 0 otherwise, which leaves
-    the real Toeplitz matrix with entries ``rho^|d|`` on those lags and 0
-    elsewhere. Its trace is N, and it is the identity when ``K >= N``.
-    """
-    check_count(N, "N")
-    check_count(K, "K")
-    check_rho(rho)
-    d = np.abs(np.subtract.outer(np.arange(N), np.arange(N)))
-    return np.where(d % K == 0, rho ** d, 0.0)
-
-
 def _even_mean_eigenvalues(N, K, rho):
-    """Ascending eigenvalues of ``even_mean_correlation(N, K, rho)``, ``rho^|m-n|`` for K = 1.
+    """Ascending eigenvalues of the exp-even user average, ``rho^|m-n|`` for K = 1.
 
     That matrix is a direct sum of KMS blocks in ``rho^K`` (see the module
     docstring); each block size's eigenvalues are computed once and repeated
@@ -615,8 +602,8 @@ def gamma_exp_even(N, K, rho, eta, tol=DEFAULT_TOL):
 
     Every ``gamma_k`` is equal (see the module docstring), so averaging the
     system over k leaves the fixed point of :func:`gamma_common_r` over the
-    eigenvalues of :func:`even_mean_correlation`: those of at most two KMS
-    blocks of about N/K rows, in place of K dense matrices.
+    eigenvalues of the user average ``(1/K) sum_k R_k``: those of at most
+    two KMS blocks of about N/K rows, in place of K dense matrices.
     """
     return gamma_common_r(_even_mean_eigenvalues(N, K, rho), K, eta, tol=tol)
 

@@ -18,11 +18,12 @@ import importlib.util
 import math
 import os
 import sys
+import threading
 from typing import NamedTuple
 
 import numpy as np
 
-from ._blas import one_blas_thread
+from ._blas import find_new_pools, one_blas_thread
 
 __all__ = [
     "EigDecomposition",
@@ -69,8 +70,7 @@ def _load_lapack():
     neither ``scipy`` nor ``scipy.linalg`` is imported and a later
     ``import scipy.linalg`` shares it. Its routines are the callables that
     ``scipy.linalg.lapack`` exports; if the file cannot be found or loaded,
-    that module is imported instead. Called at import, before
-    ``_blas.pools()`` first reads which OpenBLAS libraries are mapped.
+    that module is imported instead.
     """
     try:
         spec = importlib.util.spec_from_file_location(_FLAPACK, _flapack_path())
@@ -87,11 +87,39 @@ def _load_lapack():
 # inverse, the least-squares fit of Anderson acceleration and its workspace
 # query, and the eigenvalues of a positive definite tridiagonal matrix.
 LAPACK_ROUTINES = ("zposv", "zpotrf", "zpotri", "dgelsd", "dgelsd_lwork", "dpteqr")
-_lapack = _load_lapack()
-zposv, zpotrf, zpotri, dgelsd, dgelsd_lwork, dpteqr = (
-    getattr(_lapack, name) for name in LAPACK_ROUTINES
-)
-del _lapack
+_lapack_lock = threading.Lock()
+_lapack_bound = False
+
+
+def _bind_lapack():
+    """Bind :data:`LAPACK_ROUTINES` as globals of this module, once, at the first LAPACK call.
+
+    Every function here that calls one of them calls this first, and reading
+    ``linalg.<routine>`` from outside binds them too (:func:`__getattr__`),
+    so a process that never calls LAPACK never loads ``_flapack`` or the
+    OpenBLAS it maps. An ``_flapack`` already registered, by an earlier
+    ``import scipy.linalg``, is reused; otherwise :func:`_load_lapack`
+    loads it. The OpenBLAS pool that the load maps joins the others in
+    ``_blas``, on one thread at once if the load ran inside a
+    ``one_blas_thread`` call, so the first call rounds as every later one.
+    """
+    global _lapack_bound
+    if _lapack_bound:
+        return
+    with _lapack_lock:
+        if not _lapack_bound:
+            lapack = sys.modules.get(_FLAPACK) or _load_lapack()
+            globals().update((name, getattr(lapack, name)) for name in LAPACK_ROUTINES)
+            find_new_pools()
+            _lapack_bound = True
+
+
+def __getattr__(name):
+    """``linalg.<routine>`` for a name in :data:`LAPACK_ROUTINES`, bound on first read."""
+    if name in LAPACK_ROUTINES:
+        _bind_lapack()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class NotHermitianError(ValueError):
@@ -313,13 +341,14 @@ def _gram(H):
 def _cholesky(A, what):
     """The lower Cholesky factor of the column-major ``A``, in place, by LAPACK's ``zpotrf``.
 
-    ``zpotrf`` and the other routines bound at import come from scipy's
-    compiled ``_flapack`` module (see :func:`_load_lapack`; no scipy Python
-    package is imported). It reads only the lower triangle of ``A``, which
-    must be Hermitian positive definite, and zeroes the upper one. If the
-    factorization fails, :class:`numpy.linalg.LinAlgError` names ``A`` as
-    ``what``.
+    ``zpotrf`` and the other routines, bound at the first LAPACK call, come
+    from scipy's compiled ``_flapack`` module (see :func:`_bind_lapack`; no
+    scipy Python package is imported). It reads only the lower triangle of
+    ``A``, which must be Hermitian positive definite, and zeroes the upper
+    one. If the factorization fails, :class:`numpy.linalg.LinAlgError`
+    names ``A`` as ``what``.
     """
+    _bind_lapack()
     chol, info = zpotrf(A, lower=1, clean=1, overwrite_a=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"{what} is not positive definite (zpotrf info {info})")
@@ -335,6 +364,7 @@ def _cholesky_solve(A, B, what, overwrite_a=False):
     place. ``B`` keeps its shape, a vector included. If the factorization
     fails, :class:`numpy.linalg.LinAlgError` names ``A`` as ``what``.
     """
+    _bind_lapack()
     _, X, info = zposv(A, B, lower=1, overwrite_a=int(overwrite_a))
     if info != 0:
         raise np.linalg.LinAlgError(f"{what} is not positive definite (zposv info {info})")
@@ -359,6 +389,7 @@ def _kms_eigenvalues(n, r):
     N = 64 and r = 0.999999, against 1.6e-13). If ``dpteqr`` fails,
     :class:`numpy.linalg.LinAlgError` names its ``info``.
     """
+    _bind_lapack()
     c2 = (1.0 - r) * (1.0 + r)
     d = np.full(n, 1.0 + r * r)
     d[0] = c2
@@ -385,6 +416,7 @@ def _least_squares(rows, max_columns):
     queried once, for ``max_columns`` columns, which is enough for fewer.
     A ``dgelsd`` that fails raises :class:`numpy.linalg.LinAlgError`.
     """
+    _bind_lapack()
     work, iwork, _ = dgelsd_lwork(rows, max_columns, 1)
     lwork, size_iwork = int(work), int(iwork)
 

@@ -21,8 +21,8 @@ from .asymptotic import (
     DEFAULT_TOL, _anderson, _brent_rtol, gamma_common_r, gamma_uncorrelated,
 )
 from .channel import (
-    SystemConfig, build_correlation, check_positive_finite, check_positive_number,
-    eta_from_snr_db, user_phases,
+    SystemConfig, build_correlation, check_count, check_positive_finite, check_positive_number,
+    check_rho, eta_from_snr_db, user_phases,
 )
 from .linalg import psd_sqrt, shifted_gram_solve
 from .loading import dfdx, eta_threshold, lambert_w0, optimal_x_exact
@@ -31,7 +31,7 @@ from .precoding import _as_channel, _power_sq, _sinr, compute_metrics
 __all__ = [
     "BoundCheck", "SELFTEST_CHECKS", "solve_fixed_point", "slnr_leave_one_out", "rzf_precode",
     "power_control", "sinr_instantaneous", "slnr_ratio", "check_common_r_bound",
-    "brute_force_optimal_x",
+    "even_mean_correlation", "brute_force_optimal_x",
 ]
 
 # The brute-force oracle's grid on [BRUTE_LO, BRUTE_HI] with spacing
@@ -187,6 +187,23 @@ def check_common_r_bound(eigenvalues, K, eta):
     bound = gamma_uncorrelated(lam.size / K, eta)
     slack = 1e-10 + DEFAULT_TOL + _brent_rtol(DEFAULT_TOL) * gamma
     return BoundCheck(gamma=gamma, bound=bound, holds=bool(gamma <= bound + slack))
+
+
+def even_mean_correlation(N, K, rho):
+    """The user average ``(1/K) sum_k R_k`` of the exp-even profile, as a dense N x N matrix.
+
+    The phases ``theta_k = 2 pi k / K`` sum ``exp(1j d theta_k)`` over k to
+    K when K divides the lag ``d = m - n`` and to 0 otherwise, which leaves
+    the real Toeplitz matrix with entries ``rho^|d|`` on those lags and 0
+    elsewhere. Its trace is N, and it is the identity when ``K >= N``.
+    ``asymptotic.gamma_exp_even`` takes its eigenvalues from KMS blocks
+    without forming it.
+    """
+    check_count(N, "N")
+    check_count(K, "K")
+    check_rho(rho)
+    d = np.abs(np.subtract.outer(np.arange(N), np.arange(N)))
+    return np.where(d % K == 0, rho ** d, 0.0)
 
 
 def _grid_objective(eta):

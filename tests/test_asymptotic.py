@@ -14,7 +14,6 @@ from mimoslnr.asymptotic import (
     FixedPointError,
     _brentq,
     _toeplitz_inverse_sums,
-    even_mean_correlation,
     gamma_common_r,
     gamma_exp_common,
     gamma_exp_even,
@@ -25,7 +24,7 @@ from mimoslnr.channel import (
     SystemConfig, build_correlation, sample_channel, trial_rng, user_phases
 )
 from mimoslnr.linalg import EigConvergenceError, herm_eig
-from mimoslnr.oracles import check_common_r_bound, solve_fixed_point
+from mimoslnr.oracles import check_common_r_bound, even_mean_correlation, solve_fixed_point
 from mimoslnr.precoding import compute_metrics
 
 rng = np.random.default_rng(99)

@@ -4,10 +4,11 @@ The LAPACK routines the library calls (the Cholesky routines
 ``zposv``/``zpotrf``/``zpotri``, the least-squares fit ``dgelsd`` with its
 workspace query ``dgelsd_lwork``, and the tridiagonal eigensolver
 ``dpteqr``) come from scipy's compiled LAPACK module,
-``scipy.linalg._flapack``, loaded from its file:
-importing the ``scipy.linalg`` package for them would add about 85 scipy
-modules and 26 MiB of RSS to every process. ``scipy.optimize`` alone adds
-about 240 modules and 21 MiB more, and the library's scalar roots run on its
+``scipy.linalg._flapack``, loaded from its file at the first call that
+needs one (the optimal-loading path never does): importing the
+``scipy.linalg`` package for them would add about 85 scipy modules and
+26 MiB of RSS to every process. ``scipy.optimize`` alone adds about 240
+modules and 21 MiB more, and the library's scalar roots run on its
 own Brent port instead. A future use of either package (say
 ``newton_krylov`` as a fallback solver) has to import it lazily, on the path
 that needs it, or these tests fail. The child also runs ``mimoslnr
@@ -44,16 +45,47 @@ assert main(["selftest"]) == 0
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
-# scipy.linalg imported after the library finds the extension module it
-# loaded: every routine the library binds is scipy's own callable.
+# Every routine the library binds is scipy's own callable, whichever of the
+# two loads the extension module first: a later scipy.linalg import finds
+# the one the library loaded, and a library that loads LAPACK after
+# scipy.linalg (LAPACK loads at its first use) reuses scipy's.
 ROUTINES = ["zposv", "zpotrf", "zpotri", "dgelsd", "dgelsd_lwork", "dpteqr"]
 SHARED_CHILD = f"""
 import json
 from mimoslnr import linalg
+if LIBRARY_FIRST:
+    linalg._bind_lapack()
 import scipy.linalg
 names = {ROUTINES!r}
 print(json.dumps([sorted(linalg.LAPACK_ROUTINES) == sorted(names)]
                  + [getattr(scipy.linalg.lapack, name) is getattr(linalg, name) for name in names]))
+"""
+
+# The optimal loading versus SNR is scalar work: a process that computes it
+# loads no LAPACK, so neither the extension module nor scipy's OpenBLAS
+# (a library in scipy's own directories, unlike numpy's copy). The first
+# call that needs LAPACK loads the module.
+LOADING_CHILD = """
+import json, os, sys
+import numpy as np
+from mimoslnr import compute_metrics, loading_constants, optimal_x_exact, run_loading_sweep
+from mimoslnr.cli import main
+
+def scipy_openblas():
+    if not os.path.exists("/proc/self/maps"):
+        return None
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = {line.split()[-1] for line in fh}
+    return sorted(p for p in paths if "openblas" in os.path.basename(p)
+                  and os.path.basename(os.path.dirname(p)).split(".")[0] == "scipy")
+
+loading_constants()
+run_loading_sweep(np.array([0.0, 10.0, 20.0]))
+optimal_x_exact(0.1)
+assert main(["loading", "--snr-db", "10"]) == 0
+before = ["scipy.linalg._flapack" in sys.modules, scipy_openblas()]
+compute_metrics(np.eye(4, 2, dtype=complex), 0.1)
+print(json.dumps(before + ["scipy.linalg._flapack" in sys.modules]))
 """
 
 
@@ -84,4 +116,19 @@ def test_public_calls_load_only_the_lapack_extension(scipy_modules):
 
 
 def test_later_scipy_linalg_import_shares_the_extension():
-    assert run_child(SHARED_CHILD) == [True] * (1 + len(ROUTINES))
+    code = SHARED_CHILD.replace("LIBRARY_FIRST", "True")
+    assert run_child(code) == [True] * (1 + len(ROUTINES))
+
+
+def test_lapack_loaded_after_scipy_linalg_reuses_its_extension():
+    code = SHARED_CHILD.replace("LIBRARY_FIRST", "False")
+    assert run_child(code) == [True] * (1 + len(ROUTINES))
+
+
+def test_optimal_loading_path_loads_no_lapack():
+    flapack_before, scipy_openblas, flapack_after = run_child(LOADING_CHILD)
+    assert not flapack_before
+    assert flapack_after
+    if scipy_openblas is None:
+        pytest.skip("no /proc/self/maps to read the mapped libraries from")
+    assert scipy_openblas == []

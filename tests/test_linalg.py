@@ -1,10 +1,13 @@
+import json
 import os
+import subprocess
 import sys
 import threading
 
 import numpy as np
 import pytest
 
+import mimoslnr
 from mimoslnr import _blas, linalg
 from mimoslnr.channel import SystemConfig
 from mimoslnr.experiments import run_cdf_experiment
@@ -216,6 +219,7 @@ class TestShiftedGramInverse:
 
 class TestCholeskyPair:
     def test_fast_path_binds_the_registered_extension(self):
+        linalg._bind_lapack()  # LAPACK loads at its first use; make sure it has
         flapack = sys.modules["scipy.linalg._flapack"]
         for name in linalg.LAPACK_ROUTINES:
             assert getattr(linalg, name) is getattr(flapack, name), name
@@ -260,6 +264,7 @@ class TestOneBlasThread:
 
     @pytest.fixture
     def pools(self, monkeypatch):
+        linalg._bind_lapack()  # so the list holds scipy's pool, which the load maps
         found = _blas.pools()
         if not found:
             pytest.skip("no OpenBLAS loaded")
@@ -362,3 +367,70 @@ class TestOneBlasThread:
         assert errors == []
         assert seen == [[1] * len(found)] * (workers * calls)
         assert self.threads(found) == [2] * len(found)
+
+
+# A fresh process whose first LAPACK call is raced by more threads than
+# cores: every one of them must find the pool that the load maps on one thread.
+FIRST_CALL_CHILD = """
+import json, sys, threading, types
+import numpy as np
+from mimoslnr import _blas, linalg
+from mimoslnr.linalg import shifted_gram_solve
+
+loads, seen = [], []
+load = linalg._load_lapack
+
+def spied_load():
+    module = load()
+    loads.append(module)
+
+    def zposv(*args, **kwargs):
+        seen.append([get() for get, _ in _blas.pools()])
+        return module.zposv(*args, **kwargs)
+
+    return types.SimpleNamespace(**dict(
+        {name: getattr(module, name) for name in linalg.LAPACK_ROUTINES}, zposv=zposv))
+
+linalg._load_lapack = spied_load
+H = np.random.default_rng(0).standard_normal((16, 8)) * (1 + 1j)
+barrier = threading.Barrier(WORKERS)
+errors = []
+
+def work():
+    try:
+        barrier.wait(timeout=10)
+        shifted_gram_solve(H, 1.0, H)
+    except Exception as exc:
+        errors.append(repr(exc))
+
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=work) for _ in range(WORKERS)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+print(json.dumps({
+    "alive": sum(t.is_alive() for t in threads), "errors": errors, "loads": len(loads),
+    "seen": seen, "after": [get() for get, _ in _blas.pools()],
+}))
+"""
+
+
+def test_first_lapack_call_runs_on_one_thread():
+    # Loading LAPACK maps scipy's OpenBLAS inside the first decorated call; a
+    # pool left at its own count there would round that call differently.
+    workers = (os.cpu_count() or 1) + 2
+    src = os.path.dirname(os.path.dirname(mimoslnr.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", FIRST_CALL_CHILD.replace("WORKERS", str(workers))],
+        env=env, check=True, capture_output=True, text=True, timeout=120,
+    )
+    out = json.loads(proc.stdout.splitlines()[-1])
+    if not out["after"]:
+        pytest.skip("no OpenBLAS loaded")
+    assert out["alive"] == 0 and out["errors"] == []
+    assert out["loads"] == 1
+    assert out["seen"] == [[1] * len(out["after"])] * workers
+    assert out["after"] == [2] * len(out["after"])

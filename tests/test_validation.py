@@ -17,7 +17,6 @@ import pytest
 
 from mimoslnr import experiments
 from mimoslnr.asymptotic import (
-    even_mean_correlation,
     gamma_common_r,
     gamma_exp_common,
     gamma_exp_even,
@@ -35,7 +34,9 @@ from mimoslnr.loading import (
     optimal_x_high_snr,
     optimal_x_low_snr,
 )
-from mimoslnr.oracles import brute_force_optimal_x, slnr_leave_one_out, solve_fixed_point
+from mimoslnr.oracles import (
+    brute_force_optimal_x, even_mean_correlation, slnr_leave_one_out, solve_fixed_point
+)
 from mimoslnr.precoding import compute_metrics
 
 H = np.array([[1.0, 0.5j], [0.2, 1.0], [0.0, 0.3]])
