@@ -27,7 +27,7 @@ Special cases reduce the system:
   :func:`gamma_uncorrelated`;
 - a correlation matrix shared by all users reduces to a scalar fixed point
   over its eigenvalues (:func:`gamma_common_r`), whose value never exceeds
-  the uncorrelated one;
+  the uncorrelated one, the start of its safeguarded Newton search;
 - the exponential model ``R_k[m, n] = rho^|m-n| exp(1j (m-n) theta_k)``
   makes ``sum_j R_j / (1 + gamma_j)`` a Hermitian Toeplitz matrix set by N
   lags, so :func:`solve_exponential_fixed_point` solves the system on those
@@ -60,6 +60,7 @@ only on the lags ``d`` that K divides, so grouping the indices by
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,8 +79,8 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-12
-# Cap on step evaluations of the vector solvers and on Brent iterations of
-# the scalar one; read at call time.
+# Cap on step evaluations of the vector solvers and on evaluations of the
+# scalar map's excess; read at call time.
 DEFAULT_MAX_ITER = 10000
 # Anderson acceleration extrapolates from this many past steps.
 HISTORY = 5
@@ -89,6 +90,8 @@ HISTORY = 5
 STALL = 5
 EPS = float(np.finfo(float).eps)
 FLOOR = math.sqrt(EPS)
+# A scalar root search's rounding floor, in eps times the magnitude of its terms.
+_FLOOR_ULPS = 4.0
 
 
 class FixedPointError(RuntimeError):
@@ -434,82 +437,53 @@ def gamma_uncorrelated(x, eta):
     return out
 
 
-def _brent_rtol(tol):
-    """Relative tolerance of :func:`gamma_common_r`'s root search."""
-    return max(tol, 4.0 * EPS)
+class _Root(NamedTuple):
+    """A root with its certificate, the bracket ``lo <= root <= hi`` (see :func:`_newton_root`)."""
+
+    root: float
+    lo: float
+    hi: float
+    evaluations: int
 
 
-def _brentq(f, a, b, xtol, rtol, maxiter):
-    """Root of ``f`` in the sign bracket ``[a, b]`` by Brent's method.
+def _newton_root(fdf, lo, hi, x, xtol, rtol, max_iter):
+    """Root of ``f`` in ``[lo, hi]``, where ``f(lo) > 0 > f(hi)``, by safeguarded Newton from ``x``.
 
-    Returns ``(root, iterations, converged)``. A step-for-step port, in
-    Python floats, of ``brentq`` in scipy's ``scipy/optimize/Zeros/brentq.c``
-    (BSD-3-Clause, copyright the SciPy developers), after R. P. Brent,
-    *Algorithms for Minimization Without Derivatives* (1973), ch. 4. The
-    operations and their order are scipy's, so the iterates, the root and
-    the iteration count are bit for bit those of
-    ``scipy.optimize.brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)``.
-    The search stops once the bracket half-width is below
-    ``(xtol + rtol * |root|) / 2`` or ``f`` is exactly 0; after ``maxiter``
-    iterations it returns the last iterate with ``converged`` False. A NaN
-    value of ``f``, or ends of the same sign, raise ``ValueError``.
+    ``fdf(x)`` returns ``f(x)``, ``f'(x)`` and the summed magnitude of the
+    terms of ``f(x)``, which times ``_FLOOR_ULPS * eps`` is its rounding
+    floor. Each evaluation moves the bracket end on its side; the next point
+    is the Newton point if inside the bracket, else the midpoint. Newton
+    from one side of a concave root never crosses it, so a Newton step
+    shorter than half the tolerance ``xtol + rtol * |x|`` is followed by a
+    point that far beyond the Newton point, to close the bracket around it.
+    Returns a point of a bracket within the tolerance of it, or, as its own
+    bracket, a point where ``f`` is within its rounding floor. Raises
+    :class:`FixedPointError` after ``max_iter`` evaluations or at a
+    non-finite ``f``.
     """
-    if maxiter < 0:
-        raise ValueError("maxiter must be >= 0")
-
-    def value(x):
-        fx = f(x)
-        if fx != fx:
-            raise ValueError(f"the function value at x={x!r} is NaN; the root search stops")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre, 0, True
-    if fcur == 0.0:
-        return xcur, 0, True
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for it in range(1, maxiter + 1):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur, it, True
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:
-                    # Secant (linear interpolation).
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:
-                    # Inverse quadratic extrapolation.
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                # Where Python raises, C's division gives inf or NaN, which
-                # the step test below rejects in favour of bisection.
-                stry = math.inf
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = value(xcur)
-    return xcur, maxiter, False
+    estimate = x
+    for evaluations in range(1, max_iter + 1):
+        f, df, scale = fdf(x)
+        if not math.isfinite(f):
+            raise FixedPointError(f"scalar root search met {f} at {x!r}", f, evaluations)
+        if abs(f) <= _FLOOR_ULPS * EPS * scale:
+            return _Root(x, x, x, evaluations)
+        lo, hi = (x, hi) if f > 0.0 else (lo, x)
+        estimate = min(max(estimate, lo), hi)
+        if hi - lo <= xtol + rtol * abs(estimate):
+            return _Root(estimate, lo, hi, evaluations)
+        step = -f / df if df else math.inf
+        estimate = x = x + step
+        half = 0.5 * (xtol + rtol * abs(estimate))
+        beyond = estimate + math.copysign(half, step)
+        if abs(step) <= half and lo < beyond < hi:
+            x = beyond
+        elif not (lo < estimate < hi and abs(step) > half):
+            estimate = x = 0.5 * (lo + hi)
+    raise FixedPointError(
+        f"scalar fixed point did not converge within {max_iter} iterations "
+        f"(bracket [{lo!r}, {hi!r}])", hi - lo, max_iter,
+    )
 
 
 def gamma_common_r(eigenvalues, K, eta, tol=DEFAULT_TOL):
@@ -520,14 +494,16 @@ def gamma_common_r(eigenvalues, K, eta, tol=DEFAULT_TOL):
 
         gamma = T(gamma) = sum_n 1 / (K/(1+gamma) + K*eta/lam_n).
 
-    ``T`` is increasing, ``T(0) > 0`` and ``T(gamma) < sum_n lam_n / (K eta)``,
-    so ``[0, sum_n lam_n / (K eta)]`` brackets the one root of
-    ``T(gamma) - gamma``. Brent's method (:func:`_brentq`, the library's
-    port of scipy's ``brentq``) finds it within
-    ``tol + max(tol, 4 eps) * gamma``, on either side, in a few dozen
-    evaluations, also at full load and high SNR, where the contraction
-    factor of ``T`` tends to 1 and plain iteration of the map stalls.
-    ``DEFAULT_MAX_ITER`` caps Brent's iterations.
+    Each summand ``lam u / (K (lam + eta u))`` is increasing and concave in
+    ``u = 1 + gamma`` and concave in ``lam``. So ``T(gamma) - gamma`` is
+    concave, positive at 0 and negative beyond its one root, and by
+    Jensen's inequality the root is at most ``gamma_uncorrelated(N/K, eta)``.
+    Safeguarded Newton (:func:`_newton_root`) starts at that upper bound in
+    the sign bracket ``[0, sum_n lam_n / (K eta)]``. The value it returns
+    is certified within ``tol + max(tol, 4 eps) * gamma`` of the root by a
+    sign bracket that wide, or is a point where ``T(gamma) - gamma`` is
+    within its rounding floor (as at very low SNR), which no evaluation can
+    resolve further. ``DEFAULT_MAX_ITER`` caps the evaluations.
     Zero eigenvalues contribute zero to the sum (the continuous limit of
     the summand), so rank-deficient inputs do not crash.
     """
@@ -540,45 +516,51 @@ def gamma_common_r(eigenvalues, K, eta, tol=DEFAULT_TOL):
     total = float(np.sum(lam))
     if abs(total - N) > 1e-6 * N:
         raise ValueError(f"eigenvalues must sum to N={N} (trace normalization), got {total!r}")
+    return _scalar_fixed_point(lam, np.ones(N), K, eta, tol).root
+
+
+def _scalar_fixed_point(values, counts, K, eta, tol):
+    """:func:`gamma_common_r`'s :class:`_Root` over checked ``values``, counted ``counts`` times."""
     check_count(K, "K")
     check_positive_finite(eta, "eta")
     check_positive_finite(tol, "tol")
-
-    hi = total / (K * eta)
+    hi = float(counts @ values) / (K * eta)
     if not math.isfinite(hi):
         raise FixedPointError(
             f"scalar fixed point overflows: its bracket end sum(eigenvalues)/(K eta) is {hi}",
-            residual=math.inf,
-            iterations=0,
+            math.inf, 0,
         )
+    start = min(gamma_uncorrelated(float(counts.sum()) / K, float(eta)), hi)
+    excess = _scalar_excess(values, counts, K, eta)
+    return _newton_root(excess, 0.0, hi, start, tol, max(tol, 4.0 * EPS), DEFAULT_MAX_ITER)
+
+
+def _scalar_excess(values, counts, K, eta):
+    """``gamma -> (T(gamma) - gamma, T'(gamma) - 1, its terms' magnitude)``, for the root search."""
+    load = float(counts.sum()) / K - 1.0
 
     def excess(gamma):
-        # T(gamma) - gamma, written with u = 1 + gamma as
-        # 1 + u (N/K - 1) - (u/K) sum_n eta u / (lam_n + eta u): at full load
-        # T(gamma) and gamma agree to the slope 1 - T' of the map, so their
-        # difference would lose the root to rounding at high SNR.
+        # With u = 1 + gamma, s = eta u and q = s / (lam + s), the excess is
+        # 1 + u (N/K - 1) - (u/K) sum q: at full load T(gamma) - gamma would
+        # lose the root to rounding at high SNR, where T' tends to 1. Nor does
+        # the slope (N/K - 1) - sum q (2 - q) / K cancel.
         u = 1.0 + gamma
         s = eta * u
-        return 1.0 + u * (N / K - 1.0) - (u / K) * float((s / (lam + s)).sum())
+        q = s / (values + s)
+        spread = u * load
+        drop = (u / K) * float(counts @ q)
+        slope = load - float(counts @ (q * (2.0 - q))) / K
+        return 1.0 + spread - drop, slope, 1.0 + abs(spread) + drop
 
-    max_iter = DEFAULT_MAX_ITER
-    gamma, iterations, converged = _brentq(excess, 0.0, hi, tol, _brent_rtol(tol), max_iter)
-    if not converged:
-        raise FixedPointError(
-            f"scalar fixed point did not converge within {max_iter} iterations "
-            f"(tol {tol:.1e})",
-            residual=abs(excess(gamma)),
-            iterations=iterations,
-        )
-    return gamma
+    return excess
 
 
 def _even_mean_eigenvalues(N, K, rho):
-    """Ascending eigenvalues of the exp-even user average, ``rho^|m-n|`` for K = 1.
+    """``(values, counts)``: the eigenvalues of the exp-even user average (``rho^|m-n|`` for K = 1).
 
     That matrix is a direct sum of KMS blocks in ``rho^K`` (see the module
-    docstring); each block size's eigenvalues are computed once and repeated
-    once per block. A solver that does not converge raises
+    docstring): each block size's eigenvalues come once, counted once per
+    block. A solver that does not converge raises
     :class:`EigConvergenceError` naming N.
     """
     check_count(N, "N")
@@ -586,17 +568,22 @@ def _even_mean_eigenvalues(N, K, rho):
     rho = check_rho(rho)
     size, longer = divmod(N, K)
     r = rho ** K
-    blocks = ((size + 1, longer), (size, K - longer))
+    blocks = [(n, count) for n, count in ((size + 1, longer), (size, K - longer)) if n and count]
     try:
-        parts = [np.tile(_kms_eigenvalues(n, r), count) for n, count in blocks if n and count]
+        values = np.concatenate([_kms_eigenvalues(n, r) for n, _ in blocks])
     except np.linalg.LinAlgError as exc:
         raise EigConvergenceError(
             f"eigenvalues did not converge for a {N}x{N} real symmetric Toeplitz matrix"
         ) from exc
-    return np.sort(np.concatenate(parts))
+    return values, np.concatenate([np.full(n, float(count)) for n, count in blocks])
 
 
 @one_blas_thread
+def _exp_root(N, K, rho, eta, tol, period):
+    """:func:`_scalar_fixed_point` of K users over ``_even_mean_eigenvalues(N, period, rho)``."""
+    return _scalar_fixed_point(*_even_mean_eigenvalues(N, period, rho), K, eta, tol)
+
+
 def gamma_exp_even(N, K, rho, eta, tol=DEFAULT_TOL):
     """Deterministic SLNR shared by every user of the exp-even profile.
 
@@ -605,10 +592,9 @@ def gamma_exp_even(N, K, rho, eta, tol=DEFAULT_TOL):
     eigenvalues of the user average ``(1/K) sum_k R_k``: those of at most
     two KMS blocks of about N/K rows, in place of K dense matrices.
     """
-    return gamma_common_r(_even_mean_eigenvalues(N, K, rho), K, eta, tol=tol)
+    return _exp_root(N, K, rho, eta, tol, K).root
 
 
-@one_blas_thread
 def gamma_exp_common(N, K, rho, eta, tol=DEFAULT_TOL):
     """Deterministic SLNR shared by K users with one exponential correlation.
 
@@ -618,4 +604,4 @@ def gamma_exp_common(N, K, rho, eta, tol=DEFAULT_TOL):
     ``R_0[m, n] = rho^|m-n|`` for every ``theta``, and the value is the
     fixed point of :func:`gamma_common_r` over them.
     """
-    return gamma_common_r(_even_mean_eigenvalues(N, 1, rho), K, eta, tol=tol)
+    return _exp_root(N, K, rho, eta, tol, 1).root

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .asymptotic import DEFAULT_TOL, FixedPointError, solve_exponential_fixed_point
+from .asymptotic import DEFAULT_TOL, FixedPointError, _exp_root, solve_exponential_fixed_point
 from .channel import (
     PROFILE_KINDS, SystemConfig, check_count, check_positive_finite, sample_channel, trial_rng,
     user_phases,
@@ -168,16 +168,26 @@ def _rate(value, units):
 
 
 def _cmd_asymptotic(resolved, config):
-    # Every profile kind is an exponential profile: identity is rho = 0.
-    rho = 0.0 if config.kind == "identity" else config.rho
-    theta = user_phases(config, trial_rng(config.seed, 0))
-    solution = solve_exponential_fixed_point(config.N, rho, theta, config.eta, tol=resolved["tol"])
-    print(
-        f"# converged in {solution.iterations} iterations, residual {solution.residual:.3e}, "
-        f"contraction {solution.contraction:.6f}, error bound {solution.error_bound:.3e}"
-    )
+    tol = resolved["tol"]
+    if config.kind in ("exp-even", "exp-common"):
+        # One value for every user: the scalar fixed point, in its certificate.
+        period = config.K if config.kind == "exp-even" else 1
+        root = _exp_root(config.N, config.K, config.rho, config.eta, tol, period)
+        print(f"# scalar fixed point in {root.evaluations} evaluations, "
+              f"root in [{root.lo!r}, {root.hi!r}]")
+        gammas = [root.root] * config.K
+    else:
+        # identity is the exponential profile at rho = 0.
+        rho = 0.0 if config.kind == "identity" else config.rho
+        theta = user_phases(config, trial_rng(config.seed, 0))
+        solution = solve_exponential_fixed_point(config.N, rho, theta, config.eta, tol=tol)
+        print(
+            f"# converged in {solution.iterations} iterations, residual {solution.residual:.3e}, "
+            f"contraction {solution.contraction:.6f}, error bound {solution.error_bound:.3e}"
+        )
+        gammas = solution.gamma
     print("user,gamma")
-    for k, g in enumerate(solution.gamma):
+    for k, g in enumerate(gammas):
         print(f"{k},{g:.6f}")
     return EXIT_OK
 

@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .asymptotic import _brentq, gamma_uncorrelated
+from .asymptotic import EPS, _newton_root, gamma_uncorrelated
 from .channel import check_positive_finite, check_positive_number
 
 __all__ = [
@@ -148,18 +148,21 @@ def _dfdx_float(x, eta):
 def eta_threshold():
     """Inverse-SNR threshold below which the optimal loading ratio exceeds 1.
 
-    Root of ``sqrt(eta^2 + 4 eta) * log((eta + sqrt(eta^2 + 4 eta)) /
-    (2 eta)) - 1 = 0``, i.e. the ``eta`` at which df/dx vanishes at
-    ``x = 1``. Solved at first use rather than hard-coded, by the library's
-    Brent root finder (:func:`mimoslnr.asymptotic._brentq`, a bit-for-bit
-    port of scipy's ``brentq``) with scipy's default cap of 100 iterations.
+    Root of ``g(eta) = s log((eta + s) / (2 eta)) - 1``, ``s = sqrt(eta^2 + 4 eta)``:
+    the ``eta`` at which df/dx vanishes at ``x = 1``. Solved at first use by
+    safeguarded Newton (:func:`mimoslnr.asymptotic._newton_root`, at most 100
+    evaluations) from the middle of the sign bracket ``[0.05, 1]``, with
+    ``g' = (eta + 2) log((eta + s) / (2 eta)) / s - 2 / (eta + s)``, to within
+    ``1e-14 + 4 eps * eta`` or where ``g`` is within its rounding floor.
     """
+    return _newton_root(_threshold_fdf, 0.05, 1.0, 0.525, 1e-14, 4.0 * EPS, 100).root
 
-    def g(eta):
-        s = math.sqrt(eta * eta + 4.0 * eta)
-        return s * math.log((eta + s) / (2.0 * eta)) - 1.0
 
-    return _brentq(g, 0.05, 1.0, 1e-14, 8.9e-16, 100)[0]
+def _threshold_fdf(eta):
+    """``(-g, -g', magnitude of g's terms)``: the function :func:`eta_threshold` solves, falling."""
+    s = math.sqrt(eta * eta + 4.0 * eta)
+    log = math.log((eta + s) / (2.0 * eta))
+    return 1.0 - s * log, 2.0 / (eta + s) - (eta + 2.0) * log / s, 1.0 + s * log
 
 
 def optimal_x_exact(eta, tol=LOADING_TOL):

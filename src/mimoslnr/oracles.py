@@ -18,7 +18,7 @@ import numpy as np
 from . import asymptotic
 from ._blas import one_blas_thread
 from .asymptotic import (
-    DEFAULT_TOL, _anderson, _brent_rtol, gamma_common_r, gamma_uncorrelated,
+    DEFAULT_TOL, EPS, _anderson, gamma_common_r, gamma_uncorrelated,
 )
 from .channel import (
     SystemConfig, build_correlation, check_count, check_positive_finite, check_positive_number,
@@ -179,13 +179,13 @@ def check_common_r_bound(eigenvalues, K, eta):
     The uncorrelated closed form upper-bounds the shared-R fixed point for
     any trace-normalized eigenvalue profile, with equality exactly when all
     eigenvalues are 1. The verdict allows for rounding (``1e-10``) and for
-    the distance from the root at which :func:`gamma_common_r`, run at
-    ``DEFAULT_TOL``, may stop.
+    the width of the bracket in which :func:`gamma_common_r`, run at
+    ``DEFAULT_TOL``, may stop around the root.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     gamma = gamma_common_r(lam, K, eta)
     bound = gamma_uncorrelated(lam.size / K, eta)
-    slack = 1e-10 + DEFAULT_TOL + _brent_rtol(DEFAULT_TOL) * gamma
+    slack = 1e-10 + DEFAULT_TOL + max(DEFAULT_TOL, 4.0 * EPS) * gamma
     return BoundCheck(gamma=gamma, bound=bound, holds=bool(gamma <= bound + slack))
 
 

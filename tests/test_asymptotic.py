@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimoslnr import asymptotic, linalg
@@ -12,7 +12,10 @@ from mimoslnr.asymptotic import (
     DEFAULT_TOL,
     EPS,
     FixedPointError,
-    _brentq,
+    _FLOOR_ULPS,
+    _exp_root,
+    _scalar_excess,
+    _scalar_fixed_point,
     _toeplitz_inverse_sums,
     gamma_common_r,
     gamma_exp_common,
@@ -203,100 +206,57 @@ class TestGammaCommonR:
             gamma_common_r(np.array([1.0, 1.5]), K=2, eta=0.1)  # trace off
 
 
-def scipy_brentq(f, a, b, xtol, rtol, maxiter):
-    """``(root, iterations, converged)`` from scipy, the reference of the port."""
-    root, info = scipy.optimize.brentq(
-        f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter, full_output=True, disp=False
-    )
-    return root, info.iterations, info.converged
+def assert_certified(root, values, counts, K, eta, tol):
+    """``root`` is a :class:`asymptotic._Root` of the scalar excess that keeps its promise.
+
+    Either its bracket is at most ``tol + max(tol, 4 eps) * gamma`` wide, with
+    the excess not above its rounding floor at ``lo`` and not below it at
+    ``hi``, or the bracket is the point itself, where the excess is within
+    that floor.
+    """
+    excess = _scalar_excess(values, counts, K, eta)
+    gamma = root.root
+    assert math.isfinite(gamma) and gamma >= 0.0
+    assert root.lo <= gamma <= root.hi
+    if root.lo < root.hi:
+        assert root.hi - root.lo <= tol + max(tol, 4.0 * EPS) * gamma
+        # The bracket starts as [0, sum(lam) / (K eta)], whose signs hold
+        # by the map's bounds; only the ends that were evaluated are checked.
+        ends = [(x, sign) for x, sign in ((root.lo, 1.0), (root.hi, -1.0)) if x != 0.0]
+    else:
+        ends = [(gamma, 0.0)]
+    for x, sign in ends:
+        f, _, scale = excess(x)
+        floor = _FLOOR_ULPS * EPS * scale
+        assert sign * f > 0.0 or abs(f) <= floor, (x, f, floor)
 
 
-# Bracketed test functions with their root at r: (name, f(x, r, c)) with c
-# a shape parameter in [0.01, 10]. Each changes sign at r only.
-ROOT_FAMILIES = {
-    "cubic": lambda x, r, c: (x - r) * ((x - r) ** 2 + c),
-    "quintic": lambda x, r, c: (x - r) ** 5,
-    "exp": lambda x, r, c: math.exp(c * (x - r)) - 1.0,
-    "tanh": lambda x, r, c: math.tanh(c * (x - r)),
-    "steep": lambda x, r, c: math.atan(1e6 * c * (x - r)),
-    "cusp": lambda x, r, c: math.copysign(abs(x - r) ** 0.1, x - r),
-    "flat": lambda x, r, c: math.copysign(math.exp(-c / max(abs(x - r), 1e-300) ** 0.5), x - r),
-    "offset": lambda x, r, c: (x - r) + c * (x - r) ** 3 - 1e-3 * c * (x - r) ** 2,
-}
+def expand(values, counts):
+    return np.repeat(values, counts.astype(int))
 
 
 class TestBrentPort:
-    """``_brentq`` against ``scipy.optimize.brentq``: same root bits, same count."""
+    """Certificates of the scalar root search at full load and high SNR.
 
-    @settings(max_examples=300, deadline=None, database=None)
-    @given(
-        family=st.sampled_from(sorted(ROOT_FAMILIES)),
-        r=st.floats(-5.0, 5.0),
-        c=st.floats(0.01, 10.0),
-        left=st.floats(1e-3, 10.0),
-        right=st.floats(1e-3, 10.0),
-        swap=st.booleans(),
-        xtol=st.floats(1e-14, 1e-3),
-        rtol=st.floats(4.0 * EPS, 1e-6),
-        maxiter=st.sampled_from([3, 10, 100]),
-    )
-    def test_matches_scipy(self, family, r, c, left, right, swap, xtol, rtol, maxiter):
-        def f(x):
-            return ROOT_FAMILIES[family](x, r, c)
-
-        a, b = r - left, r + right
-        if swap:
-            a, b = b, a
-        # scipy leaves its iteration count unset when an end is a root.
-        assume(f(a) != 0.0 and f(b) != 0.0 and (f(a) < 0.0) != (f(b) < 0.0))
-        assert _brentq(f, a, b, xtol, rtol, maxiter) == scipy_brentq(f, a, b, xtol, rtol, maxiter)
+    The cases, and the class's name, come from the checks of the Brent
+    search that safeguarded Newton replaced; each case keeps its test ID.
+    """
 
     @pytest.mark.parametrize("snr_db", [40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0, 110.0, 120.0])
     @pytest.mark.parametrize("N,rho", [(1, 0.0), (16, 0.0), (64, 0.0), (64, 0.5), (64, 0.95)])
-    def test_gamma_common_r_excess_at_full_load(self, monkeypatch, N, rho, snr_db):
-        # Each call of the port inside gamma_common_r is replayed through scipy.
-        calls = []
-
-        def replayed(f, a, b, xtol, rtol, maxiter):
-            ours = _brentq(f, a, b, xtol, rtol, maxiter)
-            calls.append((ours, scipy_brentq(f, a, b, xtol, rtol, maxiter)))
-            return ours
-
-        monkeypatch.setattr(asymptotic, "_brentq", replayed)
-        gamma_common_r(exponential_eigenvalues(N, rho), N, 10.0 ** (-snr_db / 10.0))
-        assert len(calls) == 1
-        ours, reference = calls[0]
-        assert ours == reference and ours[2]
-
-    def test_nan_value_is_value_error(self):
-        with pytest.raises(ValueError, match="NaN"):
-            _brentq(lambda x: math.nan, 0.0, 1.0, 1e-12, 4.0 * EPS, 100)
-        # NaN first met inside the bracket, after the ends have been checked.
-        def f(x):
-            return math.nan if 0.25 < x < 0.75 else x - 0.5
-
-        with pytest.raises(ValueError, match="NaN"):
-            scipy_brentq(f, 0.0, 1.0, 1e-12, 4.0 * EPS, 100)
-        with pytest.raises(ValueError, match="NaN"):
-            _brentq(f, 0.0, 1.0, 1e-12, 4.0 * EPS, 100)
-
-    def test_same_sign_bracket_is_value_error(self):
-        with pytest.raises(ValueError, match="different signs"):
-            scipy_brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 4.0 * EPS, 100)
-        with pytest.raises(ValueError, match="different signs"):
-            _brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 4.0 * EPS, 100)
-
-    def test_iteration_cap_returns_not_converged(self):
-        def f(x):
-            return math.exp(x) - 2.0
-
-        ours = _brentq(f, -3.0, 4.0, 1e-14, 4.0 * EPS, 3)
-        assert ours == scipy_brentq(f, -3.0, 4.0, 1e-14, 4.0 * EPS, 3)
-        assert ours[1:] == (3, False)
-        with pytest.raises(ValueError, match="maxiter"):
-            scipy_brentq(f, -3.0, 4.0, 1e-14, 4.0 * EPS, -1)
-        with pytest.raises(ValueError, match="maxiter"):
-            _brentq(f, -3.0, 4.0, 1e-14, 4.0 * EPS, -1)
+    def test_gamma_common_r_excess_at_full_load(self, N, rho, snr_db):
+        lam = np.clip(exponential_eigenvalues(N, rho), 0.0, None)
+        eta = 10.0 ** (-snr_db / 10.0)
+        root = _scalar_fixed_point(lam, np.ones(N), N, eta, DEFAULT_TOL)
+        assert_certified(root, lam, np.ones(N), N, eta, DEFAULT_TOL)
+        assert gamma_common_r(lam, N, eta) == root.root
+        # scipy's Brent on the same excess and bracket stops within the same
+        # tolerance of the root, so the two are at most twice it apart.
+        excess = _scalar_excess(lam, np.ones(N), N, eta)
+        ref = scipy.optimize.brentq(
+            lambda g: excess(g)[0], 0.0, lam.sum() / (N * eta), xtol=DEFAULT_TOL, rtol=DEFAULT_TOL
+        )
+        assert abs(root.root - ref) <= 2.0 * DEFAULT_TOL * (1.0 + ref)
 
     def test_gamma_common_r_iteration_cap(self, monkeypatch):
         monkeypatch.setattr(asymptotic, "DEFAULT_MAX_ITER", 3)
@@ -304,6 +264,63 @@ class TestBrentPort:
             gamma_common_r(exponential_eigenvalues(16, 0.5), K=8, eta=0.01)
         assert excinfo.value.iterations == 3
         assert excinfo.value.residual > 0.0
+
+
+    def test_non_finite_value_is_fixed_point_error(self):
+        with pytest.raises(FixedPointError, match="met nan") as excinfo:
+            asymptotic._newton_root(
+                lambda x: (math.nan, -1.0, 1.0), 0.0, 1.0, 0.5, 1e-12, 1e-12, 10
+            )
+        assert excinfo.value.iterations == 1
+
+
+# Spectra with multiplicities: up to 8 distinct values, some of them 0,
+# each taken 1 to 32 times, scaled to trace N.
+SPECTRA = st.lists(
+    st.tuples(st.one_of(st.just(0.0), st.floats(1e-6, 1e6)), st.integers(1, 32)),
+    min_size=1, max_size=8,
+).filter(lambda pairs: any(v > 0.0 for v, _ in pairs))
+SNR_DB = st.floats(-300.0, 300.0)
+TOL = st.floats(-14.0, -2.0).map(lambda e: 10.0 ** e)
+
+
+def jensen_bound(N, K, eta, tol, gamma):
+    return gamma_uncorrelated(N / K, eta) + tol + max(tol, 4.0 * EPS) * gamma
+
+
+class TestScalarRootProperties:
+    """The scalar route over random spectra, loads, SNRs and tolerances."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=SPECTRA, load=st.floats(0.0, 1.0), snr_db=SNR_DB, tol=TOL)
+    def test_common_r_certificate_and_jensen_bound(self, pairs, load, snr_db, tol):
+        values = np.array([v for v, _ in pairs])
+        counts = np.array([float(c) for _, c in pairs])
+        N = int(counts.sum())
+        values *= N / float(counts @ values)
+        K = 1 + int(load * (4 * N - 1))
+        eta = 10.0 ** (-snr_db / 10.0)
+        root = _scalar_fixed_point(values, counts, K, eta, tol)
+        assert_certified(root, values, counts, K, eta, tol)
+        assert root.root <= jensen_bound(N, K, eta, tol, root.root)
+        gamma = gamma_common_r(expand(values, counts), K, eta, tol=tol)
+        assert math.isfinite(gamma) and 0.0 <= gamma <= jensen_bound(N, K, eta, tol, gamma)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        N=st.integers(1, 128), load=st.floats(0.0, 1.0), rho=st.floats(0.0, 0.9999),
+        snr_db=SNR_DB, tol=TOL, even=st.booleans(),
+    )
+    def test_exponential_routes(self, N, load, rho, snr_db, tol, even):
+        K = 1 + int(load * (4 * N - 1))
+        eta = 10.0 ** (-snr_db / 10.0)
+        period = K if even else 1
+        root = _exp_root(N, K, rho, eta, tol, period)
+        values, counts = asymptotic._even_mean_eigenvalues(N, period, rho)
+        assert_certified(root, values, counts, K, eta, tol)
+        assert root.root <= jensen_bound(N, K, eta, tol, root.root)
+        route = gamma_exp_even if even else gamma_exp_common
+        assert route(N, K, rho, eta, tol=tol) == root.root
 
 
 # N in {1, 2, 7, 32}, K from 1 to above N, rho in {0, 0.3, 0.9}, 0/20/40 dB.
@@ -463,7 +480,7 @@ class TestStructuredKernels:
     @pytest.mark.parametrize("N,K", list(_cases_n_k()))
     @pytest.mark.parametrize("rho", [0.0, 0.3, 0.9, 0.99])
     def test_block_eigenvalues_match_dense(self, N, K, rho):
-        got = asymptotic._even_mean_eigenvalues(N, K, rho)
+        got = np.sort(expand(*asymptotic._even_mean_eigenvalues(N, K, rho)))
         ref = np.linalg.eigvalsh(even_mean_correlation(N, K, rho))
         assert got.shape == ref.shape
         assert np.all(np.diff(got) >= 0.0)

@@ -8,7 +8,7 @@ import pytest
 
 import mimoslnr
 from mimoslnr import cli, linalg, oracles
-from mimoslnr.asymptotic import gamma_uncorrelated
+from mimoslnr.asymptotic import gamma_exp_common, gamma_exp_even, gamma_uncorrelated
 from mimoslnr.channel import (
     PROFILE_KINDS, SystemConfig, build_correlation, trial_rng, user_phases
 )
@@ -95,6 +95,28 @@ class TestAsymptoticCommand:
         assert rows == [f"{k},{g:.6f}" for k, g in enumerate(dense.gamma)]
 
 
+    @pytest.mark.parametrize("kind,route", [
+        ("exp-even", gamma_exp_even), ("exp-common", gamma_exp_common),
+    ])
+    @pytest.mark.parametrize("n,k,snr_db,rho", [
+        (64, 64, 150.0, 0.99), (64, 64, 150.0, 0.999), (16, 12, 40.0, 0.9),
+    ])
+    def test_scalar_profiles_print_the_scalar_value(self, capsys, kind, route, n, k, snr_db, rho):
+        # The Toeplitz solver printed 2.0% too much here for exp-even at
+        # 150 dB and rho 0.99, and exited 2 at rho 0.999.
+        code, out, _ = run_cli(capsys, "asymptotic", "--profile", kind, "--n", str(n),
+                               "--k", str(k), "--snr-db", str(snr_db), "--rho", str(rho))
+        assert code == EXIT_OK
+        eta = 10.0 ** (-snr_db / 10.0)
+        gamma = route(n, k, rho, eta)
+        rows = [line for line in out.splitlines() if line and line[0].isdigit()]
+        assert rows == [f"{j},{gamma:.6f}" for j in range(k)]
+        if kind == "exp-even" and n == k:
+            # With K = N the user average is the identity.
+            assert rows[0] == f"0,{gamma_uncorrelated(1.0, eta):.6f}" == "0,31622776.101684"
+        assert any(line.startswith("# scalar fixed point in ") for line in out.splitlines())
+
+
 class TestMetricsCommand:
     def test_prints_per_user_rows(self, capsys):
         code, out, _ = run_cli(capsys, "metrics", "--n", "8", "--k", "4", "--trials", "1")
@@ -153,6 +175,23 @@ class TestSweepCommands:
                              "--theta-draws", "2")
         assert code == EXIT_OK
         assert "gamma_exp_common" in out_path.read_text()
+
+    def test_sweep_correlation_at_very_low_snr(self, capsys, tmp_path):
+        # At -90 dB the far end of the scalar search's bracket sat within
+        # rounding of the root, and the command exited 1.
+        out_path = tmp_path / "corr.csv"
+        code, _, _ = run_cli(capsys, "sweep-correlation", "--out", str(out_path),
+                             "--n", "64", "--k", "32", "--snr-db", "-90")
+        assert code == EXIT_OK
+        lines = [line for line in out_path.read_text().splitlines() if not line.startswith("#")]
+        header, first = lines[0].split(","), [float(v) for v in lines[1].split(",")]
+        row = dict(zip(header, first))
+        # At rho = 0 every profile is uncorrelated; 1e-12 relative allows for
+        # the Toeplitz solver's rounding.
+        closed = gamma_uncorrelated(2.0, 1e9)
+        assert row.pop("rho") == 0.0
+        for name, value in row.items():
+            assert value == pytest.approx(closed, rel=1e-12), name
 
     def test_sweep_cdf_bytes_independent_of_blas_threads(self, tmp_path):
         # A threaded Cholesky rounds differently for each thread count; the

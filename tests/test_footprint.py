@@ -9,7 +9,7 @@ needs one (the optimal-loading path never does): importing the
 ``scipy.linalg`` package for them would add about 85 scipy modules and
 26 MiB of RSS to every process. ``scipy.optimize`` alone adds about 240
 modules and 21 MiB more, and the library's scalar roots run on its
-own Brent port instead. A future use of either package (say
+own safeguarded Newton instead. A future use of either package (say
 ``newton_krylov`` as a fallback solver) has to import it lazily, on the path
 that needs it, or these tests fail. The child also runs ``mimoslnr
 selftest``, so the reference routes in ``mimoslnr.oracles`` are held to the

@@ -4,8 +4,11 @@ import warnings
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mimoslnr import loading
+from mimoslnr.asymptotic import EPS, _FLOOR_ULPS, _newton_root
 from mimoslnr.channel import eta_from_snr_db
 from mimoslnr.loading import (
     CLAMPED_AT_ONE,
@@ -30,13 +33,29 @@ class TestEtaThreshold:
     def test_value_to_four_decimals(self):
         assert abs(eta_threshold() - 0.3256) < 5e-5
 
-    def test_bits_match_scipy_brentq(self):
+    def test_pinned_and_near_scipys_brent_root(self):
         def g(eta):
             s = math.sqrt(eta * eta + 4.0 * eta)
             return s * math.log((eta + s) / (2.0 * eta)) - 1.0
 
-        assert eta_threshold() == scipy.optimize.brentq(g, 0.05, 1.0, xtol=1e-14, rtol=8.9e-16)
+        # Each search stops within 1e-14 + 4 eps * eta of the root, so the
+        # two are at most twice that apart (a bound set before the run).
+        ref = scipy.optimize.brentq(g, 0.05, 1.0, xtol=1e-14, rtol=8.9e-16)
+        assert abs(eta_threshold() - ref) <= 2.0 * (1e-14 + 4.0 * EPS * ref)
         assert eta_threshold() == 0.3256406730899648
+
+    @settings(max_examples=100, deadline=None)
+    @given(start=st.floats(0.05, 1.0))
+    def test_search_from_any_start_is_certified(self, start):
+        root = _newton_root(loading._threshold_fdf, 0.05, 1.0, start, 1e-14, 4.0 * EPS, 100)
+        assert root.lo <= root.root <= root.hi
+        assert abs(root.root - eta_threshold()) <= 2.0 * (1e-14 + 4.0 * EPS * root.root)
+        if root.lo < root.hi:
+            assert root.hi - root.lo <= 1e-14 + 4.0 * EPS * root.root
+            assert loading._threshold_fdf(root.lo)[0] > 0.0 > loading._threshold_fdf(root.hi)[0]
+        else:
+            f, _, scale = loading._threshold_fdf(root.root)
+            assert abs(f) <= _FLOOR_ULPS * EPS * scale
 
     def test_defining_equation_residual(self):
         eta = eta_threshold()
