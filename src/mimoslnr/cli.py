@@ -123,7 +123,8 @@ def _resolve(args):
 
     ``SystemConfig`` validates the system keys. ``tol`` and ``theta_draws``,
     which it does not hold, go through the checks the library applies to
-    them, so every command rejects the same values.
+    them, so every command rejects the same values. Every command echoes
+    every key, so a string key that holds a line break is rejected for all.
     """
     resolved = {key: default for key, (_, default, _, _) in _KEYS.items()}
     if args.config:
@@ -133,6 +134,9 @@ def _resolve(args):
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             resolved[key] = flag_value
+    for key, value in resolved.items():
+        if isinstance(value, str) and ("\n" in value or "\r" in value):
+            raise UsageError(f"invalid value for {key!r}: {value!r} (holds a line break)")
     config = SystemConfig.make(
         resolved["n"], resolved["k"], resolved["snr_db"], kind=resolved["profile"],
         rho=resolved["rho"], theta=resolved["theta"], trials=resolved["trials"],

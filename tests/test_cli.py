@@ -212,6 +212,19 @@ class TestSweepCommands:
         assert code == EXIT_USAGE
         assert "out" in err
 
+    def test_line_break_in_a_string_key_is_usage_error(self, capsys, tmp_path):
+        # sweep-loading does not parse rho_grid, only echoes it: the stray
+        # line sat above the header of the echo and of the CSV.
+        out = tmp_path / "x.csv"
+        code, stdout, err = run_cli(
+            capsys, "sweep-loading", "--snr-grid", "0:10:3", "--rho-grid", "0:1:2\nboom",
+            "--out", str(out),
+        )
+        assert code == EXIT_USAGE
+        assert "rho_grid" in err
+        assert stdout == ""
+        assert not out.exists()
+
 
 def csv_bytes_per_blas_threads(tmp_path, command, *args):
     """CSV bytes that ``command`` writes under ``OPENBLAS_NUM_THREADS=1`` and ``=2``."""

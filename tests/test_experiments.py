@@ -1,7 +1,12 @@
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mimoslnr import experiments, oracles
+from mimoslnr import __version__, experiments, oracles
 from mimoslnr.asymptotic import DEFAULT_TOL, solve_exponential_fixed_point
 from mimoslnr.channel import SystemConfig, eta_from_snr_db, trial_rng, user_phases
 from mimoslnr.experiments import (
@@ -18,6 +23,65 @@ from mimoslnr.loading import eta_threshold, loading_constants, objective_f, opti
 from mimoslnr.oracles import BRUTE_HI, BRUTE_LO, BRUTE_STEP, brute_force_optimal_x
 
 
+def reference_csv(result):
+    """The bytes of the whole-file writer: every line built, then one write."""
+    lines = [f"# experiment = {result.name}", f"# version = {__version__}"]
+    lines += [f"# {key} = {_format_value(value)}" for key, value in result.metadata.items()]
+    lines.append(",".join(result.columns))
+    cols = [[_format_value(v) for v in np.asarray(col)] for col in result.columns.values()]
+    lines.extend(map(",".join, zip(*cols)))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+BLOCK = experiments.CSV_BLOCK_ROWS
+SPECIAL_FLOATS = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 0.1, 1e308]
+# Text without line breaks or lone surrogates (which UTF-8 cannot encode).
+LINE_TEXT = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\n\r"))
+
+
+@st.composite
+def csv_results(draw):
+    """Results around the block boundaries, with every column and metadata type."""
+    rows = draw(st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    floats = st.floats() | st.sampled_from(SPECIAL_FLOATS)
+    columns = {}
+    for i in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(
+            ["float", "float32", "special", "constant", "per-block", "int", "bool"]
+        ))
+        if kind == "special":  # every special value, mixed at random
+            values = np.array(SPECIAL_FLOATS)
+        else:
+            values = np.array(draw(st.lists(floats, min_size=1, max_size=6)))
+        if kind in ("float", "float32", "special"):
+            col = values[rng.integers(values.size, size=rows)]
+            if kind == "float32":
+                with np.errstate(over="ignore"):  # 1e308 becomes inf, a case in itself
+                    col = col.astype(np.float32)
+        elif kind == "constant":
+            col = np.full(rows, values[0])
+        elif kind == "per-block":
+            # Constant within each block but not over the column.
+            col = np.resize(np.repeat(values, BLOCK), rows)
+        elif kind == "int":
+            col = rng.integers(-2**63, 2**63 - 1, size=rows, endpoint=True)
+        else:
+            col = rng.integers(2, size=rows).astype(bool)
+        columns[f"{kind}_{i}"] = col
+    metadata = {
+        "flag": draw(st.booleans()),
+        "np_flag": np.bool_(draw(st.booleans())),
+        "count": draw(st.integers()),
+        "np_count": np.int64(draw(st.integers(-2**63, 2**63 - 1))),
+        "value": draw(floats),
+        "np_value": np.float32(draw(st.floats(width=32))),
+        "text": draw(LINE_TEXT),
+        "unset": None,
+    }
+    return ExperimentResult(name="cdf", columns=columns, metadata=metadata)
+
+
 class TestEmpiricalCdf:
     def test_levels_and_sorting(self):
         values, levels = empirical_cdf([3.0, 1.0, 2.0])
@@ -32,6 +96,33 @@ class TestEmpiricalCdf:
 
 
 class TestCdfExperiment:
+    def test_pools_cost_two_arrays(self, monkeypatch):
+        # A unit is one pooled array of trials * K floats. The run holds its
+        # two pools, the result's four columns and at most two arrays that
+        # empirical_cdf builds on the way: 8 units. Keeping two arrays per
+        # trial and concatenating them took 11.8 units. The kernels' own
+        # per-trial memory is a few KiB at this size (with them the run
+        # read 7.05 units), so they are replaced by stubs that return fresh
+        # arrays, as compute_metrics does: tracing them 20,000 times takes
+        # seconds.
+        N, K, trials = 16, 8, 20_000
+        unit = trials * K * 8
+        bound = 8 * unit
+        cfg = SystemConfig.make(N=N, K=K, snr_db=10.0, trials=trials, seed=3)
+        realization = experiments.sample_channel(cfg, 0)
+        metrics = experiments.compute_metrics(realization.H, cfg.eta)
+        monkeypatch.setattr(experiments, "sample_channel", lambda config, trial: realization)
+        monkeypatch.setattr(experiments, "compute_metrics", lambda H, eta: SimpleNamespace(
+            slnr=metrics.slnr.copy(), sinr=metrics.sinr.copy()))
+        tracemalloc.start()
+        try:
+            res = run_cdf_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.columns["slnr"].size == trials * K
+        assert peak < bound, f"traced peak {peak / unit:.2f} units"
+
     def test_median_near_asymptotic(self):
         cfg = SystemConfig.make(N=64, K=32, snr_db=20.0, trials=200, seed=2)
         res = run_cdf_experiment(cfg)
@@ -312,6 +403,51 @@ class TestCsvOutput:
             "all-nan"])
     def test_column_strings_match_per_value_format(self, col):
         assert _format_column(col) == [_format_value(v) for v in col]
+
+    @pytest.mark.parametrize("name,columns,metadata", [
+        ("cdf", {"a": [1.0]}, {"rho_grid": "0:1:2\nboom"}),
+        ("cdf", {"a": [1.0]}, {"out": "x\r.csv"}),
+        ("cdf", {"a": [1.0]}, {"two\nlines": 1}),
+        ("cdf", {"a\r\nb": [1.0]}, {}),
+        ("cd\nf", {"a": [1.0]}, {}),
+    ], ids=["value-lf", "value-cr", "key", "column", "name"])
+    def test_line_break_in_header_rejected_before_open(self, tmp_path, name, columns, metadata):
+        path = tmp_path / "x.csv"
+        res = ExperimentResult(name=name, columns=columns, metadata=metadata)
+        with pytest.raises(ValueError, match="line break"):
+            write_csv(res, path)
+        assert not path.exists()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_streamed_bytes_match_whole_file_writer(self, tmp_path_factory, data):
+        res = data.draw(csv_results())
+        path = tmp_path_factory.mktemp("stream") / "s.csv"
+        write_csv(res, path)
+        assert path.read_bytes() == reference_csv(res)
+
+    def test_write_peak_memory_is_one_block(self, tmp_path):
+        # 200,000 rows of four CDF-like columns make a 12 MiB file. The
+        # whole-file writer held every row's text, a traced peak of 91 MiB;
+        # one block of 256 rows is a few hundred KiB at most.
+        bound = 2 * 2**20
+        rows = 200_000
+        rng = np.random.default_rng(5)
+        res = ExperimentResult(name="cdf", columns={
+            "cdf_level": np.arange(1, rows + 1) / (rows + 1.0),
+            "slnr": np.sort(rng.standard_normal(rows)),
+            "sinr": np.sort(rng.standard_normal(rows)),
+            "gamma_asymptotic": np.full(rows, 1 / 3),
+        })
+        path = tmp_path / "big.csv"
+        tracemalloc.start()
+        try:
+            write_csv(res, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 10 * 2**20
+        assert peak < bound, f"traced peak {peak / 2**20:.2f} MiB"
 
     def test_wall_clock_never_written(self, tmp_path):
         # Timing lives on the in-memory result only; writing it would break
