@@ -4,11 +4,13 @@ Subcommands: ``asymptotic``, ``metrics``, ``loading``, ``sweep-cdf``,
 ``sweep-correlation``, ``sweep-loading``, ``selftest``. Parameters resolve
 in three layers: built-in defaults, then a ``key = value`` config file
 (``--config``), then explicit flags. Every run echoes the fully resolved
-configuration. Exit codes: 0 success, 1 usage error, 2 numerical failure.
+configuration. Exit codes: 0 success, 1 usage error, 2 numerical failure,
+141 when the reader closes stdout before the output ends.
 """
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -32,6 +34,8 @@ __all__ = ["main", "console_main"]
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
+# The status a shell reports for a process that SIGPIPE ends (128 + 13).
+EXIT_BROKEN_PIPE = 141
 
 _NUMERICAL_ERRORS = (
     FixedPointError, BracketError, NotPsdError, EigConvergenceError, np.linalg.LinAlgError
@@ -313,7 +317,20 @@ def main(argv=None):
 
 
 def console_main():
-    sys.exit(main())
+    """Run :func:`main` as the process and exit with its code.
+
+    A reader that closes stdout early (``| head -1``) ends the run with
+    ``EXIT_BROKEN_PIPE`` and nothing on stderr: stdout is flushed here, where
+    the failed write is caught, and then pointed at ``os.devnull`` for the
+    interpreter's own flush at exit.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -5,8 +5,9 @@ full configuration, so a result (or the CSV written from it) can be
 re-produced bit-identically. CSV output is deterministic: float columns are
 rendered with shortest round-trip ``repr`` and the metadata comments never
 include wall-clock information. Memory stays bounded as ``trials * K``
-grows: the CDF runner pools its samples in two preallocated arrays, and
-:func:`write_csv` formats and writes ``CSV_BLOCK_ROWS`` data rows at a time.
+grows: the CDF runner pools its samples in two preallocated arrays and
+sorts them in place, and :func:`write_csv` formats and writes
+``CSV_BLOCK_ROWS`` data rows at a time.
 """
 
 import math
@@ -62,17 +63,23 @@ class ExperimentResult:
 
 
 def empirical_cdf(samples):
-    """Sorted sample values with plotting positions ``i/(n+1)``.
+    """Sorted sample values with plotting positions ``i/(n+1)`` (:func:`_plotting_positions`)."""
+    values = np.sort(np.asarray(samples, dtype=float))
+    if values.size == 0:
+        raise ValueError("need at least one sample")
+    return values, _plotting_positions(values.size)
+
+
+def _plotting_positions(n):
+    """The CDF levels ``i/(n+1)``, ``i = 1..n``, of n sorted samples, as one array.
 
     The positions stay strictly inside (0, 1), avoiding degenerate endpoint
-    levels.
+    levels. The float ``arange`` holds the integers exactly, so dividing it
+    in place gives the bits of ``arange(1, n + 1) / (n + 1)``.
     """
-    values = np.sort(np.asarray(samples, dtype=float))
-    n = values.size
-    if n == 0:
-        raise ValueError("need at least one sample")
-    levels = np.arange(1, n + 1) / (n + 1.0)
-    return values, levels
+    levels = np.arange(1.0, n + 1.0)
+    levels /= n + 1.0
+    return levels
 
 
 @one_blas_thread
@@ -85,8 +92,9 @@ def run_cdf_experiment(config):
     K/N, both CDFs tighten around that constant.
 
     The samples go, in trial order, into two preallocated arrays of
-    ``trials * K`` entries, so the pools cost those two arrays and no
-    per-trial copies.
+    ``trials * K`` entries, which are then sorted in place and become the
+    result's columns: the run holds those two arrays, the levels and the
+    constant column, and no per-trial or sorted copies.
     """
     if config.kind != "identity":
         raise ValueError("CDF experiment is defined for the identity profile")
@@ -101,13 +109,13 @@ def run_cdf_experiment(config):
         metrics = compute_metrics(realization.H, eta)
         slnr_pool[trial * K:(trial + 1) * K] = metrics.slnr
         sinr_pool[trial * K:(trial + 1) * K] = metrics.sinr
-    slnr_sorted, levels = empirical_cdf(slnr_pool)
-    sinr_sorted, _ = empirical_cdf(sinr_pool)
+    slnr_pool.sort()
+    sinr_pool.sort()
     columns = {
-        "cdf_level": levels,
-        "slnr": slnr_sorted,
-        "sinr": sinr_sorted,
-        "gamma_asymptotic": np.full(levels.size, gamma),
+        "cdf_level": _plotting_positions(slnr_pool.size),
+        "slnr": slnr_pool,
+        "sinr": sinr_pool,
+        "gamma_asymptotic": np.full(slnr_pool.size, gamma),
     }
     metadata = _config_metadata(config)
     return ExperimentResult(

@@ -34,7 +34,6 @@ __all__ = [
     "herm_eig",
     "psd_sqrt",
     "shifted_gram_inverse",
-    "shifted_gram_solve",
 ]
 
 # Relative asymmetry allowed before a matrix is rejected as non-Hermitian.
@@ -233,76 +232,29 @@ def psd_sqrt(A):
 
 
 @one_blas_thread
-def shifted_gram_solve(H, beta, B):
-    """Solve ``(H H* + beta I) X = B`` for ``X``.
-
-    Parameters
-    ----------
-    H : array_like, shape (n, k)
-        Channel-style matrix whose Gram matrix shifts the identity.
-    beta : float
-        Positive finite shift; makes the system Hermitian positive definite.
-    B : array_like, shape (n, m)
-        Right-hand side (a vector is accepted and treated as one column).
-        ``H`` and ``B`` must be finite.
-
-    Returns
-    -------
-    ndarray
-        Solution with the same shape as ``B``.
-
-    Notes
-    -----
-    Uses a Cholesky factorization of the shifted Gram matrix rather than an
-    explicit inverse; for ``beta > 0`` the matrix is positive definite and
-    factorization is both stabler and cheaper at the dimensions targeted
-    here (up to a few hundred). One call to LAPACK's ``zposv`` factorizes
-    and solves (see :func:`_cholesky_solve`), the routines behind scipy's
-    ``cho_factor`` and ``cho_solve`` in one call without their per-call
-    wrapping. A factorization that fails raises
-    :class:`numpy.linalg.LinAlgError`. The reference routes in
-    ``mimoslnr.oracles`` solve with it; the metrics take
-    :func:`shifted_gram_inverse` instead.
-    """
-    H = _checked_channel(H, beta)
-    B = np.asarray(B, dtype=complex)
-    if not np.all(np.isfinite(B)):
-        raise ValueError("B must be finite")
-    n = H.shape[0]
-    vector_rhs = B.ndim == 1
-    if vector_rhs:
-        B = B[:, None]
-    if B.ndim != 2 or B.shape[0] != n:
-        raise ValueError(
-            f"right-hand side has shape {B.shape}, expected ({n}, m) to match H with {n} rows"
-        )
-    if n == 0:
-        # zpotrf rejects a 0 x 0 matrix; the empty system's solution is empty.
-        X = np.empty_like(B)
-        return X[:, 0] if vector_rhs else X
-    W = _gram(H)
-    W[np.diag_indices(n)] += float(beta)
-    X = _cholesky_solve(W, B, "shifted Gram matrix")
-    return X[:, 0] if vector_rhs else X
-
-
-@one_blas_thread
 def shifted_gram_inverse(H, beta):
     """The Gram matrix ``G = H H*`` and the inverse ``(G + beta I)^{-1}``.
 
-    ``H`` must be a finite matrix and ``beta`` positive and finite, as for
-    :func:`shifted_gram_solve`. Both results are exactly Hermitian. One
-    Cholesky factorization (``zpotrf``) gives the inverse through LAPACK's
-    ``zpotri``. A factorization that fails raises
+    ``H`` must be a finite matrix and ``beta`` positive and finite. Both
+    results are exactly Hermitian. One Cholesky factorization (``zpotrf``)
+    gives the inverse through LAPACK's ``zpotri``. A shifted Gram matrix
+    that overflows, or whose factorization fails, raises
     :class:`numpy.linalg.LinAlgError`.
     """
     H = _checked_channel(H, beta)
     n = H.shape[0]
-    G = _gram(H)
+    # Entries of H too large for their Gram overflow here without a warning,
+    # and show on the diagonal: |W_ij| <= sqrt(W_ii W_jj) for a positive
+    # definite W, so a finite diagonal bounds every entry.
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = H @ H.conj().T
+        G = 0.5 * (G + G.conj().T)  # exactly Hermitian: the product may round asymmetrically
+        W = G.copy(order="F")  # column-major, so zpotrf factorizes it in place
+        W.flat[::n + 1] += float(beta)  # the diagonal
     if n == 0:
-        return G, G.copy()
-    W = G.copy(order="F")  # column-major, so zpotrf factorizes it in place
-    W[np.diag_indices(n)] += float(beta)
+        return G, W
+    if not math.isfinite(W.diagonal().real.max()):  # inf or NaN
+        raise np.linalg.LinAlgError("shifted Gram matrix is not finite")
     # zpotri fails only on a zero pivot, which a factorization that succeeded
     # rules out. It fills the lower triangle and keeps the factor's zeroed
     # upper one, so adding the conjugate transpose mirrors it and doubles
@@ -310,16 +262,12 @@ def shifted_gram_inverse(H, beta):
     factor = _cholesky(W, "shifted Gram matrix")
     W_inv, _ = zpotri(factor, lower=1, overwrite_c=1)
     W_inv = W_inv + W_inv.conj().T
-    W_inv[np.diag_indices(n)] *= 0.5
+    W_inv.flat[::n + 1] *= 0.5
     return G, W_inv
 
 
 def _checked_channel(H, beta):
-    """``H`` as a finite complex matrix, once ``beta`` is known to be a positive finite shift.
-
-    Checked here, on the O(n k) entries of ``H``, so the O(n^2) Gram matrix
-    and its factorization need no check of their own.
-    """
+    """``H`` as a finite complex matrix, once ``beta`` is known to be a positive finite shift."""
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2:
         raise ValueError(f"H must be a matrix, got shape {H.shape}")
@@ -330,12 +278,6 @@ def _checked_channel(H, beta):
     if not np.all(np.isfinite(H)):
         raise ValueError("H must be finite")
     return H
-
-
-def _gram(H):
-    """``H H*``, symmetrized exactly: the product itself may round asymmetrically."""
-    G = H @ H.conj().T
-    return 0.5 * (G + G.conj().T)
 
 
 def _cholesky(A, what):

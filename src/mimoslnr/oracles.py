@@ -1,8 +1,11 @@
 """Reference routes: slow, independent computations that check the fast ones.
 
 The explicit precoder route (:func:`rzf_precode` and the functions that
-take its ``F``) solves the definition on the N x N Gram, sharing no identity
-and no linear-algebra kernel with ``precoding.compute_metrics``.
+take its ``F``) and the leave-one-out SLNR solve the definition on the
+N x N Gram with numpy's LU solve and write each metric out. They share no
+identity and no numerical routine with ``precoding.compute_metrics``, which
+inverts the smaller Gram by Cholesky through scipy's LAPACK: only the input
+checks and the exception types.
 
 None of these runs on a sweep's fast path except :func:`brute_force_optimal_x`,
 which fills the loading sweep's ``alpha_brute_force`` column. The tests,
@@ -24,9 +27,9 @@ from .channel import (
     SystemConfig, build_correlation, check_count, check_positive_finite, check_positive_number,
     check_rho, eta_from_snr_db, user_phases,
 )
-from .linalg import psd_sqrt, shifted_gram_solve
+from .linalg import _checked_channel, psd_sqrt
 from .loading import dfdx, eta_threshold, lambert_w0, optimal_x_exact
-from .precoding import _as_channel, _power_sq, _sinr, compute_metrics
+from .precoding import DegenerateUserError, _as_channel, compute_metrics
 
 __all__ = [
     "BoundCheck", "SELFTEST_CHECKS", "solve_fixed_point", "slnr_leave_one_out", "rzf_precode",
@@ -96,6 +99,24 @@ def solve_fixed_point(R, eta, tol=DEFAULT_TOL):
     return _anderson(step, np.zeros(K), tol, asymptotic.DEFAULT_MAX_ITER)
 
 
+def _shifted_gram_solve(H, beta, B):
+    """``(H H* + beta I)^{-1} B`` by numpy's LU solve of the N x N system.
+
+    A non-finite ``H`` or ``B``, or a ``beta`` that is not a positive finite
+    real number, raises ``ValueError``; a shifted Gram matrix that overflows
+    or is singular raises :class:`numpy.linalg.LinAlgError`.
+    """
+    H = _checked_channel(H, beta)
+    if not np.all(np.isfinite(B)):
+        raise ValueError("B must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
+        W = H @ H.conj().T + beta * np.eye(H.shape[0])
+    if not np.all(np.isfinite(W)):
+        raise np.linalg.LinAlgError("shifted Gram matrix is not finite")
+    return np.linalg.solve(W, B)
+
+
+@one_blas_thread
 def slnr_leave_one_out(H, eta):
     """SLNR by K explicit leave-one-out solves; the slow oracle route.
 
@@ -107,13 +128,12 @@ def slnr_leave_one_out(H, eta):
     K = H.shape[1]
     out = np.empty(K)
     for k in range(K):
-        Hk = np.delete(H, k, axis=1)
         hk = H[:, k]
-        x = shifted_gram_solve(Hk, K * eta, hk)
-        out[k] = np.vdot(hk, x).real
+        out[k] = np.vdot(hk, _shifted_gram_solve(np.delete(H, k, axis=1), K * eta, hk)).real
     return out
 
 
+@one_blas_thread
 def rzf_precode(H, beta):
     """Columns ``f_k = (H H* + beta I)^{-1} h_k`` for every user, by the definition.
 
@@ -121,20 +141,25 @@ def rzf_precode(H, beta):
     ``K < N`` that Gram is rank deficient, so the shift must not vanish
     against it.
     """
-    return shifted_gram_solve(H, beta, H)
+    return _shifted_gram_solve(H, beta, H)
 
 
 def power_control(H, F):
     """Equal per-user power split: ``p_k = sqrt(1 / (K ||f_k||^2))``.
 
     Guarantees ``sum_k p_k^2 ||f_k||^2 == 1``, the normalized total transmit
-    power, with each user contributing ``1 / K``.
+    power, with each user contributing ``1 / K``. A zero column of ``F``
+    raises :class:`~mimoslnr.precoding.DegenerateUserError`.
     """
     H = np.asarray(H, dtype=complex)
     F = np.asarray(F, dtype=complex)
     if H.shape != F.shape:
         raise ValueError(f"F has shape {F.shape}, expected {H.shape} to match H")
-    return np.sqrt(_power_sq(np.sum(np.abs(F) ** 2, axis=0)))
+    norms_sq = np.sum(np.abs(F) ** 2, axis=0)
+    zero = np.flatnonzero(norms_sq == 0.0)
+    if zero.size:
+        raise DegenerateUserError(f"user {zero[0]} has a zero precoding column")
+    return np.sqrt(1.0 / (F.shape[1] * norms_sq))
 
 
 @one_blas_thread
@@ -146,7 +171,10 @@ def sinr_instantaneous(H, F, p, eta):
     ``h_k* f_i``, transposed relative to the SLNR leakage.
     """
     C = np.asarray(H, dtype=complex).conj().T @ np.asarray(F, dtype=complex)  # h_k* f_i
-    return _sinr(C, np.asarray(p, dtype=float) ** 2, eta)
+    received = np.abs(C) ** 2 * np.asarray(p, dtype=float) ** 2  # |h_k* f_i p_i|^2
+    signal = received.diagonal().copy()
+    np.fill_diagonal(received, 0.0)
+    return signal / (np.sum(received, axis=1) + eta)
 
 
 @one_blas_thread

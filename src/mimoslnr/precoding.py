@@ -48,22 +48,6 @@ def _as_channel(H):
     return H
 
 
-def _power_sq(norms_sq):
-    """``p_k^2 = 1 / (K ||f_k||^2)`` from the squared column norms ``||f_k||^2``."""
-    if np.any(norms_sq <= 0.0):
-        bad = int(np.flatnonzero(norms_sq <= 0.0)[0])
-        raise DegenerateUserError(f"user {bad} has a zero precoding column")
-    return 1.0 / (norms_sq.size * norms_sq)
-
-
-def _sinr(C, power_sq, eta):
-    """The SINR from the cross gains ``C[k, i] = h_k* f_i`` and the powers ``p_i^2``."""
-    # Row k of |C|^2 p^2 holds |h_k* f_i p_i|^2 over all i; the i = k term is the signal.
-    weighted = np.abs(C) ** 2 * power_sq
-    signal = np.diagonal(weighted)
-    return signal / (np.sum(weighted, axis=1) - signal + eta)
-
-
 @one_blas_thread
 def compute_metrics(H, eta):
     """SLNR, SINR, and squared power scalars for one channel realization.
@@ -94,6 +78,13 @@ def compute_metrics(H, eta):
         F = A_inv @ H
         C = H.conj().T @ F
         norms_sq = np.sum(np.abs(F) ** 2, axis=0)
-    power_sq = _power_sq(norms_sq)
+    if np.any(norms_sq <= 0.0):
+        bad = int(np.flatnonzero(norms_sq <= 0.0)[0])
+        raise DegenerateUserError(f"user {bad} has a zero precoding column")
+    power_sq = 1.0 / (K * norms_sq)
+    # Row k of |C|^2 p^2 holds |h_k* f_i p_i|^2 over all i; the i = k term is the signal.
+    weighted = np.abs(C) ** 2 * power_sq
+    signal = np.diagonal(weighted)
+    sinr = signal / (np.sum(weighted, axis=1) - signal + eta)
     q = np.clip(np.diagonal(C).real, 0.0, _Q_CLAMP)
-    return MetricsPerUser(slnr=q / (1.0 - q), sinr=_sinr(C, power_sq, eta), power_sq=power_sq)
+    return MetricsPerUser(slnr=q / (1.0 - q), sinr=sinr, power_sq=power_sq)

@@ -12,7 +12,7 @@ from mimoslnr.asymptotic import gamma_exp_common, gamma_exp_even, gamma_uncorrel
 from mimoslnr.channel import (
     PROFILE_KINDS, SystemConfig, build_correlation, trial_rng, user_phases
 )
-from mimoslnr.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from mimoslnr.cli import EXIT_BROKEN_PIPE, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from mimoslnr.oracles import solve_fixed_point
 
 
@@ -20,6 +20,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def child_env(**extra):
+    """The environment of a ``python -m mimoslnr`` child that imports this checkout."""
+    src = os.path.dirname(os.path.dirname(mimoslnr.__file__))
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 class TestLoadingCommand:
@@ -72,6 +80,18 @@ class TestAsymptoticCommand:
         gamma = gamma_uncorrelated(1.0, 10.0 ** (-snr_db / 10.0))
         rows = [line for line in out.splitlines() if line and line[0].isdigit()]
         assert rows == [f"{k},{gamma:.6f}" for k in range(n)]
+
+    def test_huge_tol_stops_early_with_an_honest_bound(self, capsys):
+        # README: any positive finite --tol is accepted. One this loose stops
+        # the solver after a few steps, and the printed error bound still
+        # covers the distance to the fixed point, here the closed form.
+        code, out, _ = run_cli(capsys, "asymptotic", "--tol", "1e300")
+        assert code == EXIT_OK
+        line = next(l for l in out.splitlines() if l.startswith("# converged in"))
+        bound = float(line.rsplit(" ", 1)[1])
+        gammas = [float(l.split(",")[1]) for l in out.splitlines() if l and l[0].isdigit()]
+        assert len(gammas) == 32 and np.all(np.isfinite(gammas)) and np.isfinite(bound)
+        assert max(abs(g - gamma_uncorrelated(2.0, 0.01)) for g in gammas) <= bound
 
     def test_reports_solver_diagnostics(self, capsys):
         _, out, _ = run_cli(capsys, "asymptotic", "--n", "8", "--k", "4")
@@ -148,13 +168,10 @@ class TestSweepCommands:
     def test_sweep_loading_stderr_empty_at_extreme_snr(self, tmp_path):
         # The brute-force column printed numpy's divide-by-zero warning here.
         # A fresh process, because pytest collects warnings instead of printing them.
-        src = os.path.dirname(os.path.dirname(mimoslnr.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         run = subprocess.run(
             [sys.executable, "-m", "mimoslnr", "sweep-loading",
              "--out", str(tmp_path / "loading.csv"), "--snr-grid=100:300:9"],
-            env=env, capture_output=True, timeout=300,
+            env=child_env(), capture_output=True, timeout=300,
         )
         assert run.returncode == EXIT_OK
         assert run.stderr == b""
@@ -226,17 +243,58 @@ class TestSweepCommands:
         assert not out.exists()
 
 
+class TestClosedStdout:
+    """A reader that stops early, as ``| head -1`` does, ends the run quietly."""
+
+    # An empty PYTHONUNBUFFERED counts as unset: stdout is then flushed once, at the end.
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_reader_closes_after_the_first_line(self, unbuffered):
+        # 8192 rows, about 110 KB: more than a pipe holds, so the command is
+        # still writing when the reader closes. This printed a BrokenPipeError
+        # traceback and exited 1, or, buffered, "Exception ignored" and 120.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mimoslnr", "asymptotic", "--profile", "exp-common",
+             "--n", "64", "--k", "8192"],
+            env=child_env(PYTHONUNBUFFERED=unbuffered),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        try:
+            assert proc.stdout.readline() == b"# resolved configuration\n"
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+        assert proc.returncode == EXIT_BROKEN_PIPE
+        assert err == b""
+
+    def test_csv_written_before_the_pipe_broke_stays_whole(self, capsys, tmp_path):
+        # Buffered, the echo and the report reach stdout at the final flush,
+        # after the CSV is closed; the reader is gone before the run starts.
+        whole, out = tmp_path / "whole.csv", tmp_path / "out.csv"
+        assert main(["sweep-loading", "--out", str(whole)]) == EXIT_OK
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            run = subprocess.run(
+                [sys.executable, "-m", "mimoslnr", "sweep-loading", "--out", str(out)],
+                env=child_env(PYTHONUNBUFFERED=""), stdout=write_end, stderr=subprocess.PIPE,
+                timeout=300,
+            )
+        finally:
+            os.close(write_end)
+        assert run.returncode == EXIT_BROKEN_PIPE
+        assert run.stderr == b""
+        assert out.read_bytes() == whole.read_bytes()
+
+
 def csv_bytes_per_blas_threads(tmp_path, command, *args):
     """CSV bytes that ``command`` writes under ``OPENBLAS_NUM_THREADS=1`` and ``=2``."""
-    src = os.path.dirname(os.path.dirname(mimoslnr.__file__))
     outputs = []
     for threads in ("1", "2"):
         out_path = tmp_path / f"{command}-{threads}.csv"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         subprocess.run(
             [sys.executable, "-m", "mimoslnr", command, "--out", str(out_path), *args],
-            env=env, check=True, capture_output=True, timeout=300,
+            env=child_env(OPENBLAS_NUM_THREADS=threads), check=True, capture_output=True, timeout=300,
         )
         outputs.append(out_path.read_bytes())
     return outputs

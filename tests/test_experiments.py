@@ -98,16 +98,17 @@ class TestEmpiricalCdf:
 class TestCdfExperiment:
     def test_pools_cost_two_arrays(self, monkeypatch):
         # A unit is one pooled array of trials * K floats. The run holds its
-        # two pools, the result's four columns and at most two arrays that
-        # empirical_cdf builds on the way: 8 units. Keeping two arrays per
-        # trial and concatenating them took 11.8 units. The kernels' own
-        # per-trial memory is a few KiB at this size (with them the run
-        # read 7.05 units), so they are replaced by stubs that return fresh
-        # arrays, as compute_metrics does: tracing them 20,000 times takes
-        # seconds.
+        # two pools, sorted in place into the slnr and sinr columns, the
+        # levels and the constant column: 4 units, bounded at 5. Sorting
+        # copies of the pools and building the levels once per column read
+        # 7.06 units, and keeping two arrays per trial and concatenating
+        # them 11.8. The kernels' own per-trial memory is a few KiB at this
+        # size (with them the run reads 4.01 units), so they are replaced by
+        # stubs that return fresh arrays, as compute_metrics does: tracing
+        # them 20,000 times takes seconds.
         N, K, trials = 16, 8, 20_000
         unit = trials * K * 8
-        bound = 8 * unit
+        bound = 5 * unit
         cfg = SystemConfig.make(N=N, K=K, snr_db=10.0, trials=trials, seed=3)
         realization = experiments.sample_channel(cfg, 0)
         metrics = experiments.compute_metrics(realization.H, cfg.eta)

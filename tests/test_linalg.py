@@ -19,9 +19,8 @@ from mimoslnr.linalg import (
     hermitian_part,
     psd_sqrt,
     shifted_gram_inverse,
-    shifted_gram_solve,
 )
-from mimoslnr.oracles import sinr_instantaneous, slnr_ratio
+from mimoslnr.oracles import rzf_precode, sinr_instantaneous, slnr_leave_one_out, slnr_ratio
 
 rng = np.random.default_rng(1234)
 
@@ -122,67 +121,6 @@ class TestPsdSqrt:
             psd_sqrt(np.diag([1.0, -0.5]))
 
 
-class TestShiftedGramSolve:
-    def test_zero_channel_is_diagonal_system(self):
-        H = np.zeros((4, 2))
-        X = shifted_gram_solve(H, 2.0, np.eye(4))
-        np.testing.assert_allclose(X, 0.5 * np.eye(4), atol=1e-14)
-
-    def test_scalar_case(self):
-        X = shifted_gram_solve(np.array([[1.0]]), 1.0, np.array([[1.0]]))
-        np.testing.assert_allclose(X, [[0.5]], atol=1e-15)
-
-    @pytest.mark.parametrize("n,k,m", [(8, 4, 8), (8, 4, 1), (16, 16, 3), (5, 9, 5)])
-    def test_residual(self, n, k, m):
-        H = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
-        B = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-        beta = 0.37
-        X = shifted_gram_solve(H, beta, B)
-        resid = (H @ (H.conj().T @ X)) + beta * X - B
-        assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(B)
-
-    def test_vector_rhs(self):
-        H = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
-        b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        x = shifted_gram_solve(H, 1.0, b)
-        assert x.shape == (6,)
-        resid = H @ (H.conj().T @ x) + x - b
-        assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(b)
-
-    @pytest.mark.parametrize("B,shape", [(np.zeros((0, 3)), (0, 3)), (np.zeros(0), (0,))])
-    def test_empty_system(self, B, shape):
-        assert shifted_gram_solve(np.zeros((0, 2)), 1.0, B).shape == shape
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            shifted_gram_solve(np.zeros((4, 2)), 1.0, np.eye(3))
-
-    def test_nonpositive_beta(self):
-        with pytest.raises(ValueError):
-            shifted_gram_solve(np.zeros((2, 2)), 0.0, np.eye(2))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_rejects_non_finite_input(self, bad):
-        H = np.ones((3, 2), dtype=complex)
-        H_bad = H.copy()
-        H_bad[1, 0] = bad
-        with pytest.raises(ValueError, match="finite"):
-            shifted_gram_solve(H_bad, 1.0, np.eye(3))
-        with pytest.raises(ValueError, match="finite"):
-            shifted_gram_solve(H, 1.0, H_bad)
-        with pytest.raises(ValueError, match="beta"):
-            shifted_gram_solve(H, bad, np.eye(3))
-
-    # A complex shift failed in float() with a TypeError, and a bool passed for 1.
-    @pytest.mark.parametrize("beta", [1j, 1.0 + 0j, True, np.True_, np.array([1.0])])
-    def test_rejects_a_beta_that_is_not_a_real_number(self, beta):
-        H = np.ones((3, 2), dtype=complex)
-        with pytest.raises(ValueError, match="beta"):
-            shifted_gram_solve(H, beta, np.eye(3))
-        with pytest.raises(ValueError, match="beta"):
-            shifted_gram_inverse(H, beta)
-
-
 class TestShiftedGramInverse:
     @pytest.mark.parametrize("n,k", [(1, 1), (4, 8), (8, 8), (8, 4)])
     def test_inverts_the_shifted_gram(self, n, k):
@@ -194,9 +132,10 @@ class TestShiftedGramInverse:
         assert np.linalg.norm(resid) <= 1e-12 * n
 
     def test_matches_the_solve(self):
+        # Against the oracle's LU solve of the same N x N system.
         H = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
         _, W_inv = shifted_gram_inverse(H, 0.5)
-        np.testing.assert_allclose(W_inv, shifted_gram_solve(H, 0.5, np.eye(6)), rtol=1e-12)
+        np.testing.assert_allclose(W_inv @ H, rzf_precode(H, 0.5), rtol=1e-12)
 
     def test_empty_system(self):
         G, W_inv = shifted_gram_inverse(np.zeros((0, 2)), 1.0)
@@ -206,6 +145,12 @@ class TestShiftedGramInverse:
         H = np.ones((2, 3), dtype=complex)
         with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
             shifted_gram_inverse(H, 1e-300)
+
+    @pytest.mark.parametrize("shape", [(4, 2), (2, 4)], ids=["4x2", "2x4"])
+    def test_overflowing_gram_is_linalg_error(self, shape):
+        # Finite entries whose Gram overflows: the inverse was NaN, after an overflow warning.
+        with pytest.raises(np.linalg.LinAlgError, match="shifted Gram matrix is not finite"):
+            shifted_gram_inverse(np.full(shape, 1e160 + 0j), 0.1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_input(self, bad):
@@ -239,12 +184,13 @@ class TestCholeskyPair:
         assert module is lapack
 
         H = rng.standard_normal((12, 6)) + 1j * rng.standard_normal((12, 6))
+        W = H @ H.conj().T + 0.3 * np.eye(12)
         B = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
         A, b = rng.standard_normal((12, 4)), rng.standard_normal(12)
 
         def outputs():
             return (
-                shifted_gram_solve(H, 0.3, B), *shifted_gram_inverse(H, 0.3),
+                linalg._cholesky_solve(W, B, "W"), *shifted_gram_inverse(H, 0.3),
                 linalg._kms_eigenvalues(9, 0.7), linalg._least_squares(12, 5)(A, b),
             )
 
@@ -273,17 +219,14 @@ class TestOneBlasThread:
             set_(2)
         seen = []
 
-        # The Cholesky factorizations: shifted_gram_solve's zposv and
-        # shifted_gram_inverse's zpotrf.
-        def spy(routine):
-            def spied(*args, **kwargs):
-                seen.append(self.threads(found))
-                return routine(*args, **kwargs)
+        # The Cholesky factorization of shifted_gram_inverse.
+        zpotrf = linalg.zpotrf
 
-            return spied
+        def spied(*args, **kwargs):
+            seen.append(self.threads(found))
+            return zpotrf(*args, **kwargs)
 
-        for name in ("zposv", "zpotrf"):
-            monkeypatch.setattr(linalg, name, spy(getattr(linalg, name)))
+        monkeypatch.setattr(linalg, "zpotrf", spied)
         yield found, seen
         for (_, set_), n in zip(found, saved):
             set_(n)
@@ -295,7 +238,7 @@ class TestOneBlasThread:
     def test_one_thread_inside_and_restored_after(self, pools):
         found, seen = pools
         H = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
-        shifted_gram_solve(H, 1.0, H)
+        shifted_gram_inverse(H, 1.0)
         assert seen == [[1] * len(found)]
         assert self.threads(found) == [2] * len(found)
 
@@ -310,7 +253,7 @@ class TestOneBlasThread:
                 return np.full((3, 2), np.nan, dtype=dtype)
 
         with pytest.raises(ValueError, match="finite"):
-            shifted_gram_solve(Probe(), 1.0, np.eye(3))
+            shifted_gram_inverse(Probe(), 1.0)
         assert seen == [[1] * len(found)]
         assert self.threads(found) == [2] * len(found)
 
@@ -328,6 +271,21 @@ class TestOneBlasThread:
         p = np.ones(3)
         np.testing.assert_array_equal(entry(Probe(), H, p, 0.1), entry(H, H, p, 0.1))
         assert seen == [[1] * len(found)]
+        assert self.threads(found) == [2] * len(found)
+
+    @pytest.mark.parametrize("entry", [rzf_precode, slnr_leave_one_out])
+    def test_oracle_solve_on_one_thread(self, pools, entry):
+        # numpy's LU solve runs on numpy's pool, which is set to one thread too.
+        found, seen = pools
+        H = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+
+        class Probe:
+            def __array__(self, dtype=None, copy=None):
+                seen.append(TestOneBlasThread.threads(found))
+                return H if dtype is None else H.astype(dtype)
+
+        np.testing.assert_array_equal(entry(Probe(), 0.5), entry(H, 0.5))
+        assert seen and seen == [[1] * len(found)] * len(seen)
         assert self.threads(found) == [2] * len(found)
 
     def test_nested_call_restores_once(self, pools):
@@ -349,7 +307,7 @@ class TestOneBlasThread:
             try:
                 barrier.wait(timeout=10)
                 for _ in range(calls):
-                    shifted_gram_solve(H, 1.0, H)
+                    shifted_gram_inverse(H, 1.0)
             except Exception as exc:  # reported by the main thread below
                 errors.append(exc)
 
@@ -375,7 +333,7 @@ FIRST_CALL_CHILD = """
 import json, sys, threading, types
 import numpy as np
 from mimoslnr import _blas, linalg
-from mimoslnr.linalg import shifted_gram_solve
+from mimoslnr.linalg import shifted_gram_inverse
 
 loads, seen = [], []
 load = linalg._load_lapack
@@ -384,12 +342,12 @@ def spied_load():
     module = load()
     loads.append(module)
 
-    def zposv(*args, **kwargs):
+    def zpotrf(*args, **kwargs):
         seen.append([get() for get, _ in _blas.pools()])
-        return module.zposv(*args, **kwargs)
+        return module.zpotrf(*args, **kwargs)
 
     return types.SimpleNamespace(**dict(
-        {name: getattr(module, name) for name in linalg.LAPACK_ROUTINES}, zposv=zposv))
+        {name: getattr(module, name) for name in linalg.LAPACK_ROUTINES}, zpotrf=zpotrf))
 
 linalg._load_lapack = spied_load
 H = np.random.default_rng(0).standard_normal((16, 8)) * (1 + 1j)
@@ -399,7 +357,7 @@ errors = []
 def work():
     try:
         barrier.wait(timeout=10)
-        shifted_gram_solve(H, 1.0, H)
+        shifted_gram_inverse(H, 1.0)
     except Exception as exc:
         errors.append(repr(exc))
 

@@ -57,6 +57,33 @@ class TestRzfPrecode:
         assert np.linalg.norm(F - ref_n) <= 1e-12 * np.linalg.norm(ref_n)
         assert np.linalg.norm(F - ref_k) <= 1e-12 * np.linalg.norm(ref_k)
 
+    def test_empty_system(self):
+        assert rzf_precode(np.zeros((0, 2)), 1.0).shape == (0, 2)
+
+    def test_nonpositive_beta(self):
+        with pytest.raises(ValueError, match="beta"):
+            rzf_precode(np.zeros((2, 2)), 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_input(self, bad):
+        H = np.ones((3, 2), dtype=complex)
+        with pytest.raises(ValueError, match="beta"):
+            rzf_precode(H, bad)
+        H[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            rzf_precode(H, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            slnr_leave_one_out(H, 0.1)
+
+    # A complex shift failed in float() with a TypeError, and a bool passed for 1.
+    @pytest.mark.parametrize("beta", [1j, 1.0 + 0j, True, np.True_, np.array([1.0])])
+    def test_rejects_a_beta_that_is_not_a_real_number(self, beta):
+        H = np.ones((3, 2), dtype=complex)
+        with pytest.raises(ValueError, match="beta"):
+            rzf_precode(H, beta)
+        with pytest.raises(ValueError, match="beta"):
+            linalg.shifted_gram_inverse(H, beta)
+
     def test_singular_gram_is_linalg_error(self):
         # Two equal users make H* H singular; a vanishing shift cannot save it.
         H = np.zeros((8, 4), dtype=complex)
@@ -118,14 +145,17 @@ class TestSlnr:
     def test_near_square_k_above_n_at_80_db(self):
         # K > N takes the N x N inverse, and q/(1 - q) amplifies its error as
         # q -> 1, so near square and at high SNR the 1e-8 margin is thinnest.
-        # Worst of these three channels: 4.0e-10.
-        seeded = np.random.default_rng(5)
+        # Worst of each size's three channels, against the leave-one-out solve
+        # by LU: 3.8e-10 at 63 x 64 and 5.0e-10 at 127 x 128 (by Cholesky, as
+        # the oracle once solved: 4.0e-10 and 5.1e-10).
         eta = eta_from_snr_db(80.0)
-        for _ in range(3):
-            H = (seeded.standard_normal((63, 64)) + 1j * seeded.standard_normal((63, 64)))
-            H /= np.sqrt(2.0)
-            slow = slnr_leave_one_out(H, eta)
-            assert np.max(np.abs(compute_metrics(H, eta).slnr - slow) / slow) <= 1e-8
+        for N in (63, 127):
+            seeded = np.random.default_rng(5)
+            for _ in range(3):
+                H = seeded.standard_normal((N, N + 1)) + 1j * seeded.standard_normal((N, N + 1))
+                H /= np.sqrt(2.0)
+                slow = slnr_leave_one_out(H, eta)
+                assert np.max(np.abs(compute_metrics(H, eta).slnr - slow) / slow) <= 1e-8, N
 
     def test_matches_leakage_ratio_pipeline(self):
         # Quadratic form route against the explicit precode/power/ratio
@@ -280,6 +310,16 @@ class TestMetrics:
         eta = eta_from_snr_db(-100.0)
         slow = slnr_leave_one_out(H, eta)
         assert np.max(np.abs(compute_metrics(H, eta).slnr - slow) / slow) <= 1e-8
+
+    @pytest.mark.parametrize("shape", [(4, 2), (2, 4)], ids=["4x2", "2x4"])
+    def test_overflowing_gram_is_linalg_error(self, shape):
+        # Finite entries whose Gram overflows: the metrics and the oracles
+        # were all NaN, or 0, with an overflow warning.
+        H = np.full(shape, 1e160 + 0j)
+        entries = (compute_metrics, slnr_leave_one_out, lambda H, eta: rzf_precode(H, 2 * eta))
+        for entry in entries:
+            with pytest.raises(np.linalg.LinAlgError, match="shifted Gram matrix is not finite"):
+                entry(H, 0.1)
 
     @pytest.mark.parametrize("N,K", [(8, 4), (64, 32), (5, 1)])
     @pytest.mark.parametrize("snr_db", [100.0, 200.0, 300.0, 400.0])
