@@ -12,15 +12,14 @@ there: 10 000 steps fall short at N = K and 60 dB. The vector solver
 (:func:`_anderson`, behind :func:`solve_exponential_fixed_point` and the
 dense reference ``oracles.solve_fixed_point``) therefore runs safeguarded
 Anderson acceleration on the Picard step (Walker & Ni, SIAM J. Numer. Anal.
-49(4), 2011). It stops once ``residual * L / (1 - L)``, which bounds the
-distance to the fixed point to first order, is within the tolerance, with
-``L`` estimated from plain steps, or once rounding stops the residual from
-falling. The fixed point is unique (Wagner, Couillet, Debbah & Slock, IEEE
-Trans. IT 58(7), 2012), so the start only sets the path. The dense reference
-starts from all zeros, and so does the Toeplitz solver unless it is given a
-``start``: the correlation sweep starts each phase draw at the uncorrelated
-closed form, exact at ``rho = 0``, and carries the draw's gammas from one
-``rho`` to the next.
+49(4), 2011). It stops once the residual and a bound on the distance to the
+fixed point, from the norm of the step's nonnegative Jacobian in weights
+``1 + gamma``, are within the tolerance, or once rounding stops the residual
+from falling. The fixed point is unique (Wagner, Couillet, Debbah & Slock,
+IEEE Trans. IT 58(7), 2012), so the start only sets the path: all zeros for
+the dense reference, and for the Toeplitz solver the uncorrelated closed
+form, exact at ``rho = 0``, or a ``start``, such as the gammas the
+correlation sweep carries from one ``rho`` to the next.
 Special cases reduce the system:
 
 - uncorrelated channels (``R_k = I``) admit the closed form implemented in
@@ -107,11 +106,13 @@ class FixedPointError(RuntimeError):
 class AsymptoticSolution:
     """Deterministic SLNR values with solver diagnostics.
 
-    ``residual`` is ``max_k |step(gamma)_k - gamma_k|`` at the returned point,
-    ``contraction`` the estimate of the Picard map's contraction factor ``L``
-    (NaN before a plain step has contracted), and ``error_bound`` the
-    first-order bound ``residual * L / (1 - L)`` on ``max_k`` of the distance
-    to the fixed point (inf while ``L`` is unknown). The bound leaves out
+    ``gamma`` is the image ``step(x)`` of the last iterate ``x``, ``residual``
+    is ``max_k |f_k|`` with ``f = gamma - x``, ``contraction`` the Picard
+    map's contraction factor ``L`` (finite), the norm of its Jacobian in
+    weights ``v = 1 + x`` near the solution (see :func:`_anderson`), and
+    ``error_bound`` the first-order bound ``L / (1 - L) max_k v_k max_k
+    |f_k| / v_k`` on ``max_k`` of the distance to the fixed point (inf when
+    ``L >= 1``). The bound leaves out
     rounding, which limits any solver to a few ``eps * (1 + max gamma) / (1 - L)``;
     at a zero residual ``error_bound`` is that rounding floor, one such
     term, since a step that rounds to no change bounds nothing finer.
@@ -130,7 +131,8 @@ def solve_exponential_fixed_point(N, rho, theta, eta, tol=DEFAULT_TOL, *, start=
 
     The users' matrices are ``R_k[m, n] = rho^|m-n| exp(1j (m-n) theta_k)``.
     Safeguarded Anderson acceleration of the Picard step (see
-    :func:`_anderson`) runs from ``start``, all zeros by default; the
+    :func:`_anderson`) runs from ``start``, by default the uncorrelated
+    closed form ``gamma_uncorrelated(N/K, eta)`` for every user; the
     solution does not depend on the path, but a start near it shortens the
     path. No ``R_k`` is formed: ``M = sum_k w_k R_k + K eta I`` with
     ``w_k = 1/(1 + gamma_k)`` is Hermitian Toeplitz with lags
@@ -156,12 +158,13 @@ def solve_exponential_fixed_point(N, rho, theta, eta, tol=DEFAULT_TOL, *, start=
         Inverse SNR; must be positive and finite so the resolvent stays
         definite.
     tol : float
-        Positive finite relative tolerance: the run stops at a plain step
-        once both its residual and ``residual * L / (1 - L)`` are within
-        ``tol * (1 + max_k gamma_k)``, or on the rounding floor.
+        Positive finite relative tolerance: the run stops once both the
+        residual and the error bound are within ``tol * (1 + max_k gamma_k)``,
+        or on the rounding floor.
     start : (K,) array_like, optional
         Keyword only: the first iterate, K finite nonnegative numbers, such
-        as the solution at a nearby ``rho``. ``None`` starts from all zeros.
+        as the solution at a nearby ``rho``. ``None`` starts every user at
+        ``gamma_uncorrelated(N/K, eta)``.
 
     Returns
     -------
@@ -184,9 +187,7 @@ def solve_exponential_fixed_point(N, rho, theta, eta, tol=DEFAULT_TOL, *, start=
     check_positive_finite(eta, "eta")
     check_positive_finite(tol, "tol")
     K = theta.size
-    if start is None:
-        start = np.zeros(K)
-    else:
+    if start is not None:
         start = check_vector(start, "start")
         if start.size != K or not start.min() >= 0.0:
             raise ValueError(
@@ -208,6 +209,8 @@ def _solve_toeplitz(phase, rho, eta, tol, start):
     on ``rho``: the correlation sweep builds it once per draw.
     """
     K, N = phase.shape
+    if start is None:
+        start = np.full(K, gamma_uncorrelated(N / K, eta))
     lags = np.arange(N)
     decay = rho ** lags
     unphase = phase.conj()
@@ -273,9 +276,9 @@ def _anderson(step, gamma, tol, max_iter):
 
     Each iteration evaluates ``step`` once: at the plain (Picard) point, the
     last image ``g``, or at the Anderson extrapolate
-    ``g - dG c``, where ``c`` fits the current residual ``f = g - gamma``
-    by the last HISTORY residual differences ``dF`` in least squares (the
-    fit of ``np.linalg.lstsq`` with ``rcond=None``, by
+    ``g - dG c``, where ``c`` fits the current residual ``f = g - x`` of the
+    iterate ``x`` by the last HISTORY residual differences ``dF`` in least
+    squares (the fit of ``np.linalg.lstsq`` with ``rcond=None``, by
     ``linalg._least_squares``) and ``dG`` holds the matching image
     differences. An extrapolate is rejected, and the history restarted from
     the plain point, when it is not finite,
@@ -286,65 +289,65 @@ def _anderson(step, gamma, tol, max_iter):
     the absolute residual the run crawled at N = K and cycled at 80 dB and
     ``rho = 0.99``, where the users' gamma span 9e2 to 6e4.
 
-    A plain step that lowers the residual estimates the contraction factor
-    ``L`` as the ratio of the two residuals. Near the rounding floor that
-    ratio is noise, so ``L`` is fixed by the first plain step taken from a
-    residual within ``FLOOR * (1 + max g)``: close enough to the solution
-    for its Jacobian, far enough above the floor for a precise ratio. The
-    first iterate within that distance is followed by such a step.
+    The Picard Jacobian ``J_kj = tr(R_k X R_j X) / (1 + x_j)^2`` (``X`` the
+    resolvent) is entrywise nonnegative, so its norm in ``max_k |y_k| / v_k``
+    with ``v = 1 + x`` is ``L = max_k (J v)_k / v_k``, and at any iterate,
+    plain or extrapolated, ``L / (1 - L) * max_k v_k * max_k |f_k| / v_k``
+    bounds ``max_k |g_k - gamma*_k|`` to first order (Yates, IEEE JSAC 13(7),
+    1995). One extra evaluation of ``step`` measures ``L`` as the largest
+    ``(step(x + FLOOR v) - g) / (FLOOR v)`` at the first iterate within
+    ``FLOOR * (1 + max g)`` of its image, close enough to the solution for
+    its Jacobian; that ``v`` weighs every later bound. As
+    ``J (1 + x) = g - K eta tr(R_k X^2) <= g``, ``L <= max_k g_k / (1 + x_k)``.
 
-    The run stops at a plain step whose residual and
-    ``residual * L / (1 - L)`` are both within ``tol * (1 + max g)``; an
-    extrapolate that passes with the current ``L`` is followed by a plain
-    step to check it. Rounding leaves a residual of a few ulps of gamma that
-    no step removes: once the smallest residual is within
-    ``FLOOR * (1 + max g)`` and has not fallen for STALL steps, the run
-    returns the iterate with the smallest residual, whose ``error_bound``
-    may then exceed the tolerance, as may the rounding floor reported for a
-    residual of exactly 0.
+    The run returns the image ``g`` of the first iterate whose residual and
+    bound are both within ``tol * (1 + max g)``, or whose residual is 0.
+    Rounding leaves a residual of a few ulps of gamma that no step removes:
+    once the smallest residual is within ``FLOOR * (1 + max g)`` and has not
+    fallen for STALL steps, the run returns the iterate with the smallest
+    residual, whose ``error_bound`` may then exceed the tolerance, as may
+    the rounding floor reported for a residual of exactly 0.
     """
-    g = step(gamma)
-    f = g - gamma
+    x, g = gamma, step(gamma)
+    f = g - x
     res = float(np.abs(f).max())
-    if not math.isfinite(res):
-        raise FixedPointError(
-            "fixed point iterate is not finite at iteration 1", residual=res, iterations=1
-        )
     it = 1
-    # The last HISTORY image and residual differences, oldest first, in the
-    # first ``m`` rows.
+    if not math.isfinite(res):
+        raise _not_finite(res, it)
+    # The last HISTORY image and residual differences, oldest first, in rows 0 to m - 1.
     d_g, d_f = np.empty((2, HISTORY, g.size))
     m = 0
     fit = _least_squares(g.size, HISTORY)
-    contraction = math.nan
-    probed = False
-    plain = True
+    # L and the weights v it is measured in, once an iterate comes near its image.
+    contraction, weights = math.inf, None
     relative = np.abs(f / (1.0 + g)).max()
-    best_g, best_res, stalled = g, res, 0
+    best_g, best_f, best_res, stalled = g, f, res, 0
 
-    def bound_of(residual):
-        if residual == 0.0:
-            return 0.0
-        return residual * contraction / (1.0 - contraction) if contraction < 1.0 else math.inf
-
-    def solution(gamma, residual):
-        # A zero residual stops the run, but it bounds only the rounding of
-        # the step: report that floor (inf while L is unknown), not 0.
-        if residual != 0.0:
-            bound = bound_of(residual)
-        elif contraction < 1.0:
-            bound = EPS * (1.0 + float(gamma.max())) / (1.0 - contraction)
-        else:
+    def solution(g, f, residual):
+        # A zero residual bounds only the rounding of the step: report that floor, not 0.
+        if not contraction < 1.0:
             bound = math.inf
-        return AsymptoticSolution(gamma, it, residual, contraction, bound)
+        elif residual == 0.0:
+            bound = EPS * (1.0 + g.max()) / (1.0 - contraction)
+        else:
+            bound = contraction / (1.0 - contraction) * weights.max() * np.abs(f / weights).max()
+        return AsymptoticSolution(g, it, residual, contraction, float(bound))
 
     while True:
         scale = 1.0 + g.max()
-        bound = bound_of(res)
-        if plain and max(res, bound) <= tol * scale:
-            return solution(g, res)
+        if weights is None and res <= FLOOR * scale:
+            weights = 1.0 + x
+            delta = FLOOR * weights
+            contraction = max(float(((step(x + delta) - g) / delta).max()), 0.0)
+            it += 1
+            if not math.isfinite(contraction):
+                raise _not_finite(contraction, it)
+        if res <= tol * scale:
+            sol = solution(g, f, res)
+            if res == 0.0 or sol.error_bound <= tol * scale:
+                return sol
         if stalled >= STALL and best_res <= FLOOR * (1.0 + best_g.max()):
-            return solution(best_g, best_res)
+            return solution(best_g, best_f, best_res)
         if it >= max_iter:
             raise FixedPointError(
                 f"fixed point did not converge within {max_iter} iterations "
@@ -352,19 +355,17 @@ def _anderson(step, gamma, tol, max_iter):
                 residual=res,
                 iterations=it,
             )
-        probe = not probed and res <= FLOOR * scale
-        check = max(res, bound if contraction < 1.0 else 0.0) <= tol * scale
-        x, extrapolated = g, False
-        if m and not (probe or check):
+        x_new, extrapolated = g, False
+        if m:
             coef = fit(d_f[:m].T, f)
-            x = g - d_g[:m].T @ coef
-            extrapolated = bool(np.isfinite(x).all() and x.min() >= 0.0)
+            x_new = g - d_g[:m].T @ coef
+            extrapolated = bool(np.isfinite(x_new).all() and x_new.min() >= 0.0)
             if not extrapolated:
-                x = g
+                x_new = g
                 m = 0
-        g_new = step(x)
+        g_new = step(x_new)
         it += 1
-        f_new = g_new - x
+        f_new = g_new - x_new
         res_new = float(np.abs(f_new).max())
         relative_new = np.abs(f_new / (1.0 + g_new)).max()
         if extrapolated and not relative_new <= relative:
@@ -372,26 +373,24 @@ def _anderson(step, gamma, tol, max_iter):
             stalled += 1
             continue
         if not math.isfinite(res_new):
-            raise FixedPointError(
-                f"fixed point iterate is not finite at iteration {it}",
-                residual=res_new,
-                iterations=it,
-            )
+            raise _not_finite(res_new, it)
         if m == HISTORY:
             d_g[:-1], d_f[:-1] = d_g[1:], d_f[1:]
             m -= 1
         np.subtract(g_new, g, out=d_g[m])
         np.subtract(f_new, f, out=d_f[m])
         m += 1
-        if not extrapolated and not probed:
-            if 0.0 < res_new < res:
-                contraction = res_new / res
-            probed = res <= FLOOR * scale
-        g, f, res, relative, plain = g_new, f_new, res_new, relative_new, not extrapolated
+        x, g, f, res, relative = x_new, g_new, f_new, res_new, relative_new
         if res < best_res:
-            best_g, best_res, stalled = g, res, 0
+            best_g, best_f, best_res, stalled = g, f, res, 0
         else:
             stalled += 1
+
+
+def _not_finite(residual, iterations):
+    return FixedPointError(
+        f"fixed point iterate is not finite at iteration {iterations}", residual, iterations
+    )
 
 
 def gamma_uncorrelated(x, eta):

@@ -145,9 +145,9 @@ def run_correlation_sweep(
     The random-phase column is a continuation in ``rho``. Draw ``d``'s
     phases come once from ``trial_rng(seed, d)``, before the ``rho`` loop,
     and so does their table ``exp(1j d theta_k)``, which ``rho`` leaves alone.
-    The draw's first solve starts at the uncorrelated closed form for every user,
-    exact at ``rho = 0`` (where ``R_k = I``), and each later solve starts at
-    the draw's gammas from the previous ``rho`` of the grid, in grid order.
+    The draw's first solve starts at the solver's default, the uncorrelated
+    closed form, exact at ``rho = 0`` (where ``R_k = I``), and each later
+    solve at the draw's gammas from the previous ``rho``, in grid order.
     The fixed point is unique, so the start moves the answer only within
     the tolerance.
     """
@@ -178,7 +178,7 @@ def run_correlation_sweep(
         _phase_table(N, user_phases(random_config, trial_rng(seed, draw)))
         for draw in range(trials_for_random_theta)
     ]
-    gammas = [np.full(K, ref)] * trials_for_random_theta
+    gammas = [None] * trials_for_random_theta
 
     for i, rho in enumerate(rho_grid):
         even_col[i] = gamma_exp_even(N, K, rho, eta, tol=tol)

@@ -65,9 +65,9 @@ def solve_fixed_point(R, eta, tol=DEFAULT_TOL):
         Inverse SNR; must be positive and finite so the resolvent stays
         definite.
     tol : float
-        Positive finite relative tolerance: the run stops at a plain step
-        once both its residual and ``residual * L / (1 - L)`` are within
-        ``tol * (1 + max_k gamma_k)``, or on the rounding floor.
+        Positive finite relative tolerance: the run stops once both the
+        residual and the error bound are within ``tol * (1 + max_k gamma_k)``,
+        or on the rounding floor.
 
     Returns
     -------

@@ -41,10 +41,10 @@ class MetricsPerUser:
 
 
 def _as_channel(H):
-    """``H`` as a complex array, checked to be an N x K matrix."""
+    """``H`` as a complex array, checked to be an N x K matrix with N, K >= 1."""
     H = np.asarray(H, dtype=complex)
-    if H.ndim != 2:
-        raise ValueError(f"H must be an N x K matrix, got shape {H.shape}")
+    if H.ndim != 2 or 0 in H.shape:
+        raise ValueError(f"H must be an N x K matrix with N, K >= 1, got shape {H.shape}")
     return H
 
 

@@ -404,9 +404,10 @@ class TestStructuredRoutes:
         assert np.max(np.abs(sol.gamma - gamma)) <= 1e-11 * gamma
 
     def test_toeplitz_indefinite_resolvent_is_linalg_error(self):
-        # rho one ulp below 1 with one user leaves M numerically singular.
+        # rho one ulp below 1 with one user leaves M numerically singular at
+        # gamma = 0. (The default start, the closed form, keeps M definite.)
         with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
-            solve_exponential_fixed_point(64, 1.0 - 1e-16, np.zeros(1), 1e-30)
+            solve_exponential_fixed_point(64, 1.0 - 1e-16, np.zeros(1), 1e-30, start=np.zeros(1))
 
 
 # The scalar routes take their eigenvalues from the KMS blocks' tridiagonal
@@ -626,13 +627,61 @@ class TestAcceleratedSolvers:
 
     def test_zero_residual_reports_the_rounding_floor(self):
         # N = K = 64 at 80 dB with even phases stops on a residual of exactly
-        # 0, 2.9e-9 from the closed form, with contraction 0.9998.
+        # 0, 7.3e-12 from the closed form, with contraction 0.9998.
         eta = 1e-8
         sol = solve_exponential_fixed_point(64, 0.0, 2.0 * np.pi * np.arange(64) / 64, eta)
         error = np.abs(sol.gamma - gamma_uncorrelated(1.0, eta)).max()
-        assert sol.residual == 0.0 and error > 1e-9
+        assert sol.residual == 0.0
         assert sol.error_bound == EPS * (1.0 + sol.gamma.max()) / (1.0 - sol.contraction)
         assert sol.error_bound >= error > 0.0
+
+    @pytest.mark.parametrize("K", [32, 48])
+    @pytest.mark.parametrize("snr_db", [20.0, 40.0, 60.0, 80.0, 100.0])
+    def test_contraction_matches_uncorrelated_closed_form(self, K, snr_db):
+        # R_k = I: every row of the Jacobian sums to gamma^2 / (x (1 + gamma)^2),
+        # and equal weights make that sum the contraction factor.
+        eta = 10.0 ** (-snr_db / 10.0)
+        x = 64 / K
+        theta = np.random.default_rng(K).uniform(0.0, 2.0 * np.pi, K)
+        sol = solve_exponential_fixed_point(64, 0.0, theta, eta)
+        gamma = gamma_uncorrelated(x, eta)
+        assert sol.contraction == pytest.approx(gamma**2 / (x * (1.0 + gamma) ** 2), rel=1e-6)
+
+    @pytest.mark.parametrize("N,K,rho,snr_db", [
+        (16, 8, 0.5, 20.0), (16, 16, 0.9, 40.0), (32, 12, 0.99, 60.0), (24, 24, 0.3, 80.0),
+    ])
+    def test_contraction_is_under_its_closed_form_ceiling(self, N, K, rho, snr_db):
+        # J (1 + x) = g - K eta tr(R_k X^2) <= g, so L <= max_k g_k / (1 + x_k),
+        # up to the forward difference's error (about sqrt(eps) relative).
+        eta = 10.0 ** (-snr_db / 10.0)
+        R, theta = exp_random_case(N, K, rho, seed=N + K)
+        for sol in (solve_fixed_point(R, eta), solve_exponential_fixed_point(N, rho, theta, eta)):
+            assert 0.0 <= sol.contraction <= np.max(sol.gamma / (1.0 + sol.gamma)) * (1.0 + 1e-6)
+            assert sol.error_bound >= 0.0
+
+
+# The rounding floor of the grid below, in units of eps (1 + gamma) / (1 - L),
+# the limit the AsymptoticSolution docstring names. Set before the run.
+BOUND_FLOOR_ULPS = 16.0
+
+
+class TestErrorBound:
+    """The vector solver's error bound against the scalar route's exact value."""
+
+    @pytest.mark.parametrize("snr_db", [40.0, 60.0, 80.0, 100.0, 120.0])
+    @pytest.mark.parametrize("rho", [0.0, 0.9, 0.99, 0.999])
+    @pytest.mark.parametrize("N,K", [(16, 8), (16, 16), (64, 32), (64, 64)])
+    def test_bound_covers_distance_to_exp_even(self, N, K, rho, snr_db):
+        # Even phases give every user gamma_exp_even. With L taken from the
+        # residual ratio of one plain step, 19 of these 80 cases failed this
+        # check, and 41 exceeded the bound plus 4 eps (1 + gamma), the worst
+        # by 27,000 times.
+        eta = 10.0 ** (-snr_db / 10.0)
+        sol = solve_exponential_fixed_point(N, rho, 2.0 * np.pi * np.arange(K) / K, eta)
+        exact = gamma_exp_even(N, K, rho, eta, tol=1e-15)
+        assert sol.contraction < 1.0
+        floor = BOUND_FLOOR_ULPS * EPS * (1.0 + exact) / (1.0 - sol.contraction)
+        assert np.abs(sol.gamma - exact).max() <= sol.error_bound + floor
 
     @pytest.mark.parametrize("N", [1, 2, 7, 64])
     @pytest.mark.parametrize("rho", [0.0, 0.5, 0.95])
@@ -687,12 +736,13 @@ class TestContinuation:
         assert sol.iterations <= 2
         assert np.abs(sol.gamma - ref).max() <= DEFAULT_TOL * (1.0 + ref)
 
-    def test_default_start_is_all_zeros(self):
+    def test_default_start_is_the_uncorrelated_closed_form(self):
         theta = np.random.default_rng(2).uniform(0.0, 2.0 * np.pi, 12)
         cold = solve_exponential_fixed_point(32, 0.6, theta, 0.01)
-        zeros = solve_exponential_fixed_point(32, 0.6, theta, 0.01, start=np.zeros(12))
-        assert np.array_equal(cold.gamma, zeros.gamma)
-        assert cold.iterations == zeros.iterations
+        closed = np.full(12, gamma_uncorrelated(32 / 12, 0.01))
+        started = solve_exponential_fixed_point(32, 0.6, theta, 0.01, start=closed)
+        assert np.array_equal(cold.gamma, started.gamma)
+        assert cold.iterations == started.iterations
 
     @pytest.mark.parametrize("start", [
         np.ones(3), np.ones(5), [1.0, np.nan, 1.0, 1.0], [1.0, 1.0, -1e-3, 1.0],

@@ -8,7 +8,9 @@ import pytest
 
 import mimoslnr
 from mimoslnr import cli, linalg, oracles
-from mimoslnr.asymptotic import gamma_exp_common, gamma_exp_even, gamma_uncorrelated
+from mimoslnr.asymptotic import (
+    gamma_exp_common, gamma_exp_even, gamma_uncorrelated, solve_exponential_fixed_point,
+)
 from mimoslnr.channel import (
     PROFILE_KINDS, SystemConfig, build_correlation, trial_rng, user_phases
 )
@@ -20,6 +22,10 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def converged_line(out):
+    return next(line for line in out.splitlines() if line.startswith("# converged in"))
 
 
 def child_env(**extra):
@@ -83,20 +89,52 @@ class TestAsymptoticCommand:
 
     def test_huge_tol_stops_early_with_an_honest_bound(self, capsys):
         # README: any positive finite --tol is accepted. One this loose stops
-        # the solver after a few steps, and the printed error bound still
-        # covers the distance to the fixed point, here the closed form.
-        code, out, _ = run_cli(capsys, "asymptotic", "--tol", "1e300")
+        # the solver at the first iterate within sqrt(eps) (1 + max gamma) of
+        # its image, where the contraction factor is measured, and the error
+        # bound still covers the distance to the fixed point, here a solve
+        # at a tight tolerance. The printed values carry 6 decimals, so the
+        # distance is taken in process, on the phases the command draws.
+        argv = ("asymptotic", "--profile", "exp-random", "--rho", "0.9")
+        code, out, _ = run_cli(capsys, *argv, "--tol", "1e300")
         assert code == EXIT_OK
-        line = next(l for l in out.splitlines() if l.startswith("# converged in"))
-        bound = float(line.rsplit(" ", 1)[1])
-        gammas = [float(l.split(",")[1]) for l in out.splitlines() if l and l[0].isdigit()]
-        assert len(gammas) == 32 and np.all(np.isfinite(gammas)) and np.isfinite(bound)
-        assert max(abs(g - gamma_uncorrelated(2.0, 0.01)) for g in gammas) <= bound
+        _, default_out, _ = run_cli(capsys, *argv)
+        config = SystemConfig.make(64, 32, 20.0, kind="exp-random", rho=0.9)
+        theta = user_phases(config, trial_rng(0, 0))
+        loose = solve_exponential_fixed_point(64, 0.9, theta, 0.01, tol=1e300)
+        tight = solve_exponential_fixed_point(64, 0.9, theta, 0.01, tol=1e-14)
+        line = converged_line(out)
+        assert line.startswith(f"# converged in {loose.iterations} iterations")
+        assert line.endswith(f"error bound {loose.error_bound:.3e}")
+        assert loose.iterations < int(converged_line(default_out).split()[3])
+        assert np.abs(loose.gamma - tight.gamma).max() <= loose.error_bound < 1e-7 * loose.gamma.max()
 
     def test_reports_solver_diagnostics(self, capsys):
         _, out, _ = run_cli(capsys, "asymptotic", "--n", "8", "--k", "4")
-        line = next(l for l in out.splitlines() if l.startswith("# converged in"))
+        line = converged_line(out)
         assert "residual" in line and "contraction" in line and "error bound" in line
+
+    @pytest.mark.parametrize("argv", [
+        ("--n", "64", "--k", "64", "--snr-db", "100", "--profile", "exp-random", "--rho", "0.99"),
+        ("--k", "1", "--profile", "exp-random", "--rho", "0.9999999999999999", "--snr-db", "300"),
+    ], ids=["64x64-100dB-rho0.99", "one-user-rho-below-1-300dB"])
+    def test_closed_form_start_converges(self, capsys, argv):
+        # From zeros the first ran out its 10 000 steps and the second met a
+        # numerically singular resolvent; both exited 2.
+        code, out, _ = run_cli(capsys, "asymptotic", *argv)
+        assert code == EXIT_OK
+        assert "error bound" in converged_line(out)
+
+    @pytest.mark.parametrize("snr_db", ["-300", "300"])
+    @pytest.mark.parametrize("profile", ["identity", "exp-random"])
+    def test_extreme_snr_diagnostics_are_numbers(self, capsys, profile, snr_db):
+        # At -300 dB the identity printed "contraction nan, error bound inf".
+        code, out, _ = run_cli(capsys, "asymptotic", "--profile", profile, "--rho", "0.5",
+                               "--snr-db", snr_db)
+        assert code == EXIT_OK
+        line = converged_line(out)
+        assert "nan" not in line
+        for name in ("residual", "contraction", "error bound"):
+            assert np.isfinite(float(line.split(f"{name} ")[1].split(",")[0])), name
 
     @pytest.mark.parametrize("kind", PROFILE_KINDS)
     def test_every_profile_matches_dense_solver(self, capsys, kind):
@@ -347,10 +385,15 @@ class TestErrorPaths:
         assert code == EXIT_USAGE
         assert "trials" in err
 
-    def test_numerical_failure_exit_code(self, capsys):
-        # rho one ulp below 1 with one user and eta = 1e-30 leaves the
-        # resolvent numerically singular: the Cholesky factorization fails
-        # and the CLI maps the failure to exit code 2.
+    def test_numerical_failure_exit_code(self, capsys, monkeypatch):
+        # The Toeplitz resolvent's Cholesky factorization fails, and the CLI
+        # maps the failure to exit code 2. (rho one ulp below 1 with one user
+        # at 300 dB left it numerically singular when the solve started from
+        # zeros; from the closed form that run converges.)
+        def fail(a, b, **kwargs):
+            return a, b, a.shape[0]
+
+        monkeypatch.setattr(linalg, "zposv", fail)
         code, _, err = run_cli(capsys, "asymptotic", "--k", "1", "--profile", "exp-random",
                                "--rho", "0.9999999999999999", "--snr-db", "300")
         assert code == EXIT_NUMERICAL

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -320,6 +322,16 @@ class TestMetrics:
         for entry in entries:
             with pytest.raises(np.linalg.LinAlgError, match="shifted Gram matrix is not finite"):
                 entry(H, 0.1)
+
+    @pytest.mark.parametrize("shape", [(4, 0), (0, 3), (0, 0)], ids=["4x0", "0x3", "0x0"])
+    def test_empty_channel_is_value_error_naming_the_shape(self, shape):
+        # The fast route raised about an internal beta of 0.0 (4x0) or
+        # DegenerateUserError (0x3); the oracle returned [] and [0, 0, 0].
+        message = re.escape(f"H must be an N x K matrix with N, K >= 1, got shape {shape}")
+        for entry in (compute_metrics, slnr_leave_one_out):
+            with pytest.raises(ValueError, match=message) as excinfo:
+                entry(np.zeros(shape), 0.1)
+            assert type(excinfo.value) is ValueError
 
     @pytest.mark.parametrize("N,K", [(8, 4), (64, 32), (5, 1)])
     @pytest.mark.parametrize("snr_db", [100.0, 200.0, 300.0, 400.0])
