@@ -659,6 +659,22 @@ class TestAcceleratedSolvers:
             assert 0.0 <= sol.contraction <= np.max(sol.gamma / (1.0 + sol.gamma)) * (1.0 + 1e-6)
             assert sol.error_bound >= 0.0
 
+    @pytest.mark.parametrize("N", [1, 2, 7, 64])
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.95])
+    def test_toeplitz_inverse_sums_match_explicit_inverse(self, N, rho):
+        K = 5
+        w = rng.uniform(0.01, 1.0, K)
+        theta = rng.uniform(0.0, 2.0 * np.pi, K)
+        lags = np.arange(N)
+        t = rho ** lags * (w @ np.exp(1j * np.outer(theta, lags)))
+        t[0] += K * 1e-3
+        d = np.subtract.outer(lags, lags)
+        M = np.where(d >= 0, t[np.abs(d)], t[np.abs(d)].conj())
+        inverse = np.linalg.inv(M)
+        explicit = np.array([np.trace(inverse, offset=-k) for k in range(N)])
+        sums = _toeplitz_inverse_sums(N)(t)
+        assert np.max(np.abs(sums - explicit)) <= 1e-13 * np.max(np.abs(explicit))
+
 
 # The rounding floor of the grid below, in units of eps (1 + gamma) / (1 - L),
 # the limit the AsymptoticSolution docstring names. Set before the run.
@@ -682,22 +698,6 @@ class TestErrorBound:
         assert sol.contraction < 1.0
         floor = BOUND_FLOOR_ULPS * EPS * (1.0 + exact) / (1.0 - sol.contraction)
         assert np.abs(sol.gamma - exact).max() <= sol.error_bound + floor
-
-    @pytest.mark.parametrize("N", [1, 2, 7, 64])
-    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.95])
-    def test_toeplitz_inverse_sums_match_explicit_inverse(self, N, rho):
-        K = 5
-        w = rng.uniform(0.01, 1.0, K)
-        theta = rng.uniform(0.0, 2.0 * np.pi, K)
-        lags = np.arange(N)
-        t = rho ** lags * (w @ np.exp(1j * np.outer(theta, lags)))
-        t[0] += K * 1e-3
-        d = np.subtract.outer(lags, lags)
-        M = np.where(d >= 0, t[np.abs(d)], t[np.abs(d)].conj())
-        inverse = np.linalg.inv(M)
-        explicit = np.array([np.trace(inverse, offset=-k) for k in range(N)])
-        sums = _toeplitz_inverse_sums(N)(t)
-        assert np.max(np.abs(sums - explicit)) <= 1e-13 * np.max(np.abs(explicit))
 
 
 class TestContinuation:
