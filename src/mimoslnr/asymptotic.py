@@ -30,10 +30,11 @@ Special cases reduce the system:
 - the exponential model ``R_k[m, n] = rho^|m-n| exp(1j (m-n) theta_k)``
   makes ``sum_j R_j / (1 + gamma_j)`` a Hermitian Toeplitz matrix set by N
   lags, so :func:`solve_exponential_fixed_point` solves the system on those
-  lags for any phases, without forming the K matrices ``R_k``. One
-  Cholesky solve per step (one LAPACK ``zposv`` call) gives the first
-  column of the inverse, and the Gohberg-Semencul formula turns it into
-  the inverse's diagonal sums;
+  lags for any phases, without forming the K matrices ``R_k`` or any N x N
+  matrix. One Levinson-Durbin recursion per step (scipy's compiled
+  ``levinson``, O(N^2)) gives the first column of the inverse and
+  certifies that M is positive definite, and the Gohberg-Semencul formula
+  turns that column into the inverse's diagonal sums;
 - evenly spaced phases ``theta_k = 2 pi k / K`` put every user on one
   orbit ``R_k = D^k R_0 D^-k`` with ``D = diag(exp(2j pi m / K))``. The
   fixed point is unique, so every ``gamma_k`` is equal, and
@@ -56,7 +57,6 @@ only on the lags ``d`` that K divides, so grouping the indices by
 ``floor(N/K)``, two distinct spectra at most.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -65,7 +65,7 @@ import numpy as np
 
 from ._blas import one_blas_thread
 from .channel import check_count, check_positive_finite, check_rho, check_vector
-from .linalg import EigConvergenceError, _cholesky_solve, _kms_eigenvalues, _least_squares
+from .linalg import EigConvergenceError, _kms_eigenvalues, _least_squares, _toeplitz_predictor
 
 __all__ = [
     "AsymptoticSolution",
@@ -225,22 +225,14 @@ def _solve_toeplitz(phase, rho, eta, tol, start):
     return _anderson(step, start, tol, DEFAULT_MAX_ITER)
 
 
-@functools.lru_cache(maxsize=8)
-def _lag_table(N):
-    """The read-only N x N table ``|m - n|``, built once per N."""
-    lags = np.arange(N)
-    table = np.abs(np.subtract.outer(lags, lags))
-    table.flags.writeable = False
-    return table
-
-
 def _toeplitz_inverse_sums(N):
     """``sums(t)``: the subdiagonal sums of ``M^{-1}`` for N x N Hermitian Toeplitz ``M``.
 
     ``t`` is M's first column (``M[m, n] = t[m - n]`` for ``m >= n``), and
-    ``sums(t)[d]`` is the sum of the d-th subdiagonal of ``M^{-1}``. One
-    Cholesky solve of ``M`` gives the first column ``a`` of ``M^{-1}``, and
-    the Gohberg-Semencul formula gives the rest of it:
+    ``sums(t)[d]`` is the sum of the d-th subdiagonal of ``M^{-1}``. The
+    Levinson-Durbin recursion (``linalg._toeplitz_predictor``, O(N^2))
+    gives the first column ``a = (1, -y) / e`` of ``M^{-1}``, and the
+    Gohberg-Semencul formula gives the rest of it:
 
         M^{-1} = (L(a) L(a)^H - L(b) L(b)^H) / a_0,   b = (0, conj(a_{N-1}), ..., conj(a_1)),
 
@@ -251,22 +243,23 @@ def _toeplitz_inverse_sums(N):
         s_d = sum_j (N - d - 2j) a_{j+d} conj(a_j) / a_0.
 
     The weight is ``u_{j+d} + u_j`` with ``u_j = (N - 2j) / 2``, so with
-    ``c_d = sum_j u_{j+d} a_{j+d} conj(a_j)`` (``d`` from ``1 - N`` to
-    ``N - 1``), ``s_d = (c_d + conj(c_{-d})) / a_0``: one correlation of
-    length N. ``sums`` raises :class:`numpy.linalg.LinAlgError` if ``M`` is
-    not numerically positive definite.
+    ``c_d = sum_j u_{j+d} v_{j+d} conj(v_j)`` over ``v = a / a_0 = (1, -y)``
+    (``d`` from ``1 - N`` to ``N - 1``), ``s_d = (c_d + conj(c_{-d})) / e``:
+    one correlation of length N. Correlating ``v`` and not ``a``, whose
+    entries grow as ``1 / e`` (about ``1 / (K eta)`` at high SNR), keeps the
+    products finite: ``a`` overflowed them from about 2000 dB. ``sums``
+    raises :class:`numpy.linalg.LinAlgError` if ``M`` is not numerically
+    positive definite.
     """
-    lag_of = _lag_table(N)
     half_weight = (N - 2.0 * np.arange(N)) / 2.0
-    first = np.zeros(N, dtype=complex)
-    first[0] = 1.0
+    v = np.empty(N, dtype=complex)
+    v[0] = 1.0
 
     def sums(t):
-        # t[|m - n|] is M in the lower triangle, the only one the Cholesky
-        # solve reads; the transpose hands it column-major memory to overwrite.
-        a = _cholesky_solve(t[lag_of].T, first, "Toeplitz resolvent", overwrite_a=True)
-        c = np.correlate(half_weight * a, a, "full")
-        return (c[N - 1:] + c[N - 1::-1].conj()) / a[0].real
+        y, e = _toeplitz_predictor(t, "Toeplitz resolvent")
+        np.negative(y, out=v[1:])
+        c = np.correlate(half_weight * v, v, "full")
+        return (c[N - 1:] + c[N - 1::-1].conj()) / e
 
     return sums
 

@@ -48,76 +48,79 @@ EPS = float(np.finfo(float).eps)
 _NO_VECTORS = np.zeros((1, 1))
 
 
-_FLAPACK = "scipy.linalg._flapack"
-
-
-def _flapack_path():
-    """The file of scipy's compiled LAPACK module, found without importing scipy."""
+def _extension_path(name):
+    """The file of scipy's compiled module ``scipy.linalg.<name>``, found without importing scipy."""
     spec = importlib.util.find_spec("scipy")
     for root in spec.submodule_search_locations if spec else ():
         for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            path = os.path.join(root, "linalg", name + suffix)
             if os.path.isfile(path):
                 return path
-    raise ImportError(f"no {_FLAPACK} extension file")
+    raise ImportError(f"no scipy.linalg.{name} extension file")
 
 
-def _load_lapack():
-    """Scipy's compiled LAPACK module ``_flapack``, without importing scipy.
+def _load_extension(name):
+    """Scipy's compiled module ``scipy.linalg.<name>``, without importing ``scipy.linalg``.
 
     The module is loaded from its file and registered under its own name, so
-    neither ``scipy`` nor ``scipy.linalg`` is imported and a later
-    ``import scipy.linalg`` shares it. Its routines are the callables that
-    ``scipy.linalg.lapack`` exports; if the file cannot be found or loaded,
-    that module is imported instead.
+    a later ``import scipy.linalg`` shares it. ``_flapack`` imports no scipy
+    package; ``_solve_toeplitz`` is a Cython module whose own imports run the
+    ``scipy`` package's ``__init__``: 24 more modules, 9-19 ms and about
+    1 MiB of peak RSS, once per process (scipy 1.17.1 on a 2-vCPU VM). If
+    the file cannot be found or loaded, the module is imported through
+    ``scipy.linalg`` instead.
     """
+    qualified = "scipy.linalg." + name
     try:
-        spec = importlib.util.spec_from_file_location(_FLAPACK, _flapack_path())
+        spec = importlib.util.spec_from_file_location(qualified, _extension_path(name))
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-        return sys.modules.setdefault(_FLAPACK, module)
+        return sys.modules.setdefault(qualified, module)
     except ImportError:  # no such file, or one that will not load
-        from scipy.linalg import lapack
-
-        return lapack
+        return importlib.import_module(qualified)
 
 
-# The only LAPACK routines the library calls: the Cholesky solve, factor and
+# The only LAPACK routines the library calls: the Cholesky factor and
 # inverse, the least-squares fit of Anderson acceleration and its workspace
 # query, and the eigenvalues of a positive definite tridiagonal matrix.
-LAPACK_ROUTINES = ("zposv", "zpotrf", "zpotri", "dgelsd", "dgelsd_lwork", "dpteqr")
-_lapack_lock = threading.Lock()
-_lapack_bound = False
+LAPACK_ROUTINES = ("zpotrf", "zpotri", "dgelsd", "dgelsd_lwork", "dpteqr")
+# The names bound from each compiled scipy.linalg module: LAPACK's from
+# _flapack, and scipy's Levinson recursion for Toeplitz systems.
+_BINDINGS = {"_flapack": LAPACK_ROUTINES, "_solve_toeplitz": ("levinson",)}
+_bind_lock = threading.Lock()
+_bound = set()
 
 
-def _bind_lapack():
-    """Bind :data:`LAPACK_ROUTINES` as globals of this module, once, at the first LAPACK call.
+def _bind(extension):
+    """Bind the names :data:`_BINDINGS` lists for ``extension`` as globals of this module, once.
 
     Every function here that calls one of them calls this first, and reading
-    ``linalg.<routine>`` from outside binds them too (:func:`__getattr__`),
-    so a process that never calls LAPACK never loads ``_flapack`` or the
-    OpenBLAS it maps. An ``_flapack`` already registered, by an earlier
-    ``import scipy.linalg``, is reused; otherwise :func:`_load_lapack`
-    loads it. The OpenBLAS pool that the load maps joins the others in
-    ``_blas``, on one thread at once if the load ran inside a
+    ``linalg.<name>`` from outside binds them too (:func:`__getattr__`), so
+    a process loads each module at its first use only: one that never calls
+    LAPACK never loads ``_flapack`` or the OpenBLAS it maps, and one that
+    never solves a Toeplitz system never loads ``_solve_toeplitz`` or the
+    ``scipy`` package. A module already registered, by an earlier
+    ``import scipy.linalg``, is reused; otherwise :func:`_load_extension`
+    loads it. The OpenBLAS pool that the ``_flapack`` load maps joins the
+    others in ``_blas``, on one thread at once if the load ran inside a
     ``one_blas_thread`` call, so the first call rounds as every later one.
     """
-    global _lapack_bound
-    if _lapack_bound:
+    if extension in _bound:
         return
-    with _lapack_lock:
-        if not _lapack_bound:
-            lapack = sys.modules.get(_FLAPACK) or _load_lapack()
-            globals().update((name, getattr(lapack, name)) for name in LAPACK_ROUTINES)
+    with _bind_lock:
+        if extension not in _bound:
+            module = sys.modules.get("scipy.linalg." + extension) or _load_extension(extension)
+            globals().update((name, getattr(module, name)) for name in _BINDINGS[extension])
             find_new_pools()
-            _lapack_bound = True
+            _bound.add(extension)
 
 
 def __getattr__(name):
-    """``linalg.<routine>`` for a name in :data:`LAPACK_ROUTINES`, bound on first read."""
-    if name in LAPACK_ROUTINES:
-        _bind_lapack()
-        return globals()[name]
+    """``linalg.<name>`` for a name in :data:`_BINDINGS`, bound on first read."""
+    for extension, names in _BINDINGS.items():
+        if name in names:
+            _bind(extension)
+            return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -284,33 +287,64 @@ def _cholesky(A, what):
     """The lower Cholesky factor of the column-major ``A``, in place, by LAPACK's ``zpotrf``.
 
     ``zpotrf`` and the other routines, bound at the first LAPACK call, come
-    from scipy's compiled ``_flapack`` module (see :func:`_bind_lapack`; no
+    from scipy's compiled ``_flapack`` module (see :func:`_bind`; no
     scipy Python package is imported). It reads only the lower triangle of
     ``A``, which must be Hermitian positive definite, and zeroes the upper
     one. If the factorization fails, :class:`numpy.linalg.LinAlgError`
     names ``A`` as ``what``.
     """
-    _bind_lapack()
+    _bind("_flapack")
     chol, info = zpotrf(A, lower=1, clean=1, overwrite_a=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"{what} is not positive definite (zpotrf info {info})")
     return chol
 
 
-def _cholesky_solve(A, B, what, overwrite_a=False):
-    """Solve ``A X = B`` by one call to LAPACK's ``zposv``.
+def _toeplitz_predictor(t, what):
+    """``(y, e)``: the first column of ``M^{-1}`` is ``(1, -y) / e``, for Hermitian Toeplitz ``M``.
 
-    ``zposv`` is ``zpotrf`` followed by ``zpotrs``, with the same bits. It
-    reads only the lower triangle of ``A``, which must be Hermitian positive
-    definite; ``overwrite_a`` lets it factorize a column-major ``A`` in
-    place. ``B`` keeps its shape, a vector included. If the factorization
-    fails, :class:`numpy.linalg.LinAlgError` names ``A`` as ``what``.
+    ``t`` is M's first column (complex, contiguous, ``M[m, n] = t[m - n]``
+    for ``m >= n``). ``y`` solves the Yule-Walker equations
+    ``M[:-1, :-1] y = t[1:]``, and ``e = t[0] - t[1:]^H y``, the Schur
+    complement of that block, is the error of the order ``N - 1`` linear
+    predictor. Scipy's compiled ``levinson`` (bound at the first call, see
+    :func:`_bind`) solves the equations by the Levinson-Durbin recursion in
+    O(N^2) with no N x N matrix (Levinson 1947; Durbin 1960), weakly stable
+    for positive definite ``M`` (Cybenko, SIAM J. Sci. Stat. Comput. 1(3),
+    1980). Its reflection coefficients ``k_1, ..., k_{N-1}`` certify
+    definiteness: consecutive leading principal minors of ``M`` have the
+    ratio ``e_m = t_0 prod_{j<=m} (1 - |k_j|^2)``, the error of the order m
+    predictor, so ``M`` is positive definite exactly when ``t_0 > 0`` and
+    every ``|k_j| < 1`` (``e`` is ``e_{N-1}``). The first column alone
+    could not tell: its ``a_0 = 1 / e`` is positive for some indefinite
+    ``M``. A ``t`` that fails this, a singular principal minor that stops the
+    recursion, or an ``e`` that rounds to zero or below raises
+    :class:`numpy.linalg.LinAlgError` naming ``M`` as ``what``.
     """
-    _bind_lapack()
-    _, X, info = zposv(A, B, lower=1, overwrite_a=int(overwrite_a))
-    if info != 0:
-        raise np.linalg.LinAlgError(f"{what} is not positive definite (zposv info {info})")
-    return X
+    _bind("_solve_toeplitz")
+    n = t.size
+    if not t[0].real > 0.0:
+        raise np.linalg.LinAlgError(f"{what} is not positive definite (diagonal {t[0].real:.3g})")
+    if n == 1:
+        return t[1:], t[0].real
+    try:
+        # levinson takes the system's first row reversed, without the
+        # diagonal, and then its first column: conj(t[n-2:0:-1]), t[:n-1].
+        y, reflection = levinson(np.concatenate((t[n - 2:0:-1].conj(), t[:n - 1])), t[1:])
+    except np.linalg.LinAlgError as exc:  # "Singular principal minor"
+        raise np.linalg.LinAlgError(f"{what} is not positive definite ({exc})") from exc
+    # reflection[0] is 1 by convention; |k_j| >= 1, or NaN, fails the test.
+    k = np.abs(reflection[1:])
+    if not k.max() < 1.0:
+        order = int(np.argmax(~(k < 1.0))) + 1
+        raise np.linalg.LinAlgError(
+            f"{what} is not positive definite (reflection coefficient {k[order - 1]:.6g} "
+            f"at order {order})"
+        )
+    e = t[0].real - np.vdot(t[1:], y).real
+    if not e > 0.0:
+        raise np.linalg.LinAlgError(f"{what} is not positive definite (prediction error {e:.3g})")
+    return y, e
 
 
 def _kms_eigenvalues(n, r):
@@ -331,7 +365,7 @@ def _kms_eigenvalues(n, r):
     N = 64 and r = 0.999999, against 1.6e-13). If ``dpteqr`` fails,
     :class:`numpy.linalg.LinAlgError` names its ``info``.
     """
-    _bind_lapack()
+    _bind("_flapack")
     c2 = (1.0 - r) * (1.0 + r)
     d = np.full(n, 1.0 + r * r)
     d[0] = c2
@@ -358,7 +392,7 @@ def _least_squares(rows, max_columns):
     queried once, for ``max_columns`` columns, which is enough for fewer.
     A ``dgelsd`` that fails raises :class:`numpy.linalg.LinAlgError`.
     """
-    _bind_lapack()
+    _bind("_flapack")
     work, iwork, _ = dgelsd_lwork(rows, max_columns, 1)
     lwork, size_iwork = int(work), int(iwork)
 

@@ -496,13 +496,6 @@ class TestStructuredKernels:
         assert lam.min() > 0.0
         assert abs(lam.sum() - N) <= 1e-12 * N
 
-    def test_lag_table_is_built_once_and_read_only(self):
-        table = asymptotic._lag_table(16)
-        assert asymptotic._lag_table(16) is table
-        assert not table.flags.writeable
-        lags = np.arange(16)
-        np.testing.assert_array_equal(table, np.abs(np.subtract.outer(lags, lags)))
-
     @pytest.mark.parametrize("rows,columns", [(48, 1), (48, 3), (48, 5), (7, 5), (3, 5), (1, 2)])
     def test_least_squares_matches_lstsq(self, rows, columns):
         fit = linalg._least_squares(rows, asymptotic.HISTORY)
@@ -674,6 +667,60 @@ class TestAcceleratedSolvers:
         explicit = np.array([np.trace(inverse, offset=-k) for k in range(N)])
         sums = _toeplitz_inverse_sums(N)(t)
         assert np.max(np.abs(sums - explicit)) <= 1e-13 * np.max(np.abs(explicit))
+
+    @pytest.mark.parametrize("N", [64, 512])
+    @pytest.mark.parametrize("K", [5, "N/2"])
+    def test_toeplitz_inverse_sums_at_the_hard_end(self, N, K):
+        # rho 0.999 at 100 dB. Both routes, the Levinson recursion and
+        # numpy's LU inverse, are accurate to about cond(M) eps; set before
+        # the run: within 10 eps cond(M) of the largest sum.
+        K = N // 2 if K == "N/2" else K
+        gen = np.random.default_rng([N, K])
+        w = gen.uniform(0.01, 1.0, K)
+        theta = gen.uniform(0.0, 2.0 * np.pi, K)
+        lags = np.arange(N)
+        t = 0.999 ** lags * (w @ np.exp(1j * np.outer(theta, lags)))
+        t[0] += K * 1e-10
+        M = hermitian_toeplitz(t)
+        inverse = np.linalg.inv(M)
+        explicit = np.array([np.trace(inverse, offset=-k) for k in range(N)])
+        sums = _toeplitz_inverse_sums(N)(t)
+        bound = 10.0 * EPS * np.linalg.cond(M) * np.max(np.abs(explicit))
+        assert np.max(np.abs(sums - explicit)) <= bound
+
+    @pytest.mark.parametrize("N", [2, 7, 64])
+    @pytest.mark.parametrize("margin", [-0.1, -1e-4, 1e-4, 0.1])
+    def test_toeplitz_definiteness_matches_smallest_eigenvalue(self, N, margin):
+        # Random Hermitian Toeplitz matrices shifted so that the smallest
+        # eigenvalue is margin times the spread of the spectrum: the solve
+        # raises exactly when that eigenvalue is not positive. a_0 > 0, the
+        # first entry of the inverse, would pass some of the indefinite ones
+        # with several negative eigenvalues.
+        gen = np.random.default_rng([N, round(abs(margin) * 1e4), margin > 0])
+        a0_positive = 0
+        for _ in range(20):
+            t = gen.standard_normal(N) + 1j * gen.standard_normal(N)
+            t[0] = 0.0
+            lam = np.linalg.eigvalsh(hermitian_toeplitz(t))
+            t[0] = margin * (lam[-1] - lam[0]) - lam[0]
+            M = hermitian_toeplitz(t)
+            definite = np.linalg.eigvalsh(M).min() > 0.0
+            try:
+                _toeplitz_inverse_sums(N)(t)
+            except np.linalg.LinAlgError as exc:
+                assert "Toeplitz resolvent is not positive definite" in str(exc)
+                assert not definite
+                a0_positive += np.linalg.inv(M)[0, 0].real > 0.0
+            else:
+                assert definite
+        if margin == -0.1 and N > 2:
+            assert a0_positive > 0
+
+
+def hermitian_toeplitz(t):
+    """The Hermitian Toeplitz matrix with first column ``t``."""
+    d = np.subtract.outer(np.arange(t.size), np.arange(t.size))
+    return np.where(d >= 0, t[np.abs(d)], t[np.abs(d)].conj())
 
 
 # The rounding floor of the grid below, in units of eps (1 + gamma) / (1 - L),

@@ -157,6 +157,17 @@ class TestSampleChannel:
         cfg = SystemConfig.make(N=8, K=4, snr_db=10.0, trials=10, seed=42)
         assert not np.allclose(sample_channel(cfg, 0).H, sample_channel(cfg, 1).H)
 
+    def test_white_channel_bits_match_complex_division(self):
+        # The real draws are scaled by 1/sqrt(2) before they fill H; numpy's
+        # complex division of H by sqrt(2) gives the same bits.
+        cfg = SystemConfig.make(N=64, K=32, snr_db=20.0, trials=1000, seed=11)
+        for trial in range(cfg.trials):
+            z = trial_rng(cfg.seed, trial).standard_normal((2, cfg.N, cfg.K))
+            Hw = np.empty((cfg.N, cfg.K), dtype=complex)
+            Hw.real, Hw.imag = z
+            Hw /= np.sqrt(2.0)
+            assert sample_channel(cfg, trial).H.tobytes() == Hw.tobytes(), trial
+
     def test_trial_out_of_range(self):
         cfg = SystemConfig.make(N=8, K=4, snr_db=10.0, trials=2)
         with pytest.raises(ValueError):

@@ -136,6 +136,25 @@ class TestAsymptoticCommand:
         for name in ("residual", "contraction", "error bound"):
             assert np.isfinite(float(line.split(f"{name} ")[1].split(",")[0])), name
 
+    @pytest.mark.parametrize("snr_db", ["2000", "3000"])
+    @pytest.mark.parametrize("profile", ["identity", "exp-random"])
+    def test_astronomical_snr_values_are_finite(self, profile, snr_db):
+        # From about 2000 dB the first column of the resolvent's inverse,
+        # about 1 / (K eta), overflowed its own correlation, and the command
+        # printed two RuntimeWarnings and exited 2. A fresh process, because
+        # pytest collects warnings instead of printing them.
+        run = subprocess.run(
+            [sys.executable, "-m", "mimoslnr", "asymptotic", "--profile", profile,
+             "--rho", "0.5", "--snr-db", snr_db],
+            env=child_env(), capture_output=True, text=True, timeout=300,
+        )
+        assert run.returncode == EXIT_OK
+        assert run.stderr == ""
+        assert "nan" not in run.stdout and "inf" not in run.stdout
+        rows = [line for line in run.stdout.splitlines() if line and line[0].isdigit()]
+        gamma = np.array([float(line.split(",")[1]) for line in rows])
+        assert gamma.size == 32 and np.isfinite(gamma).all() and gamma.min() > 0.0
+
     @pytest.mark.parametrize("kind", PROFILE_KINDS)
     def test_every_profile_matches_dense_solver(self, capsys, kind):
         # The command solves on the Toeplitz lags; the dense solver gets the
@@ -386,14 +405,15 @@ class TestErrorPaths:
         assert "trials" in err
 
     def test_numerical_failure_exit_code(self, capsys, monkeypatch):
-        # The Toeplitz resolvent's Cholesky factorization fails, and the CLI
-        # maps the failure to exit code 2. (rho one ulp below 1 with one user
-        # at 300 dB left it numerically singular when the solve started from
-        # zeros; from the closed form that run converges.)
-        def fail(a, b, **kwargs):
-            return a, b, a.shape[0]
+        # The Toeplitz resolvent's Levinson recursion returns a reflection
+        # coefficient of modulus 2, so the resolvent is not definite, and the
+        # CLI maps the failure to exit code 2. (rho one ulp below 1 with one
+        # user at 300 dB left it numerically singular when the solve started
+        # from zeros; from the closed form that run converges.)
+        def fail(a, b):
+            return b.copy(), np.full(b.size + 1, 2.0 + 0j)
 
-        monkeypatch.setattr(linalg, "zposv", fail)
+        monkeypatch.setattr(linalg, "levinson", fail)
         code, _, err = run_cli(capsys, "asymptotic", "--k", "1", "--profile", "exp-random",
                                "--rho", "0.9999999999999999", "--snr-db", "300")
         assert code == EXIT_NUMERICAL

@@ -164,7 +164,7 @@ class TestShiftedGramInverse:
 
 class TestCholeskyPair:
     def test_fast_path_binds_the_registered_extension(self):
-        linalg._bind_lapack()  # LAPACK loads at its first use; make sure it has
+        linalg._bind("_flapack")  # LAPACK loads at its first use; make sure it has
         flapack = sys.modules["scipy.linalg._flapack"]
         for name in linalg.LAPACK_ROUTINES:
             assert getattr(linalg, name) is getattr(flapack, name), name
@@ -174,29 +174,32 @@ class TestCholeskyPair:
 
         calls = []
 
-        def missing():
-            calls.append(1)
+        def missing(name):
+            calls.append(name)
             raise ImportError("no extension file")
 
-        monkeypatch.setattr(linalg, "_flapack_path", missing)
-        module = linalg._load_lapack()
-        assert calls == [1]
-        assert module is lapack
+        monkeypatch.setattr(linalg, "_extension_path", missing)
+        module = linalg._load_extension("_flapack")
+        toeplitz = linalg._load_extension("_solve_toeplitz")
+        assert calls == ["_flapack", "_solve_toeplitz"]
+        for name in linalg.LAPACK_ROUTINES:
+            assert getattr(module, name) is getattr(lapack, name), name
+        assert toeplitz is sys.modules["scipy.linalg._solve_toeplitz"]
 
         H = rng.standard_normal((12, 6)) + 1j * rng.standard_normal((12, 6))
-        W = H @ H.conj().T + 0.3 * np.eye(12)
-        B = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
         A, b = rng.standard_normal((12, 4)), rng.standard_normal(12)
+        t = np.exp(-np.arange(12.0)) * np.exp(0.4j * np.arange(12))
 
         def outputs():
             return (
-                linalg._cholesky_solve(W, B, "W"), *shifted_gram_inverse(H, 0.3),
+                *shifted_gram_inverse(H, 0.3), *linalg._toeplitz_predictor(t, "M"),
                 linalg._kms_eigenvalues(9, 0.7), linalg._least_squares(12, 5)(A, b),
             )
 
         fast = outputs()
         for name in linalg.LAPACK_ROUTINES:
             monkeypatch.setattr(linalg, name, getattr(module, name))
+        monkeypatch.setattr(linalg, "levinson", toeplitz.levinson)
         for got, want in zip(outputs(), fast):
             np.testing.assert_array_equal(got, want)
 
@@ -210,7 +213,7 @@ class TestOneBlasThread:
 
     @pytest.fixture
     def pools(self, monkeypatch):
-        linalg._bind_lapack()  # so the list holds scipy's pool, which the load maps
+        linalg._bind("_flapack")  # so the list holds scipy's pool, which the load maps
         found = _blas.pools()
         if not found:
             pytest.skip("no OpenBLAS loaded")
@@ -336,10 +339,10 @@ from mimoslnr import _blas, linalg
 from mimoslnr.linalg import shifted_gram_inverse
 
 loads, seen = [], []
-load = linalg._load_lapack
+load = linalg._load_extension
 
-def spied_load():
-    module = load()
+def spied_load(name):
+    module = load(name)
     loads.append(module)
 
     def zpotrf(*args, **kwargs):
@@ -349,7 +352,7 @@ def spied_load():
     return types.SimpleNamespace(**dict(
         {name: getattr(module, name) for name in linalg.LAPACK_ROUTINES}, zpotrf=zpotrf))
 
-linalg._load_lapack = spied_load
+linalg._load_extension = spied_load
 H = np.random.default_rng(0).standard_normal((16, 8)) * (1 + 1j)
 barrier = threading.Barrier(WORKERS)
 errors = []
