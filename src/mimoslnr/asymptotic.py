@@ -18,8 +18,8 @@ fixed point, from the norm of the step's nonnegative Jacobian in weights
 from falling. The fixed point is unique (Wagner, Couillet, Debbah & Slock,
 IEEE Trans. IT 58(7), 2012), so the start only sets the path: all zeros for
 the dense reference, and for the Toeplitz solver the uncorrelated closed
-form, exact at ``rho = 0``, or a ``start``, such as the gammas the
-correlation sweep carries from one ``rho`` to the next.
+form, exact at ``rho = 0``, or, inside the correlation sweep, the gammas
+carried from one ``rho`` to the next.
 Special cases reduce the system:
 
 - uncorrelated channels (``R_k = I``) admit the closed form implemented in
@@ -89,6 +89,9 @@ HISTORY = 5
 STALL = 5
 EPS = float(np.finfo(float).eps)
 FLOOR = math.sqrt(EPS)
+# Half the largest double: the Toeplitz sums' trace 2 Re c_0 / e is finite while
+# Re c_0 / _HALF_MAX < e (see _toeplitz_inverse_sums).
+_HALF_MAX = float(np.finfo(float).max) / 2.0
 # A scalar root search's rounding floor, in eps times the magnitude of its terms.
 _FLOOR_ULPS = 4.0
 
@@ -126,16 +129,16 @@ class AsymptoticSolution:
 
 
 @one_blas_thread
-def solve_exponential_fixed_point(N, rho, theta, eta, tol=DEFAULT_TOL, *, start=None):
+def solve_exponential_fixed_point(N, rho, theta, eta, tol=DEFAULT_TOL):
     """Solve the coupled system for exponential profiles with per-user phases.
 
     The users' matrices are ``R_k[m, n] = rho^|m-n| exp(1j (m-n) theta_k)``.
     Safeguarded Anderson acceleration of the Picard step (see
-    :func:`_anderson`) runs from ``start``, by default the uncorrelated
-    closed form ``gamma_uncorrelated(N/K, eta)`` for every user; the
-    solution does not depend on the path, but a start near it shortens the
-    path. No ``R_k`` is formed: ``M = sum_k w_k R_k + K eta I`` with
-    ``w_k = 1/(1 + gamma_k)`` is Hermitian Toeplitz with lags
+    :func:`_anderson`) runs from the uncorrelated closed form
+    ``gamma_uncorrelated(N/K, eta)`` for every user, exact at ``rho = 0``;
+    the solution does not depend on the path. No ``R_k`` is formed:
+    ``M = sum_k w_k R_k + K eta I`` with ``w_k = 1/(1 + gamma_k)`` is
+    Hermitian Toeplitz with lags
 
         t_d = rho^d sum_k w_k exp(1j d theta_k)   (d >= 0; plus K eta at d = 0),
 
@@ -161,10 +164,6 @@ def solve_exponential_fixed_point(N, rho, theta, eta, tol=DEFAULT_TOL, *, start=
         Positive finite relative tolerance: the run stops once both the
         residual and the error bound are within ``tol * (1 + max_k gamma_k)``,
         or on the rounding floor.
-    start : (K,) array_like, optional
-        Keyword only: the first iterate, K finite nonnegative numbers, such
-        as the solution at a nearby ``rho``. ``None`` starts every user at
-        ``gamma_uncorrelated(N/K, eta)``.
 
     Returns
     -------
@@ -173,8 +172,7 @@ def solve_exponential_fixed_point(N, rho, theta, eta, tol=DEFAULT_TOL, *, start=
     Raises
     ------
     ValueError
-        If an argument is invalid; for ``start``, anything but K finite
-        nonnegative numbers.
+        If an argument is invalid.
     FixedPointError
         After ``DEFAULT_MAX_ITER`` evaluations of the step, or at a plain
         (Picard) iterate that is not finite.
@@ -186,15 +184,7 @@ def solve_exponential_fixed_point(N, rho, theta, eta, tol=DEFAULT_TOL, *, start=
     theta = check_vector(theta, "theta")
     check_positive_finite(eta, "eta")
     check_positive_finite(tol, "tol")
-    K = theta.size
-    if start is not None:
-        start = check_vector(start, "start")
-        if start.size != K or not start.min() >= 0.0:
-            raise ValueError(
-                f"start must be K={K} nonnegative numbers, "
-                f"got {start.size} with min {start.min():.3g}"
-            )
-    return _solve_toeplitz(_phase_table(N, theta), rho, eta, tol, start)
+    return _solve_toeplitz(_phase_table(N, theta), rho, eta, tol, None)
 
 
 def _phase_table(N, theta):
@@ -206,7 +196,9 @@ def _solve_toeplitz(phase, rho, eta, tol, start):
     """:func:`solve_exponential_fixed_point` on checked inputs and the users' phase table.
 
     ``phase`` is :func:`_phase_table` of the phases, which does not depend
-    on ``rho``: the correlation sweep builds it once per draw.
+    on ``rho``: the correlation sweep builds it once per draw. ``start`` is
+    the first iterate, K nonnegative numbers such as the solution at a
+    nearby ``rho``, or ``None`` for the uncorrelated closed form.
     """
     K, N = phase.shape
     if start is None:
@@ -247,9 +239,13 @@ def _toeplitz_inverse_sums(N):
     (``d`` from ``1 - N`` to ``N - 1``), ``s_d = (c_d + conj(c_{-d})) / e``:
     one correlation of length N. Correlating ``v`` and not ``a``, whose
     entries grow as ``1 / e`` (about ``1 / (K eta)`` at high SNR), keeps the
-    products finite: ``a`` overflowed them from about 2000 dB. ``sums``
-    raises :class:`numpy.linalg.LinAlgError` if ``M`` is not numerically
-    positive definite.
+    products finite: ``a`` overflowed them from about 2000 dB. Every
+    ``|s_d|`` is at most the trace ``s_0 = 2 Re c_0 / e``, as
+    ``|X_ij| <= (X_ii + X_jj) / 2`` for positive definite ``X``; where the
+    trace would pass the largest double (past about 3080 dB), ``sums`` returns
+    NaN, a step value that is not finite, without dividing, so numpy warns
+    of no overflow. ``sums`` raises :class:`numpy.linalg.LinAlgError` if
+    ``M`` is not numerically positive definite.
     """
     half_weight = (N - 2.0 * np.arange(N)) / 2.0
     v = np.empty(N, dtype=complex)
@@ -259,6 +255,8 @@ def _toeplitz_inverse_sums(N):
         y, e = _toeplitz_predictor(t, "Toeplitz resolvent")
         np.negative(y, out=v[1:])
         c = np.correlate(half_weight * v, v, "full")
+        if not c[N - 1].real / _HALF_MAX < e:  # NaN or inf in c fails it too
+            return np.full(N, np.nan)
         return (c[N - 1:] + c[N - 1::-1].conj()) / e
 
     return sums
@@ -318,13 +316,15 @@ def _anderson(step, gamma, tol, max_iter):
 
     def solution(g, f, residual):
         # A zero residual bounds only the rounding of the step: report that floor, not 0.
+        # Python floats, so a bound past the largest double is inf without a numpy warning.
         if not contraction < 1.0:
             bound = math.inf
         elif residual == 0.0:
-            bound = EPS * (1.0 + g.max()) / (1.0 - contraction)
+            bound = EPS * (1.0 + float(g.max())) / (1.0 - contraction)
         else:
-            bound = contraction / (1.0 - contraction) * weights.max() * np.abs(f / weights).max()
-        return AsymptoticSolution(g, it, residual, contraction, float(bound))
+            bound = (contraction / (1.0 - contraction) * float(weights.max())
+                     * float(np.abs(f / weights).max()))
+        return AsymptoticSolution(g, it, residual, contraction, bound)
 
     while True:
         scale = 1.0 + g.max()

@@ -117,9 +117,9 @@ def _check_theta(value):
 def check_vector(value, name):
     """``value`` as a float array if it is a nonempty 1-D array of finite numbers.
 
-    The one check for an array input (phases, eigenvalues, sweep grids, a
-    solver's start); anything else, a ``bool``, complex or string array
-    included, raises ``ValueError`` naming ``name``.
+    The one check for an array input (phases, eigenvalues, sweep grids);
+    anything else, a ``bool``, complex or string array included, raises
+    ``ValueError`` naming ``name``.
     """
     arr = np.asarray(value)
     if arr.dtype.kind not in "iuf" or arr.ndim != 1 or arr.size < 1:
@@ -237,7 +237,7 @@ def build_correlation(N, rho, theta):
         return np.eye(N, dtype=complex)
     d = np.subtract.outer(np.arange(N), np.arange(N))
     # Exactly Hermitian with a real unit diagonal, as exp(-1j x) is
-    # conj(exp(1j x)); herm_eig validates it where it is factorized.
+    # conj(exp(1j x)); psd_sqrt validates it where it is factorized.
     return rho ** np.abs(d) * np.exp(1j * d * theta)
 
 

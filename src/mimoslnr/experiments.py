@@ -35,7 +35,6 @@ from .precoding import compute_metrics
 
 __all__ = [
     "ExperimentResult",
-    "empirical_cdf",
     "run_cdf_experiment",
     "run_correlation_sweep",
     "run_loading_sweep",
@@ -60,14 +59,6 @@ class ExperimentResult:
         lengths = {key: len(col) for key, col in self.columns.items()}
         if len(set(lengths.values())) > 1:
             raise ValueError(f"columns must have equal length, got {lengths}")
-
-
-def empirical_cdf(samples):
-    """Sorted sample values with plotting positions ``i/(n+1)`` (:func:`_plotting_positions`)."""
-    values = np.sort(np.asarray(samples, dtype=float))
-    if values.size == 0:
-        raise ValueError("need at least one sample")
-    return values, _plotting_positions(values.size)
 
 
 def _plotting_positions(n):
@@ -154,8 +145,11 @@ def run_correlation_sweep(
     start = time.perf_counter()
     check_count(N, "N")
     check_index(seed, "seed")
-    if not _is_number(alpha) or not 0.0 < alpha < math.inf:
-        raise ValueError(f"alpha must be a positive finite number, got {alpha!r}")
+    # In Python floats, alpha * N past the largest double is inf, with no numpy warning.
+    if not _is_number(alpha) or not 0.0 < float(alpha) * float(N) < math.inf:
+        raise ValueError(
+            f"alpha must be a positive finite number with alpha * N finite, got {alpha!r}"
+        )
     K = check_count(int(round(alpha * N)), "round(alpha * N)")
     check_count(trials_for_random_theta, "trials_for_random_theta")
     eta = eta_from_snr_db(snr_db)

@@ -19,19 +19,15 @@ import math
 import os
 import sys
 import threading
-from typing import NamedTuple
 
 import numpy as np
 
 from ._blas import find_new_pools, one_blas_thread
 
 __all__ = [
-    "EigDecomposition",
     "EigConvergenceError",
     "NotHermitianError",
     "NotPsdError",
-    "hermitian_part",
-    "herm_eig",
     "psd_sqrt",
     "shifted_gram_inverse",
 ]
@@ -136,41 +132,27 @@ class EigConvergenceError(RuntimeError):
     """The iterative eigensolver failed to converge."""
 
 
-class EigDecomposition(NamedTuple):
-    """Hermitian eigendecomposition ``A = U diag(w) U*``.
+@one_blas_thread
+def psd_sqrt(A):
+    """Hermitian PSD square root ``S`` with ``S @ S == A`` up to rounding.
 
-    ``eigenvalues`` are real and ascending; ``eigenvectors`` holds the
-    corresponding orthonormal columns.
+    ``A`` must be a finite, nonempty square matrix whose asymmetry
+    ``||A - A*||_F`` is at most ``HERMITIAN_RTOL`` times ``||A||_F``
+    (else :class:`NotHermitianError`); it is symmetrized exactly, to
+    ``(A + A*) / 2`` with a real diagonal, before ``numpy.linalg.eigh``.
+    Eigenvalues within ``-PSD_EIG_RTOL * ||A||_2`` of zero are clipped to
+    zero; correlation matrices assembled in floating point are PSD in exact
+    arithmetic but can round slightly negative. Anything below the band
+    raises :class:`NotPsdError`, and an ``eigh`` that does not converge
+    :class:`EigConvergenceError`, naming the dimension. ``S`` is exactly
+    Hermitian.
     """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def _as_square(A, name="A"):
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {A.shape}")
-    if A.shape[0] < 1:
-        raise ValueError(f"{name} must have dimension >= 1")
-    return A
-
-
-def hermitian_part(A):
-    """Validate that ``A`` is Hermitian and symmetrize exactly.
-
-    Parameters
-    ----------
-    A : array_like, shape (n, n)
-        Nominally Hermitian matrix; ``||A - A*||_F`` may be at most
-        ``HERMITIAN_RTOL`` times ``||A||_F``.
-
-    Returns
-    -------
-    ndarray
-        ``(A + A*) / 2``, exactly Hermitian with a real diagonal.
-    """
-    A = _as_square(A)
+        raise ValueError(f"A must be a square matrix, got shape {A.shape}")
+    n = A.shape[0]
+    if n < 1:
+        raise ValueError("A must have dimension >= 1")
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix entries must be finite")
     scale = np.linalg.norm(A)
@@ -180,47 +162,17 @@ def hermitian_part(A):
             f"matrix is not Hermitian: relative asymmetry {asym / max(scale, 1e-300):.3e} "
             f"exceeds {HERMITIAN_RTOL:.1e}"
         )
-    H = 0.5 * (A + A.conj().T)
+    A = 0.5 * (A + A.conj().T)
     # The average above already has a real diagonal up to rounding; force it.
-    np.fill_diagonal(H, H.diagonal().real)
-    return H
-
-
-@one_blas_thread
-def herm_eig(A):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns an :class:`EigDecomposition` with eigenvalues sorted ascending
-    and unitary eigenvectors, so ``U @ diag(w) @ U*`` reconstructs the input.
-
-    Raises
-    ------
-    EigConvergenceError
-        If the underlying solver does not converge (the message names the
-        matrix dimension).
-    """
-    H = hermitian_part(A)
-    n = H.shape[0]
+    np.fill_diagonal(A, A.diagonal().real)
     try:
-        w, U = np.linalg.eigh(H)
+        w, U = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:
         raise EigConvergenceError(
             f"eigendecomposition did not converge for a {n}x{n} Hermitian matrix"
         ) from exc
-    return EigDecomposition(eigenvalues=w, eigenvectors=U)
-
-
-@one_blas_thread
-def psd_sqrt(A):
-    """Hermitian PSD square root ``S`` with ``S @ S == A`` up to rounding.
-
-    Eigenvalues within ``-1e-10 * ||A||_2`` of zero are clipped to zero;
-    correlation matrices assembled in floating point are PSD in exact
-    arithmetic but can round slightly negative. Anything below the band
-    raises :class:`NotPsdError`.
-    """
-    w, U = herm_eig(A)
-    spectral = float(np.max(np.abs(w))) if w.size else 0.0
+    del A  # now, not at the return, or glibc trims eigh's workspace and it faults in every call
+    spectral = float(np.max(np.abs(w)))
     floor = -PSD_EIG_RTOL * spectral
     if np.any(w < floor):
         raise NotPsdError(

@@ -14,8 +14,10 @@ from mimoslnr.asymptotic import (
     FixedPointError,
     _FLOOR_ULPS,
     _exp_root,
+    _phase_table,
     _scalar_excess,
     _scalar_fixed_point,
+    _solve_toeplitz,
     _toeplitz_inverse_sums,
     gamma_common_r,
     gamma_exp_common,
@@ -26,7 +28,7 @@ from mimoslnr.asymptotic import (
 from mimoslnr.channel import (
     SystemConfig, build_correlation, sample_channel, trial_rng, user_phases
 )
-from mimoslnr.linalg import EigConvergenceError, herm_eig
+from mimoslnr.linalg import EigConvergenceError
 from mimoslnr.oracles import check_common_r_bound, even_mean_correlation, solve_fixed_point
 from mimoslnr.precoding import compute_metrics
 
@@ -40,8 +42,9 @@ def identity_profile(K, N):
 
 
 def exponential_eigenvalues(N, rho):
+    # A complex matrix, the oracle's dtype: numpy's real eigh rounds differently.
     d = np.subtract.outer(np.arange(N), np.arange(N))
-    return herm_eig(rho ** np.abs(d).astype(float)).eigenvalues
+    return np.linalg.eigh((rho ** np.abs(d).astype(float)).astype(complex))[0]
 
 
 class TestSolveFixedPoint:
@@ -407,19 +410,20 @@ class TestStructuredRoutes:
         # rho one ulp below 1 with one user leaves M numerically singular at
         # gamma = 0. (The default start, the closed form, keeps M definite.)
         with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
-            solve_exponential_fixed_point(64, 1.0 - 1e-16, np.zeros(1), 1e-30, start=np.zeros(1))
+            _solve_toeplitz(_phase_table(64, np.zeros(1)), 1.0 - 1e-16, 1e-30, DEFAULT_TOL,
+                            np.zeros(1))
 
 
 # The scalar routes take their eigenvalues from the KMS blocks' tridiagonal
 # inverses (LAPACK's dpteqr); the oracle is the dense complex route they
-# replaced, all of herm_eig on matrices built user by user. Set before the
+# replaced, numpy's eigh on matrices built user by user. Set before the
 # comparison was run: a relative 1e-12 (the largest change measured over N
 # in {8, 16, 64, 128}, four loads, three SNRs and 12 rho was 5.4e-14).
 EIG_ROUTE_RTOL = 1e-12
 
 
 def dense_common_gamma(R, K, eta):
-    return gamma_common_r(herm_eig(R).eigenvalues, K, eta)
+    return gamma_common_r(np.linalg.eigh(R)[0], K, eta)
 
 
 class TestRealEigenvalueRoute:
@@ -766,8 +770,9 @@ class TestContinuation:
         theta = 2.0 * np.pi * np.arange(K) / K
         grid = self.CONTINUATION_RHO if order == "forward" else self.CONTINUATION_RHO[::-1]
         gamma = np.full(K, gamma_uncorrelated(N / K, eta))
+        phase = _phase_table(N, theta)
         for rho in grid:
-            gamma = solve_exponential_fixed_point(N, rho, theta, eta, start=gamma).gamma
+            gamma = _solve_toeplitz(phase, rho, eta, DEFAULT_TOL, gamma).gamma
             exact = gamma_exp_even(N, K, rho, eta, tol=1e-15)
             cold = solve_exponential_fixed_point(N, rho, theta, eta).gamma
             allowed = max(DEFAULT_TOL * (1.0 + gamma.max()), np.abs(cold - exact).max())
@@ -779,7 +784,7 @@ class TestContinuation:
         N, K, eta = 64, 48, 0.01
         theta = np.random.default_rng(1).uniform(0.0, 2.0 * np.pi, K)
         ref = gamma_uncorrelated(N / K, eta)
-        sol = solve_exponential_fixed_point(N, 0.0, theta, eta, start=np.full(K, ref))
+        sol = _solve_toeplitz(_phase_table(N, theta), 0.0, eta, DEFAULT_TOL, np.full(K, ref))
         assert sol.iterations <= 2
         assert np.abs(sol.gamma - ref).max() <= DEFAULT_TOL * (1.0 + ref)
 
@@ -787,24 +792,9 @@ class TestContinuation:
         theta = np.random.default_rng(2).uniform(0.0, 2.0 * np.pi, 12)
         cold = solve_exponential_fixed_point(32, 0.6, theta, 0.01)
         closed = np.full(12, gamma_uncorrelated(32 / 12, 0.01))
-        started = solve_exponential_fixed_point(32, 0.6, theta, 0.01, start=closed)
+        started = _solve_toeplitz(_phase_table(32, theta), 0.6, 0.01, DEFAULT_TOL, closed)
         assert np.array_equal(cold.gamma, started.gamma)
         assert cold.iterations == started.iterations
-
-    @pytest.mark.parametrize("start", [
-        np.ones(3), np.ones(5), [1.0, np.nan, 1.0, 1.0], [1.0, 1.0, -1e-3, 1.0],
-        [1.0, np.inf, 1.0, 1.0], np.ones((2, 2)), [],
-        pytest.param(np.array([True, False, True, True]), id="bool-array"),
-        pytest.param(np.ones(4, dtype=complex), id="complex-array"),
-        pytest.param(np.float64(1.0), id="scalar"),
-    ])
-    def test_bad_start_is_value_error(self, start):
-        with pytest.raises(ValueError, match="start"):
-            solve_exponential_fixed_point(8, 0.5, [0.1, 1.0, 2.0, 3.0], 0.1, start=start)
-
-    def test_start_is_keyword_only(self):
-        with pytest.raises(TypeError):
-            solve_exponential_fixed_point(8, 0.5, [0.1, 1.0], 0.1, 1e-12, np.ones(2))
 
 
 class TestCommonRBound:

@@ -1,8 +1,13 @@
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import mimoslnr
 from mimoslnr.channel import (
     PROFILE_KINDS,
     SystemConfig,
@@ -12,7 +17,7 @@ from mimoslnr.channel import (
     trial_rng,
     user_phases,
 )
-from mimoslnr.linalg import hermitian_part, psd_sqrt
+from mimoslnr.linalg import psd_sqrt
 
 
 def profile(kind, N, K, rho=0.0, theta=0.0):
@@ -26,9 +31,28 @@ def correlations(p, rng=None):
 
 
 def exponential_correlation(N, rho, theta):
-    # R[m, n] = rho^|m-n| exp(1j (m-n) theta), assembled as the module does.
+    # R[m, n] = rho^|m-n| exp(1j (m-n) theta), assembled as the module does,
+    # then symmetrized exactly, with a real diagonal.
     d = np.subtract.outer(np.arange(N), np.arange(N))
-    return hermitian_part(rho ** np.abs(d) * np.exp(1j * d * theta))
+    R = rho ** np.abs(d) * np.exp(1j * d * theta)
+    R = 0.5 * (R + R.conj().T)
+    np.fill_diagonal(R, R.diagonal().real)
+    return R
+
+
+# One warm-up exp-random draw at 128 x 64, then the minor page faults of two
+# more, per user column.
+HEAP_TRIM_CHILD = """
+import json, resource
+from mimoslnr.channel import SystemConfig, sample_channel
+cfg = SystemConfig.make(128, 64, 20.0, kind="exp-random", rho=0.6, trials=3)
+sample_channel(cfg, 0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for trial in (1, 2):
+    sample_channel(cfg, trial)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+print(json.dumps((after - before) / (2 * cfg.K)))
+"""
 
 
 class TestBuildCorrelation:
@@ -225,6 +249,23 @@ class TestSampleChannel:
             finally:
                 tracemalloc.stop()
             assert peak < 12 * N**2 * 16, f"{kind}: peak {peak / (N**2 * 16):.2f} N^2 16 bytes"
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc's heap and ru_minflt")
+    def test_square_roots_reuse_the_eigh_workspace(self):
+        # At N >= 128 a psd_sqrt that held its symmetrized copy until it
+        # returned left a free block at the heap top, which glibc trims, so
+        # eigh's workspace faulted in again for every user: 104.6 minor page
+        # faults per user column against 7.6. A fresh process, so no earlier
+        # test shapes the heap. The bound was set before the run.
+        src = os.path.dirname(os.path.dirname(mimoslnr.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", HEAP_TRIM_CHILD], env=env, check=True, capture_output=True,
+            text=True, timeout=120,
+        )
+        faults_per_column = json.loads(proc.stdout.splitlines()[-1])
+        assert faults_per_column < 30, f"{faults_per_column:.1f} minor faults per user column"
 
     def test_empirical_entry_variance_near_one(self):
         # Pooled over 1e5 scalar draws the per-entry variance estimate of

@@ -136,7 +136,7 @@ class TestAsymptoticCommand:
         for name in ("residual", "contraction", "error bound"):
             assert np.isfinite(float(line.split(f"{name} ")[1].split(",")[0])), name
 
-    @pytest.mark.parametrize("snr_db", ["2000", "3000"])
+    @pytest.mark.parametrize("snr_db", ["2000", "3000", "3080"])
     @pytest.mark.parametrize("profile", ["identity", "exp-random"])
     def test_astronomical_snr_values_are_finite(self, profile, snr_db):
         # From about 2000 dB the first column of the resolvent's inverse,
@@ -154,6 +154,24 @@ class TestAsymptoticCommand:
         rows = [line for line in run.stdout.splitlines() if line and line[0].isdigit()]
         gamma = np.array([float(line.split(",")[1]) for line in rows])
         assert gamma.size == 32 and np.isfinite(gamma).all() and gamma.min() > 0.0
+
+    @pytest.mark.parametrize("profile", ["identity", "exp-random"])
+    def test_overflowing_snr_exits_numerical_without_warnings(self, capsys, profile):
+        # At 3100 dB gamma is about 1e310, past the largest double. The
+        # Toeplitz sums overflowed in a numpy divide first, so three
+        # RuntimeWarnings came before the diagnostic (here: an exception).
+        code, out, err = run_cli(capsys, "asymptotic", "--profile", profile, "--rho", "0.5",
+                                 "--snr-db", "3100")
+        assert code == EXIT_NUMERICAL
+        assert err == "numerical failure: fixed point iterate is not finite at iteration 1\n"
+
+    def test_bound_past_the_largest_double_is_inf_without_warnings(self, capsys):
+        # gamma is finite here, but the error bound's product overflowed in a
+        # numpy scalar multiply, which warned (here: raised).
+        code, out, err = run_cli(capsys, "asymptotic", "--profile", "exp-random", "--rho", "0.9",
+                                 "--snr-db", "3080")
+        assert code == EXIT_OK and err == ""
+        assert converged_line(out).endswith("error bound inf")
 
     @pytest.mark.parametrize("kind", PROFILE_KINDS)
     def test_every_profile_matches_dense_solver(self, capsys, kind):

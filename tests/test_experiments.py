@@ -13,7 +13,6 @@ from mimoslnr.experiments import (
     ExperimentResult,
     _format_column,
     _format_value,
-    empirical_cdf,
     run_cdf_experiment,
     run_correlation_sweep,
     run_loading_sweep,
@@ -82,19 +81,6 @@ def csv_results(draw):
     return ExperimentResult(name="cdf", columns=columns, metadata=metadata)
 
 
-class TestEmpiricalCdf:
-    def test_levels_and_sorting(self):
-        values, levels = empirical_cdf([3.0, 1.0, 2.0])
-        np.testing.assert_array_equal(values, [1.0, 2.0, 3.0])
-        np.testing.assert_allclose(levels, [0.25, 0.5, 0.75])
-        assert np.all(levels > 0) and np.all(levels < 1)
-        assert np.all(np.diff(levels) > 0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            empirical_cdf([])
-
-
 class TestCdfExperiment:
     def test_pools_cost_two_arrays(self, monkeypatch):
         # A unit is one pooled array of trials * K floats. The run holds its
@@ -154,6 +140,17 @@ class TestCdfExperiment:
                 devs.append(np.abs(m.sinr - gamma) / gamma)
             medians[K] = float(np.median(np.concatenate(devs)))
         assert medians[16] < medians[48]
+
+    def test_levels_and_sorted_columns(self):
+        # Plotting positions i/(n+1), strictly inside (0, 1), beside sorted samples.
+        cfg = SystemConfig.make(N=8, K=4, snr_db=10.0, trials=3, seed=0)
+        res = run_cdf_experiment(cfg)
+        n = cfg.K * cfg.trials
+        levels = res.columns["cdf_level"]
+        np.testing.assert_array_equal(levels, np.arange(1, n + 1) / (n + 1))
+        assert 0.0 < levels[0] and levels[-1] < 1.0 and np.all(np.diff(levels) > 0)
+        for name in ("slnr", "sinr"):
+            assert np.all(np.diff(res.columns[name]) >= 0), name
 
     def test_columns_equal_length_and_constant_gamma(self):
         cfg = SystemConfig.make(N=8, K=4, snr_db=10.0, trials=5, seed=0)

@@ -15,8 +15,6 @@ from mimoslnr.linalg import (
     EigConvergenceError,
     NotHermitianError,
     NotPsdError,
-    herm_eig,
-    hermitian_part,
     psd_sqrt,
     shifted_gram_inverse,
 )
@@ -35,65 +33,19 @@ def random_psd(n):
     return (A @ A.conj().T) / n
 
 
-class TestHermEig:
-    def test_identity(self):
-        w, U = herm_eig(np.eye(4))
-        np.testing.assert_allclose(w, np.ones(4))
-        np.testing.assert_allclose(U.conj().T @ U, np.eye(4), atol=1e-12)
-
-    def test_diagonal_sorted_ascending(self):
-        w, _ = herm_eig(np.diag([3.0, 1.0]))
-        np.testing.assert_allclose(w, [1.0, 3.0])
-
-    def test_exponential_2x2(self):
-        # Characteristic polynomial of [[1, 1/2], [1/2, 1]] gives 1 -+ 1/2.
-        w, _ = herm_eig(np.array([[1.0, 0.5], [0.5, 1.0]]))
-        np.testing.assert_allclose(w, [0.5, 1.5], atol=1e-14)
-
-    @pytest.mark.parametrize("n", [1, 2, 5, 16, 48])
-    def test_reconstruction_and_unitarity(self, n):
-        A = random_hermitian(n)
-        w, U = herm_eig(A)
-        recon = (U * w) @ U.conj().T
-        assert np.linalg.norm(recon - A) <= 1e-9 * np.linalg.norm(A)
-        assert np.max(np.abs(U.conj().T @ U - np.eye(n))) <= 1e-10
-        assert np.all(np.diff(w) >= 0)
-
-    @pytest.mark.parametrize("n", [2, 7, 24])
-    def test_trace_preservation(self, n):
-        A = random_hermitian(n)
-        w, _ = herm_eig(A)
-        assert abs(np.sum(w) - np.trace(A).real) <= 1e-9 * np.linalg.norm(A)
-
-    def test_rejects_non_hermitian(self):
-        A = np.array([[1.0, 2.0], [0.0, 1.0]])
-        with pytest.raises(NotHermitianError):
-            herm_eig(A)
-
-    def test_rejects_non_finite(self):
-        A = np.array([[np.inf, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError):
-            herm_eig(A)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            herm_eig(np.zeros((2, 3)))
-
-
-class TestHermitianPart:
-    def test_symmetrizes_exactly(self):
-        A = random_hermitian(6) + 1e-14 * rng.standard_normal((6, 6))
-        H = hermitian_part(A)
-        assert np.array_equal(H, H.conj().T)
-        assert np.all(H.diagonal().imag == 0.0)
-
-
 class TestPsdSqrt:
     def test_identity(self):
         np.testing.assert_allclose(psd_sqrt(np.eye(5)), np.eye(5), atol=1e-14)
 
     def test_diagonal_roots(self):
         np.testing.assert_allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-12)
+
+    def test_exponential_2x2(self):
+        # [[1, 1/2], [1/2, 1]] has eigenvalues 1 -+ 1/2 on (1, -+1) / sqrt(2).
+        a, b = np.sqrt(1.5), np.sqrt(0.5)
+        expected = 0.5 * np.array([[a + b, a - b], [a - b, a + b]])
+        np.testing.assert_allclose(psd_sqrt(np.array([[1.0, 0.5], [0.5, 1.0]])), expected,
+                                   atol=1e-14)
 
     def test_exponential_rho09_roundtrip(self):
         d = np.subtract.outer(np.arange(8), np.arange(8))
@@ -112,6 +64,14 @@ class TestPsdSqrt:
             worst = max(worst, err)
         assert worst <= 1e-9, f"worst relative reconstruction error {worst:.2e}"
 
+    def test_root_of_nearly_hermitian_input_is_exactly_hermitian(self):
+        # The input is symmetrized exactly before eigh, and so is the root.
+        A = random_psd(6) + 1e-14 * rng.standard_normal((6, 6))
+        S = psd_sqrt(A)
+        assert np.array_equal(S, S.conj().T)
+        assert np.all(S.diagonal().imag == 0.0)
+        assert np.linalg.norm(S @ S - A) <= 1e-12 * np.linalg.norm(A)
+
     def test_clips_tiny_negative_eigenvalue(self):
         S = psd_sqrt(np.diag([1.0, -1e-12]))
         np.testing.assert_allclose(S, np.diag([1.0, 0.0]), atol=1e-12)
@@ -119,6 +79,27 @@ class TestPsdSqrt:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPsdError):
             psd_sqrt(np.diag([1.0, -0.5]))
+
+    @pytest.mark.parametrize("A,error,match", [
+        (np.zeros((2, 3)), ValueError, "square"),
+        (np.zeros(4), ValueError, "square"),
+        (np.zeros((0, 0)), ValueError, "dimension >= 1"),
+        (np.array([[np.inf, 0.0], [0.0, 1.0]]), ValueError, "finite"),
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), ValueError, "finite"),
+        (np.array([[1.0, 2.0], [0.0, 1.0]]), NotHermitianError, "not Hermitian"),
+    ], ids=["non-square", "vector", "empty", "inf", "nan", "non-hermitian"])
+    def test_rejects_bad_input(self, A, error, match):
+        with pytest.raises(error, match=match):
+            psd_sqrt(A)
+
+    def test_eigh_failure_is_eig_convergence_error(self, monkeypatch):
+        def fail(A):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(EigConvergenceError, match="3x3") as excinfo:
+            psd_sqrt(np.eye(3))
+        assert isinstance(excinfo.value.__cause__, np.linalg.LinAlgError)
 
 
 class TestShiftedGramInverse:

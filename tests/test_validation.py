@@ -311,11 +311,12 @@ def test_bad_seed_fails_before_the_first_solve(monkeypatch):
 # inf overflowed in round(alpha * N), nan failed without naming alpha, True
 # (a 0-d bool array too) was taken for 1, an array failed in numpy's
 # truth-value check without naming alpha, and a complex or string one failed
-# the range check with a TypeError that did not name it.
+# the range check with a TypeError that did not name it. A finite 1e308 made
+# alpha * N overflow to inf in round(alpha * N) in the same way.
 @pytest.mark.parametrize("alpha", [
     np.inf, np.nan, -0.5, 0.0, True, pytest.param(np.bool_(True), id="np.bool_-True"),
     pytest.param(np.array(True), id="0d-bool-array"),
-    pytest.param(np.array([0.5, 0.6]), id="array"), 0.5 + 0j, "0.5", None,
+    pytest.param(np.array([0.5, 0.6]), id="array"), 0.5 + 0j, "0.5", None, 1e308,
 ])
 def test_sweep_alpha_must_be_positive_and_finite(alpha):
     with pytest.raises(ValueError, match="alpha"):
