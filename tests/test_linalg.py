@@ -47,6 +47,40 @@ class TestPsdSqrt:
         np.testing.assert_allclose(psd_sqrt(np.array([[1.0, 0.5], [0.5, 1.0]])), expected,
                                    atol=1e-14)
 
+    def test_unsorted_diagonal_keeps_its_order(self):
+        # eigh sorts eigenvalues ascending; the root must not inherit that order.
+        np.testing.assert_allclose(psd_sqrt(np.diag([9.0, 1.0, 4.0])), np.diag([3.0, 1.0, 2.0]),
+                                   atol=1e-14)
+
+    def test_complex_hermitian_2x2(self):
+        # B = [[0, i], [-i, 0]] is Hermitian with B @ B = I, so 2I + B has
+        # eigenvalues 1 and 3 and root ((sqrt3 + 1) I + (sqrt3 - 1) B) / 2.
+        B = np.array([[0.0, 1j], [-1j, 0.0]])
+        expected = 0.5 * ((np.sqrt(3.0) + 1.0) * np.eye(2) + (np.sqrt(3.0) - 1.0) * B)
+        np.testing.assert_allclose(psd_sqrt(2.0 * np.eye(2) + B), expected, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 48])
+    def test_reconstruction_and_hermitian_psd_root(self, n):
+        R = random_psd(n)
+        S = psd_sqrt(R)
+        assert np.array_equal(S, S.conj().T)
+        assert np.linalg.norm(S @ S - R) <= 1e-9 * np.linalg.norm(R)
+        assert np.linalg.eigvalsh(S).min() >= -1e-9 * np.linalg.norm(S, 2)
+
+    @pytest.mark.parametrize("n", [2, 7, 24])
+    def test_trace_preservation(self, n):
+        # S is Hermitian, so ||S||_F^2 = trace(S @ S) = trace(R).
+        R = random_psd(n)
+        S = psd_sqrt(R)
+        assert abs(np.linalg.norm(S) ** 2 - np.trace(R).real) <= 1e-9 * np.linalg.norm(R)
+
+    @pytest.mark.parametrize("c", [1e-50, 1e50])
+    def test_homogeneous_under_scaling(self, c):
+        # sqrt(c^2 R) = c sqrt(R): the checks and the clip are relative to ||R||.
+        R = random_psd(6)
+        np.testing.assert_allclose(psd_sqrt(c * c * R), c * psd_sqrt(R), rtol=1e-10,
+                                   atol=1e-12 * c)
+
     def test_exponential_rho09_roundtrip(self):
         d = np.subtract.outer(np.arange(8), np.arange(8))
         R = 0.9 ** np.abs(d).astype(float)
