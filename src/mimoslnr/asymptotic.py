@@ -207,12 +207,22 @@ def _solve_toeplitz(phase, rho, eta, tol, start):
     decay = rho ** lags
     unphase = phase.conj()
     fold = np.where(lags > 0, 2.0, 1.0) * decay
+    fold_total = float(fold.sum())
     inverse_sums = _toeplitz_inverse_sums(N)
 
     def step(gamma):
         t = decay * ((1.0 / (1.0 + gamma)) @ phase)
         t[0] += K * eta
-        return (unphase @ (fold * inverse_sums(t))).real
+        s = inverse_sums(t)
+        # Every |s_d| <= s_0 and every phase has modulus 1, so s_0 * fold_total
+        # bounds each partial sum of gamma_k. The bound is formed in Python
+        # floats, which pass the largest double without a warning; below half
+        # of it (NaN fails) the product cannot overflow. Above, gamma_k may:
+        # the caller finds it not finite, and numpy is kept from warning.
+        if float(s[0].real) * fold_total < _HALF_MAX:
+            return (unphase @ (fold * s)).real
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (unphase @ (fold * s)).real
 
     return _anderson(step, start, tol, DEFAULT_MAX_ITER)
 

@@ -45,6 +45,10 @@ __all__ = [
 # one block of row text, whatever the row count.
 CSV_BLOCK_ROWS = 256
 
+# Bytes of the channel stack that run_cdf_experiment passes to
+# compute_metrics at once: 4 trials at 64 x 32.
+CDF_BLOCK_BYTES = 1 << 17
+
 
 @dataclass
 class ExperimentResult:
@@ -82,24 +86,33 @@ def run_cdf_experiment(config):
     grid plus the asymptotic value as a constant series; as N grows at fixed
     K/N, both CDFs tighten around that constant.
 
-    The samples go, in trial order, into two preallocated arrays of
-    ``trials * K`` entries, which are then sorted in place and become the
-    result's columns: the run holds those two arrays, the levels and the
-    constant column, and no per-trial or sorted copies.
+    The trials are drawn in trial order and go through ``compute_metrics``
+    in blocks: one stack of ``CDF_BLOCK_BYTES // (16 N K)`` channels (at
+    least one) is filled, one trial at a time, and reused for every block,
+    so the per-call overhead is paid once per block and the samples are
+    those of one call per trial, bit for bit. The samples go, in trial
+    order, into two preallocated arrays of ``trials * K`` entries, which are
+    then sorted in place and become the result's columns: the run holds
+    those two arrays, the levels, the constant column and one block's
+    channels and metrics, and no per-trial or sorted copies.
     """
     if config.kind != "identity":
         raise ValueError("CDF experiment is defined for the identity profile")
     start = time.perf_counter()
     eta = config.eta
-    K = config.K
-    gamma = gamma_uncorrelated(config.N / K, eta)
+    N, K = config.N, config.K
+    gamma = gamma_uncorrelated(N / K, eta)
     slnr_pool = np.empty(config.trials * K)
     sinr_pool = np.empty(config.trials * K)
-    for trial in range(config.trials):
-        realization = sample_channel(config, trial)
-        metrics = compute_metrics(realization.H, eta)
-        slnr_pool[trial * K:(trial + 1) * K] = metrics.slnr
-        sinr_pool[trial * K:(trial + 1) * K] = metrics.sinr
+    block = min(max(CDF_BLOCK_BYTES // (16 * N * K), 1), config.trials)
+    stack = np.empty((block, N, K), dtype=complex)
+    for lo in range(0, config.trials, block):
+        hi = min(lo + block, config.trials)
+        for trial in range(lo, hi):
+            stack[trial - lo] = sample_channel(config, trial).H
+        metrics = compute_metrics(stack[:hi - lo], eta)
+        slnr_pool[lo * K:hi * K] = metrics.slnr.ravel()
+        sinr_pool[lo * K:hi * K] = metrics.sinr.ravel()
     slnr_pool.sort()
     sinr_pool.sort()
     columns = {
@@ -151,6 +164,12 @@ def run_correlation_sweep(
             f"alpha must be a positive finite number with alpha * N finite, got {alpha!r}"
         )
     K = check_count(int(round(alpha * N)), "round(alpha * N)")
+    # The users' K x N complex phase table has to fit numpy's index range.
+    if K * N * np.dtype(complex).itemsize > np.iinfo(np.intp).max:
+        raise ValueError(
+            f"alpha gives K = round(alpha * N) = {float(K):.3g} users, whose {N}-column "
+            f"phase table is past numpy's index range, got {alpha!r}"
+        )
     check_count(trials_for_random_theta, "trials_for_random_theta")
     eta = eta_from_snr_db(snr_db)
     rho_grid = check_vector(rho_grid, "rho_grid")

@@ -190,48 +190,69 @@ def psd_sqrt(A):
 def shifted_gram_inverse(H, beta):
     """The Gram matrix ``G = H H*`` and the inverse ``(G + beta I)^{-1}``.
 
-    ``H`` must be a finite matrix and ``beta`` positive and finite. Both
-    results are exactly Hermitian. One Cholesky factorization (``zpotrf``)
-    gives the inverse through LAPACK's ``zpotri``. A shifted Gram matrix
-    that overflows, or whose factorization fails, raises
-    :class:`numpy.linalg.LinAlgError`.
+    ``H`` is one finite matrix or a stack of them, shape ``(B, n, k)``, and
+    ``beta`` positive and finite; for a stack both results are stacks, with
+    ``G[b]`` and the inverse of realization ``b`` each what one matrix
+    ``H[b]`` gives, bit for bit. Every result matrix is exactly Hermitian.
+    The products, checks and symmetrizations run once over the stack; each
+    matrix has one Cholesky factorization (``zpotrf``), whose inverse comes
+    from LAPACK's ``zpotri`` (LAPACK has no batched Cholesky). A shifted
+    Gram matrix that overflows, or whose factorization fails, raises
+    :class:`numpy.linalg.LinAlgError`, which for a stack names the
+    realization.
     """
     H = _checked_channel(H, beta)
-    n = H.shape[0]
+    n = H.shape[-2]
+    diagonal = np.arange(n)
     # Entries of H too large for their Gram overflow here without a warning,
     # and show on the diagonal: |W_ij| <= sqrt(W_ii W_jj) for a positive
     # definite W, so a finite diagonal bounds every entry.
     with np.errstate(over="ignore", invalid="ignore"):
-        G = H @ H.conj().T
-        G = 0.5 * (G + G.conj().T)  # exactly Hermitian: the product may round asymmetrically
-        W = G.copy(order="F")  # column-major, so zpotrf factorizes it in place
-        W.flat[::n + 1] += float(beta)  # the diagonal
+        G = H @ H.conj().swapaxes(-1, -2)
+        # Exactly Hermitian, (G + G*) / 2: the product may round asymmetrically.
+        G += G.conj().swapaxes(-1, -2)
+        G *= 0.5
+        # G itself, as G is exactly Hermitian, with each matrix column-major,
+        # so zpotrf factorizes it in place.
+        W = G.conj().swapaxes(-1, -2)
+        W[..., diagonal, diagonal] += float(beta)
     if n == 0:
         return G, W
-    if not math.isfinite(W.diagonal().real.max()):  # inf or NaN
-        raise np.linalg.LinAlgError("shifted Gram matrix is not finite")
+    finite = np.isfinite(W.diagonal(0, -2, -1).real).all(axis=-1)  # no inf or NaN
+    if not finite.all():
+        b = int(np.argmin(finite))
+        raise np.linalg.LinAlgError(f"{_realization(H, b)}shifted Gram matrix is not finite")
     # zpotri fails only on a zero pivot, which a factorization that succeeded
     # rules out. It fills the lower triangle and keeps the factor's zeroed
     # upper one, so adding the conjugate transpose mirrors it and doubles
     # the real diagonal, which halving restores exactly.
-    factor = _cholesky(W, "shifted Gram matrix")
-    W_inv, _ = zpotri(factor, lower=1, overwrite_c=1)
-    W_inv = W_inv + W_inv.conj().T
-    W_inv.flat[::n + 1] *= 0.5
+    for b, matrix in enumerate(W.reshape(-1, n, n)):
+        factor = _cholesky(matrix, f"{_realization(H, b)}shifted Gram matrix")
+        zpotri(factor, lower=1, overwrite_c=1)
+    W_inv = W.conj().swapaxes(-1, -2)
+    W_inv += W
+    W_inv[..., diagonal, diagonal] *= 0.5
     return G, W_inv
 
 
+def _realization(H, b):
+    """The prefix that names realization ``b`` of a stack ``H`` in a message; none for one matrix."""
+    return f"realization {b}: " if H.ndim == 3 else ""
+
+
 def _checked_channel(H, beta):
-    """``H`` as a finite complex matrix, once ``beta`` is known to be a positive finite shift."""
+    """``H`` as a finite complex matrix or stack, once ``beta`` is known to be a positive finite shift."""
     H = np.asarray(H, dtype=complex)
-    if H.ndim != 2:
-        raise ValueError(f"H must be a matrix, got shape {H.shape}")
+    if H.ndim not in (2, 3):
+        raise ValueError(f"H must be a matrix or a stack of them, got shape {H.shape}")
     # A real number only: a bool would pass for 1, and float() rejects a complex shift.
     shift = np.asarray(beta)
     if shift.ndim != 0 or shift.dtype.kind not in "iuf" or not 0.0 < float(shift) < np.inf:
         raise ValueError(f"beta must be a positive finite real number, got {beta!r}")
-    if not np.all(np.isfinite(H)):
-        raise ValueError("H must be finite")
+    finite = np.isfinite(H).all(axis=(-2, -1))
+    if not finite.all():
+        b = int(np.argmin(finite))
+        raise ValueError(f"{_realization(H, b)}H must be finite")
     return H
 
 

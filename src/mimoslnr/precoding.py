@@ -19,7 +19,7 @@ import numpy as np
 
 from ._blas import one_blas_thread
 from .channel import check_positive_finite
-from .linalg import shifted_gram_inverse
+from .linalg import _realization, shifted_gram_inverse
 
 __all__ = ["MetricsPerUser", "DegenerateUserError", "compute_metrics"]
 
@@ -33,7 +33,7 @@ class DegenerateUserError(ValueError):
 
 @dataclass
 class MetricsPerUser:
-    """Per-user instantaneous metrics for one channel realization."""
+    """Per-user instantaneous metrics: shape (K,) for one channel realization, (B, K) for a stack."""
 
     slnr: np.ndarray
     sinr: np.ndarray
@@ -48,9 +48,25 @@ def _as_channel(H):
     return H
 
 
+def _as_channels(H):
+    """``H`` as a complex N x K matrix or (B, N, K) stack of them, with no empty axis."""
+    H = np.asarray(H, dtype=complex)
+    if H.ndim != 3:
+        return _as_channel(H)
+    if 0 in H.shape:
+        raise ValueError(f"H must be a (B, N, K) stack with B, N, K >= 1, got shape {H.shape}")
+    return H
+
+
 @one_blas_thread
 def compute_metrics(H, eta):
-    """SLNR, SINR, and squared power scalars for one channel realization.
+    """SLNR, SINR, and squared power scalars for one channel realization or a stack of them.
+
+    ``H`` is one N x K channel or a stack ``(B, N, K)``; each metric then has
+    shape ``(K,)`` or ``(B, K)``, and row ``b`` of a stack's metrics is what
+    ``H[b]`` alone gives, bit for bit. The products and per-user formulas run
+    once over the stack, so the per-call overhead of a small system is paid
+    once per stack, not once per realization.
 
     One factorization per realization, inverting the smaller shifted Gram
     matrix at ``beta = K * eta``. Every metric follows from the cross gains
@@ -64,27 +80,36 @@ def compute_metrics(H, eta):
     ``q_k`` is read off ``G W^{-1}``, not ``I - K eta W^{-1}``, which
     cancels at low SNR. For ``K > N`` the precoder is
     ``F = (H H* + K eta I)^{-1} H`` from the N x N inverse, and ``C = H* F``.
+    A zero precoding column raises :class:`DegenerateUserError`, which for a
+    stack names the realization.
     """
-    H = _as_channel(H)
+    H = _as_channels(H)
     check_positive_finite(eta, "eta")
-    N, K = H.shape
+    N, K = H.shape[-2:]
     if K <= N:
-        G, W_inv = shifted_gram_inverse(H.conj().T, K * eta)
+        G, W_inv = shifted_gram_inverse(H.conj().swapaxes(-1, -2), K * eta)
         C = G @ W_inv
         # sum_j W^{-1}[k, j] C[j, k], with W^{-1}[k, j] = conj(W^{-1}[j, k]).
-        norms_sq = np.sum(W_inv.conj() * C, axis=0).real
+        # Here and below in place, with the same bits: for a stack each fresh
+        # temporary is a block-sized allocation, slower than its arithmetic.
+        products = W_inv.conj()
+        products *= C
+        norms_sq = products.sum(axis=-2).real
     else:
         _, A_inv = shifted_gram_inverse(H, K * eta)
         F = A_inv @ H
-        C = H.conj().T @ F
-        norms_sq = np.sum(np.abs(F) ** 2, axis=0)
-    if np.any(norms_sq <= 0.0):
-        bad = int(np.flatnonzero(norms_sq <= 0.0)[0])
-        raise DegenerateUserError(f"user {bad} has a zero precoding column")
+        C = H.conj().swapaxes(-1, -2) @ F
+        norms_sq = np.sum(np.abs(F) ** 2, axis=-2)
+    zero = norms_sq <= 0.0
+    if zero.any():
+        b, bad = divmod(int(np.flatnonzero(zero)[0]), K)
+        raise DegenerateUserError(f"{_realization(H, b)}user {bad} has a zero precoding column")
     power_sq = 1.0 / (K * norms_sq)
     # Row k of |C|^2 p^2 holds |h_k* f_i p_i|^2 over all i; the i = k term is the signal.
-    weighted = np.abs(C) ** 2 * power_sq
-    signal = np.diagonal(weighted)
-    sinr = signal / (np.sum(weighted, axis=1) - signal + eta)
-    q = np.clip(np.diagonal(C).real, 0.0, _Q_CLAMP)
+    weighted = np.abs(C)
+    weighted *= weighted
+    weighted *= power_sq[..., None, :]
+    signal = weighted.diagonal(0, -2, -1)
+    sinr = signal / (np.sum(weighted, axis=-1) - signal + eta)
+    q = np.clip(C.diagonal(0, -2, -1).real, 0.0, _Q_CLAMP)
     return MetricsPerUser(slnr=q / (1.0 - q), sinr=sinr, power_sq=power_sq)

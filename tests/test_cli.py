@@ -155,13 +155,18 @@ class TestAsymptoticCommand:
         gamma = np.array([float(line.split(",")[1]) for line in rows])
         assert gamma.size == 32 and np.isfinite(gamma).all() and gamma.min() > 0.0
 
-    @pytest.mark.parametrize("profile", ["identity", "exp-random"])
-    def test_overflowing_snr_exits_numerical_without_warnings(self, capsys, profile):
+    @pytest.mark.parametrize("profile,rho,snr_db", [
+        ("identity", "0.5", "3100"), ("exp-random", "0.5", "3100"),
+        ("exp-random", "0.99", "3081"), ("exp-random", "0.9", "3082"),
+    ], ids=["identity", "exp-random", "exp-random-0.99-3081", "exp-random-0.9-3082"])
+    def test_overflowing_snr_exits_numerical_without_warnings(self, capsys, profile, rho, snr_db):
         # At 3100 dB gamma is about 1e310, past the largest double. The
         # Toeplitz sums overflowed in a numpy divide first, so three
         # RuntimeWarnings came before the diagnostic (here: an exception).
-        code, out, err = run_cli(capsys, "asymptotic", "--profile", profile, "--rho", "0.5",
-                                 "--snr-db", "3100")
+        # At 3081 and 3082 dB the sums are finite, but the step's last
+        # product, gamma itself, overflowed in a numpy matmul.
+        code, out, err = run_cli(capsys, "asymptotic", "--profile", profile, "--rho", rho,
+                                 "--snr-db", snr_db)
         assert code == EXIT_NUMERICAL
         assert err == "numerical failure: fixed point iterate is not finite at iteration 1\n"
 

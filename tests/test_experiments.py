@@ -88,10 +88,11 @@ class TestCdfExperiment:
         # levels and the constant column: 4 units, bounded at 5. Sorting
         # copies of the pools and building the levels once per column read
         # 7.06 units, and keeping two arrays per trial and concatenating
-        # them 11.8. The kernels' own per-trial memory is a few KiB at this
-        # size (with them the run reads 4.01 units), so they are replaced by
-        # stubs that return fresh arrays, as compute_metrics does: tracing
-        # them 20,000 times takes seconds.
+        # them 11.8. The kernels' own memory is one block of trials (with
+        # them, after a warm-up run, the run reads 4.12 units), so they are
+        # replaced by stubs that return fresh arrays, as compute_metrics
+        # does, one row per trial of the block's stack (64 trials of 16 x 8
+        # here, 0.1 units): tracing them 20,000 times takes seconds.
         N, K, trials = 16, 8, 20_000
         unit = trials * K * 8
         bound = 5 * unit
@@ -100,7 +101,7 @@ class TestCdfExperiment:
         metrics = experiments.compute_metrics(realization.H, cfg.eta)
         monkeypatch.setattr(experiments, "sample_channel", lambda config, trial: realization)
         monkeypatch.setattr(experiments, "compute_metrics", lambda H, eta: SimpleNamespace(
-            slnr=metrics.slnr.copy(), sinr=metrics.sinr.copy()))
+            slnr=np.tile(metrics.slnr, (len(H), 1)), sinr=np.tile(metrics.sinr, (len(H), 1))))
         tracemalloc.start()
         try:
             res = run_cdf_experiment(cfg)
@@ -109,6 +110,22 @@ class TestCdfExperiment:
             tracemalloc.stop()
         assert res.columns["slnr"].size == trials * K
         assert peak < bound, f"traced peak {peak / unit:.2f} units"
+
+    def test_default_op_peak_is_bounded(self, tmp_path):
+        # One sweep-cdf op at the command's defaults (64 x 32, 20 dB, 100
+        # trials), run and written as the benchmark's mc-iid op is. Its
+        # traced peak was 0.23 MiB with one trial per compute_metrics call;
+        # a block of trials adds its channel stack and the kernels' stacked
+        # temporaries. The bound was set at 1 MiB before the first run.
+        cfg = SystemConfig.make(N=64, K=32, snr_db=20.0, trials=100, seed=0)
+        write_csv(run_cdf_experiment(cfg), tmp_path / "warm-up.csv")  # LAPACK loads once
+        tracemalloc.start()
+        try:
+            write_csv(run_cdf_experiment(cfg), tmp_path / "cdf.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"traced peak {peak / 2**20:.3f} MiB"
 
     def test_median_near_asymptotic(self):
         cfg = SystemConfig.make(N=64, K=32, snr_db=20.0, trials=200, seed=2)

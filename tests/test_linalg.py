@@ -167,6 +167,21 @@ class TestShiftedGramInverse:
         with pytest.raises(np.linalg.LinAlgError, match="shifted Gram matrix is not finite"):
             shifted_gram_inverse(np.full(shape, 1e160 + 0j), 0.1)
 
+    def test_stack_names_the_failing_realization(self):
+        H = rng.standard_normal((3, 2, 3)) + 1j * rng.standard_normal((3, 2, 3))
+        H[1] = 1.0
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="^realization 1: shifted Gram matrix is not positive definite"):
+            shifted_gram_inverse(H, 1e-300)
+
+    def test_empty_stack(self):
+        G, W_inv = shifted_gram_inverse(np.zeros((2, 0, 3)), 1.0)
+        assert G.shape == W_inv.shape == (2, 0, 0)
+
+    def test_rejects_more_than_three_axes(self):
+        with pytest.raises(ValueError, match="H must be a matrix or a stack of them"):
+            shifted_gram_inverse(np.ones((2, 2, 3, 2)), 1.0)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_input(self, bad):
         H = np.ones((3, 2), dtype=complex)

@@ -216,6 +216,72 @@ class TestSinr:
         assert float(np.median(np.concatenate(devs))) < 0.1
 
 
+class TestStackedMetrics:
+    """A (B, N, K) stack gives what each realization gives alone, bit for bit."""
+
+    @pytest.mark.parametrize("N,K", [(16, 8), (8, 8), (8, 12), (64, 32)])
+    def test_stack_equals_per_realization_calls(self, N, K):
+        H = np.stack([random_channel(N, K) for _ in range(5)])
+        stacked = compute_metrics(H, 0.01)
+        for b in range(5):
+            one = compute_metrics(H[b], 0.01)
+            for name in ("slnr", "sinr", "power_sq"):
+                assert getattr(one, name).shape == (K,)
+                assert np.array_equal(getattr(stacked, name)[b], getattr(one, name)), (name, b)
+        assert compute_metrics(H[:1], 0.01).slnr.shape == (1, K)
+        G, W_inv = linalg.shifted_gram_inverse(H, 0.3)
+        for b in range(5):
+            G_b, W_inv_b = linalg.shifted_gram_inverse(H[b], 0.3)
+            assert np.array_equal(G[b], G_b) and np.array_equal(W_inv[b], W_inv_b), b
+
+    @pytest.mark.parametrize("N,K", [(8, 4), (4, 8)], ids=["K<N", "K>N"])
+    def test_non_finite_entry_names_the_realization(self, N, K):
+        H = np.stack([random_channel(N, K) for _ in range(4)])
+        H[2, 1, 0] = np.nan
+        with pytest.raises(ValueError, match="realization 2: H must be finite") as excinfo:
+            compute_metrics(H, 0.1)
+        assert type(excinfo.value) is ValueError
+
+    @pytest.mark.parametrize("N,K", [(8, 4), (4, 8)], ids=["K<N", "K>N"])
+    def test_failing_factorization_names_the_realization(self, N, K):
+        # Two equal users (K <= N) or a rank-one channel (K > N): a vanishing
+        # shift leaves that realization's Gram matrix singular.
+        H = np.stack([random_channel(N, K) for _ in range(4)])
+        H[3] = np.outer(np.ones(N), np.arange(1.0, K + 1.0))
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="realization 3: shifted Gram matrix is not positive definite"):
+            compute_metrics(H, 1e-300)
+
+    def test_overflowing_gram_names_the_realization(self):
+        H = np.stack([random_channel(4, 2) for _ in range(3)])
+        H[1] = 1e160
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="realization 1: shifted Gram matrix is not finite"):
+            compute_metrics(H, 0.1)
+
+    @pytest.mark.parametrize("N,K", [(8, 4), (4, 8)], ids=["K<N", "K>N"])
+    def test_zero_user_column_names_the_realization(self, N, K):
+        H = np.stack([random_channel(N, K) for _ in range(4)])
+        H[2, :, 1] = 0.0
+        with pytest.raises(DegenerateUserError, match="realization 2: user 1 has a zero"):
+            compute_metrics(H, 0.1)
+
+    def test_one_matrix_keeps_its_messages(self):
+        # A single channel is a stack of one, but no realization is named.
+        H = random_channel(8, 4)
+        H[:, 1] = 0.0
+        with pytest.raises(DegenerateUserError, match="^user 1 has a zero precoding column$"):
+            compute_metrics(H, 0.1)
+        H[0, 0] = np.inf
+        with pytest.raises(ValueError, match="^H must be finite$"):
+            compute_metrics(H, 0.1)
+
+    @pytest.mark.parametrize("shape", [(0, 4, 2), (2, 0, 2), (2, 4, 0)])
+    def test_empty_stack_is_value_error_naming_the_shape(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            compute_metrics(np.zeros(shape), 0.1)
+
+
 class TestPowerConcentration:
     def test_spread_shrinks_with_n(self):
         spreads = {}
@@ -281,11 +347,15 @@ class TestMetrics:
             return zpotrf(*args, **kwargs)
 
         monkeypatch.setattr(linalg, "zpotrf", counting_zpotrf)
-        # K < N and K = N take the K x K route, K > N the N x N one.
+        # K < N and K = N take the K x K route, K > N the N x N one; a stack
+        # of B realizations has B factorizations.
         for N, K in [(16, 8), (8, 8), (8, 12)]:
             calls.clear()
             compute_metrics(random_channel(N, K), 0.01)
             assert len(calls) == 1, (N, K)
+            calls.clear()
+            compute_metrics(np.stack([random_channel(N, K) for _ in range(3)]), 0.01)
+            assert len(calls) == 3, (N, K)
 
     @pytest.mark.parametrize(
         "N,K", [(1, 1), (8, 1), (16, 8), (12, 12), (8, 12), (64, 32), (16, 15), (3, 1), (1, 3)]

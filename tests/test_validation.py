@@ -216,9 +216,13 @@ def test_config_snr_must_be_a_scalar():
         SystemConfig.make(4, 2, np.array([1.0, 2.0]))
 
 
-# A 1-D channel raised IndexError (tuple index out of range) from both.
-@pytest.mark.parametrize("channel", [np.ones(4), np.ones((4, 2, 2))], ids=["1-D", "3-D"])
-@pytest.mark.parametrize("entry", [compute_metrics, slnr_leave_one_out])
+# A 1-D channel raised IndexError (tuple index out of range) from both. The
+# metrics also take a (B, N, K) stack of channels, the oracle one channel only.
+@pytest.mark.parametrize("entry,channel", [
+    (compute_metrics, np.ones(4)), (compute_metrics, np.ones((2, 4, 2, 2))),
+    (slnr_leave_one_out, np.ones(4)), (slnr_leave_one_out, np.ones((4, 2, 2))),
+], ids=["compute_metrics-1-D", "compute_metrics-4-D", "slnr_leave_one_out-1-D",
+        "slnr_leave_one_out-3-D"])
 def test_channel_must_be_a_matrix(entry, channel):
     with pytest.raises(ValueError, match="H"):
         entry(channel, 0.1)
@@ -312,11 +316,13 @@ def test_bad_seed_fails_before_the_first_solve(monkeypatch):
 # (a 0-d bool array too) was taken for 1, an array failed in numpy's
 # truth-value check without naming alpha, and a complex or string one failed
 # the range check with a TypeError that did not name it. A finite 1e308 made
-# alpha * N overflow to inf in round(alpha * N) in the same way.
+# alpha * N overflow to inf in round(alpha * N) in the same way, and 1e20
+# and 1e300 raised numpy's "Maximum allowed dimension exceeded" from the phase
+# draw. Each of these is rejected before anything is allocated.
 @pytest.mark.parametrize("alpha", [
     np.inf, np.nan, -0.5, 0.0, True, pytest.param(np.bool_(True), id="np.bool_-True"),
     pytest.param(np.array(True), id="0d-bool-array"),
-    pytest.param(np.array([0.5, 0.6]), id="array"), 0.5 + 0j, "0.5", None, 1e308,
+    pytest.param(np.array([0.5, 0.6]), id="array"), 0.5 + 0j, "0.5", None, 1e308, 1e20, 1e300,
 ])
 def test_sweep_alpha_must_be_positive_and_finite(alpha):
     with pytest.raises(ValueError, match="alpha"):
