@@ -4,8 +4,9 @@ Subcommands: ``asymptotic``, ``metrics``, ``loading``, ``sweep-cdf``,
 ``sweep-correlation``, ``sweep-loading``, ``selftest``. Parameters resolve
 in three layers: built-in defaults, then a ``key = value`` config file
 (``--config``), then explicit flags. Every run echoes the fully resolved
-configuration. Exit codes: 0 success, 1 usage error, 2 numerical failure,
-141 when the reader closes stdout before the output ends.
+configuration. Exit codes: 0 success, 1 usage error (an unwritable
+``--out`` and a size that cannot be allocated included), 2 numerical
+failure, 141 when the reader closes stdout before the output ends.
 """
 
 import argparse
@@ -94,7 +95,7 @@ def _parse_config_file(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -242,7 +243,12 @@ def _write_sweep(resolved, run):
     for key in sorted(resolved):
         if key != "out" and resolved[key] is not None:
             result.metadata.setdefault(key, resolved[key])
-    write_csv(result, out)
+    try:
+        write_csv(result, out)
+    except BrokenPipeError:  # --out /dev/stdout and a reader that stopped: exit 141
+        raise
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc}") from exc
     print(f"# wrote {out} ({len(next(iter(result.columns.values())))} rows)")
     return EXIT_OK
 
@@ -311,7 +317,7 @@ def main(argv=None):
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # MemoryError: a size that cannot be allocated
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

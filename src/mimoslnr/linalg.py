@@ -188,10 +188,13 @@ def psd_sqrt(A):
 
 @one_blas_thread
 def shifted_gram_inverse(H, beta):
-    """The Gram matrix ``G = H H*`` and the inverse ``(G + beta I)^{-1}``.
+    """The Gram matrix ``G`` of H's shorter side and the inverse ``(G + beta I)^{-1}``.
 
-    ``H`` is one finite matrix or a stack of them, shape ``(B, n, k)``, and
-    ``beta`` positive and finite; for a stack both results are stacks, with
+    ``H`` is one finite n x k matrix or a stack of them, shape ``(B, n, k)``,
+    as the caller holds it, and ``beta`` positive and finite. ``G`` is the
+    k x k ``H* H`` when ``k <= n`` (ties included) and the n x n ``H H*``
+    when ``k > n``, formed from one conjugate copy of ``H`` that is freed
+    before the factorization. For a stack both results are stacks, with
     ``G[b]`` and the inverse of realization ``b`` each what one matrix
     ``H[b]`` gives, bit for bit. Every result matrix is exactly Hermitian.
     The products, checks and symmetrizations run once over the stack; each
@@ -202,13 +205,15 @@ def shifted_gram_inverse(H, beta):
     realization.
     """
     H = _checked_channel(H, beta)
-    n = H.shape[-2]
-    diagonal = np.arange(n)
+    m = min(H.shape[-2:])  # the order of G
+    diagonal = np.arange(m)
     # Entries of H too large for their Gram overflow here without a warning,
     # and show on the diagonal: |W_ij| <= sqrt(W_ii W_jj) for a positive
     # definite W, so a finite diagonal bounds every entry.
     with np.errstate(over="ignore", invalid="ignore"):
-        G = H @ H.conj().swapaxes(-1, -2)
+        adjoint = H.conj().swapaxes(-1, -2)
+        G = adjoint @ H if H.shape[-1] <= H.shape[-2] else H @ adjoint
+        del adjoint  # now, not at the return: the factorization needs no copy of H
         # Exactly Hermitian, (G + G*) / 2: the product may round asymmetrically.
         G += G.conj().swapaxes(-1, -2)
         G *= 0.5
@@ -216,7 +221,7 @@ def shifted_gram_inverse(H, beta):
         # so zpotrf factorizes it in place.
         W = G.conj().swapaxes(-1, -2)
         W[..., diagonal, diagonal] += float(beta)
-    if n == 0:
+    if m == 0:
         return G, W
     finite = np.isfinite(W.diagonal(0, -2, -1).real).all(axis=-1)  # no inf or NaN
     if not finite.all():
@@ -226,7 +231,7 @@ def shifted_gram_inverse(H, beta):
     # rules out. It fills the lower triangle and keeps the factor's zeroed
     # upper one, so adding the conjugate transpose mirrors it and doubles
     # the real diagonal, which halving restores exactly.
-    for b, matrix in enumerate(W.reshape(-1, n, n)):
+    for b, matrix in enumerate(W.reshape(-1, m, m)):
         factor = _cholesky(matrix, f"{_realization(H, b)}shifted Gram matrix")
         zpotri(factor, lower=1, overwrite_c=1)
     W_inv = W.conj().swapaxes(-1, -2)

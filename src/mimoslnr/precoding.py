@@ -8,9 +8,10 @@ form
     SLNR_k = q_k / (1 - q_k),     q_k = h_k* (H H* + K eta I)^{-1} h_k.
 
 :func:`compute_metrics` reads every metric off one inverse of the smaller
-shifted Gram matrix (``linalg.shifted_gram_inverse``). The explicit route
-that checks it (``rzf_precode``, ``power_control``, ``sinr_instantaneous``)
-lives in :mod:`mimoslnr.oracles`.
+shifted Gram matrix: one ``linalg.shifted_gram_inverse(H, K eta)`` call on
+the channel as given inverts the K x K ``H* H`` when ``K <= N``, else the
+N x N ``H H*``. The explicit route that checks it (``rzf_precode``,
+``power_control``, ``sinr_instantaneous``) lives in :mod:`mimoslnr.oracles`.
 """
 
 from dataclasses import dataclass
@@ -68,12 +69,12 @@ def compute_metrics(H, eta):
     once over the stack, so the per-call overhead of a small system is paid
     once per stack, not once per realization.
 
-    One factorization per realization, inverting the smaller shifted Gram
-    matrix at ``beta = K * eta``. Every metric follows from the cross gains
-    ``C[k, i] = h_k* f_i`` and the norms ``||f_k||^2``. For ``K <= N`` the
-    push-through identity ``F = H (H* H + beta I)^{-1}`` gives both without
-    the N x K precoder: with the K x K Gram ``G = H* H`` and
-    ``W^{-1} = (G + K eta I)^{-1}``,
+    One factorization per realization: ``shifted_gram_inverse(H, K * eta)``
+    inverts the smaller shifted Gram matrix. Every metric follows from the
+    cross gains ``C[k, i] = h_k* f_i`` and the norms ``||f_k||^2``. For
+    ``K <= N`` the push-through identity ``F = H (H* H + beta I)^{-1}``
+    gives both without the N x K precoder: with the K x K Gram ``G = H* H``
+    and ``W^{-1} = (G + K eta I)^{-1}``,
 
         C = G W^{-1},   q_k = Re C[k, k],   ||f_k||^2 = [W^{-1} G W^{-1}]_kk.
 
@@ -86,8 +87,8 @@ def compute_metrics(H, eta):
     H = _as_channels(H)
     check_positive_finite(eta, "eta")
     N, K = H.shape[-2:]
+    G, W_inv = shifted_gram_inverse(H, K * eta)
     if K <= N:
-        G, W_inv = shifted_gram_inverse(H.conj().swapaxes(-1, -2), K * eta)
         C = G @ W_inv
         # sum_j W^{-1}[k, j] C[j, k], with W^{-1}[k, j] = conj(W^{-1}[j, k]).
         # Here and below in place, with the same bits: for a stack each fresh
@@ -96,8 +97,7 @@ def compute_metrics(H, eta):
         products *= C
         norms_sq = products.sum(axis=-2).real
     else:
-        _, A_inv = shifted_gram_inverse(H, K * eta)
-        F = A_inv @ H
+        F = W_inv @ H
         C = H.conj().swapaxes(-1, -2) @ F
         norms_sq = np.sum(np.abs(F) ** 2, axis=-2)
     zero = norms_sq <= 0.0

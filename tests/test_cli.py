@@ -535,6 +535,48 @@ class TestErrorPaths:
         assert code == EXIT_USAGE
         assert key in err
 
+    @staticmethod
+    def assert_one_error_line(err, *names):
+        assert err.count("\n") == 1 and err.startswith("error: "), err
+        assert "Traceback" not in err
+        for name in names:
+            assert name in err, (name, err)
+
+    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, where):
+        out = tmp_path if where == "directory" else tmp_path / "missing" / "x.csv"
+        code, _, err = run_cli(capsys, "sweep-loading", "--snr-grid", "0:1:3", "--out", str(out))
+        assert code == EXIT_USAGE
+        self.assert_one_error_line(err, f"cannot write {out}")
+
+    def test_broken_pipe_while_writing_out_is_not_a_usage_error(self, capsys, monkeypatch):
+        # --out /dev/stdout whose reader stopped: console_main exits 141 on it.
+        def closed(result, path):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(cli, "write_csv", closed)
+        with pytest.raises(BrokenPipeError):
+            main(["sweep-loading", "--snr-grid", "0:1:3", "--out", "/dev/stdout"])
+
+    def test_config_file_that_is_not_utf8_is_named(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xff\xfe")
+        code, _, err = run_cli(capsys, "loading", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        self.assert_one_error_line(err, f"cannot read config file {cfg}")
+
+    # Only sizes past the 128 TiB user address space, which fail at once
+    # under any overcommit setting, never one that could be partly allocated.
+    @pytest.mark.parametrize("argv", [
+        ("sweep-cdf", "--trials", "100000000000000"),  # 22.7 PiB of SLNR samples
+        ("metrics", "--n", "100000000", "--k", "100000000"),  # 142 PiB for the draw
+    ], ids=["sweep-cdf", "metrics"])
+    def test_size_that_cannot_be_allocated_is_usage_error(self, capsys, tmp_path, argv):
+        code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "x.csv"))
+        assert code == EXIT_USAGE
+        self.assert_one_error_line(err, "PiB")
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestSelftest:
     def test_passes_on_clean_build(self, capsys):

@@ -139,18 +139,36 @@ class TestPsdSqrt:
 class TestShiftedGramInverse:
     @pytest.mark.parametrize("n,k", [(1, 1), (4, 8), (8, 8), (8, 4)])
     def test_inverts_the_shifted_gram(self, n, k):
+        # The Gram of H's shorter side: H* H when k <= n, ties included, else H H*.
         H = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
         G, W_inv = shifted_gram_inverse(H, 0.37)
         assert np.array_equal(G, G.conj().T) and np.array_equal(W_inv, W_inv.conj().T)
-        np.testing.assert_allclose(G, H @ H.conj().T, rtol=1e-14, atol=1e-14)
-        resid = (G + 0.37 * np.eye(n)) @ W_inv - np.eye(n)
-        assert np.linalg.norm(resid) <= 1e-12 * n
+        gram = H.conj().T @ H if k <= n else H @ H.conj().T
+        m = min(n, k)
+        assert G.shape == (m, m)
+        np.testing.assert_allclose(G, gram, rtol=1e-14, atol=1e-14)
+        resid = (G + 0.37 * np.eye(m)) @ W_inv - np.eye(m)
+        assert np.linalg.norm(resid) <= 1e-12 * m
 
     def test_matches_the_solve(self):
-        # Against the oracle's LU solve of the same N x N system.
+        # Against the oracle's LU solve of the N x N system: a tall H's
+        # precoder by push-through, H (H* H + beta I)^{-1}, a wide one's directly.
         H = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
         _, W_inv = shifted_gram_inverse(H, 0.5)
+        np.testing.assert_allclose(H @ W_inv, rzf_precode(H, 0.5), rtol=1e-12)
+        H = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
+        _, W_inv = shifted_gram_inverse(H, 0.5)
         np.testing.assert_allclose(W_inv @ H, rzf_precode(H, 0.5), rtol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(7, 3), (4, 9, 5)], ids=["matrix", "stack"])
+    def test_tall_channel_and_its_wide_adjoint_agree_bit_for_bit(self, shape):
+        # Both take the same product of the same layouts: a tall H's k x k
+        # Gram H* H is the wide adjoint's H H*, with the same bits.
+        H = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        G, W_inv = shifted_gram_inverse(H, 0.21)
+        G_adj, W_inv_adj = shifted_gram_inverse(H.conj().swapaxes(-1, -2), 0.21)
+        assert G.shape == G_adj.shape == shape[:-2] + (shape[-1], shape[-1])
+        assert np.array_equal(G, G_adj) and np.array_equal(W_inv, W_inv_adj)
 
     def test_empty_system(self):
         G, W_inv = shifted_gram_inverse(np.zeros((0, 2)), 1.0)
