@@ -44,7 +44,7 @@ def check_positive_finite(value, name):
 
     The one check for an inverse SNR ``eta`` and a solver tolerance ``tol``.
     A Python float (``np.float64`` included) is tested with plain
-    comparisons, because callers such as ``dfdx`` run in tight loops; any
+    comparisons, because callers such as ``gamma_uncorrelated``'s float path run in tight loops; any
     other scalar or array must hold only positive finite entries. A ``bool``
     of any kind would pass for 1, so it is rejected.
     """

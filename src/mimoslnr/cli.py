@@ -230,15 +230,40 @@ def _cmd_loading(resolved, config):
     return EXIT_OK
 
 
+def _check_out(out):
+    """Raise :class:`UsageError` unless ``out`` can be written; create and truncate nothing.
+
+    An existing ``out`` must be a writable file (``/dev/stdout`` included),
+    a new one must name an entry of an existing, writable directory.
+    """
+    if os.path.isdir(out):
+        problem = "it is a directory"
+    elif os.path.exists(out):
+        if os.access(out, os.W_OK):
+            return
+        problem = "it is not writable"
+    else:
+        parent = os.path.dirname(out) or os.curdir
+        if os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK):
+            return
+        problem = f"{parent} is not a writable directory"
+    raise UsageError(f"cannot write {out}: {problem}")
+
+
 def _write_sweep(resolved, run):
     """Run a sweep and write its CSV to ``out``, which is checked first.
 
-    Every CSV carries the full resolved configuration; experiment-specific
-    entries written by the runner take precedence over the echo.
+    ``out`` is checked before the sweep runs, so a path that cannot be
+    written fails at once and a failing sweep leaves an existing file as it
+    was. An ``OSError`` at write time (a full disk, a race) is still a usage
+    error. Every CSV carries the full resolved configuration;
+    experiment-specific entries written by the runner take precedence over
+    the echo.
     """
     out = resolved["out"]
     if not out:
         raise UsageError("missing required key 'out' (CSV output path)")
+    _check_out(out)
     result = run()
     for key in sorted(resolved):
         if key != "out" and resolved[key] is not None:

@@ -146,14 +146,18 @@ def run_correlation_sweep(
     eigenvalues, which do not depend on the phase itself). The uncorrelated
     value rides along as the reference line.
 
-    The random-phase column is a continuation in ``rho``. Draw ``d``'s
-    phases come once from ``trial_rng(seed, d)``, before the ``rho`` loop,
-    and so does their table ``exp(1j d theta_k)``, which ``rho`` leaves alone.
-    The draw's first solve starts at the solver's default, the uncorrelated
-    closed form, exact at ``rho = 0`` (where ``R_k = I``), and each later
-    solve at the draw's gammas from the previous ``rho``, in grid order.
-    The fixed point is unique, so the start moves the answer only within
-    the tolerance.
+    The two scalar columns are computed first, before any Toeplitz solve.
+    Each draw is then one continuation in ``rho``, run draw after draw.
+    Draw ``d``'s phases come once from ``trial_rng(seed, d)``, and so does
+    their table ``exp(1j d theta_k)``, which ``rho`` leaves alone; it is
+    freed before the next draw's is built, so one draw's table is alive at
+    a time. The draw's first solve starts at the solver's default, the
+    uncorrelated closed form, exact at ``rho = 0`` (where ``R_k = I``), and
+    each later solve at the draw's gammas from the previous ``rho``, in
+    grid order. The fixed point is unique, so the start moves the answer
+    only within the tolerance. Each draw's user-mean gamma at each ``rho``
+    goes into one ``(len(rho_grid), draws)`` array: the averaged column is
+    the mean of each row, the single-draw column is column 0.
     """
     start = time.perf_counter()
     check_count(N, "N")
@@ -183,34 +187,23 @@ def run_correlation_sweep(
     random_config = SystemConfig.make(N, K, snr_db, kind="exp-random")
     ref = gamma_uncorrelated(N / K, eta)
 
-    even_col = np.empty(rho_grid.size)
-    random_avg_col = np.empty(rho_grid.size)
-    random_single_col = np.empty(rho_grid.size)
-    common_col = np.empty(rho_grid.size)
-    phases = [
-        _phase_table(N, user_phases(random_config, trial_rng(seed, draw)))
-        for draw in range(trials_for_random_theta)
-    ]
-    gammas = [None] * trials_for_random_theta
+    even_col = np.array([gamma_exp_even(N, K, rho, eta, tol=tol) for rho in rho_grid])
+    common_col = np.array([gamma_exp_common(N, K, rho, eta, tol=tol) for rho in rho_grid])
 
-    for i, rho in enumerate(rho_grid):
-        even_col[i] = gamma_exp_even(N, K, rho, eta, tol=tol)
-
-        draw_means = np.empty(trials_for_random_theta)
-        for draw, phase in enumerate(phases):
-            sol = _solve_toeplitz(phase, rho, eta, tol, gammas[draw])
-            gammas[draw] = sol.gamma
-            draw_means[draw] = float(np.mean(sol.gamma))
-        random_avg_col[i] = float(np.mean(draw_means))
-        random_single_col[i] = draw_means[0]
-
-        common_col[i] = gamma_exp_common(N, K, rho, eta, tol=tol)
+    draw_means = np.empty((rho_grid.size, trials_for_random_theta))
+    for draw in range(trials_for_random_theta):
+        phase = _phase_table(N, user_phases(random_config, trial_rng(seed, draw)))
+        gamma = None
+        for i, rho in enumerate(rho_grid):
+            gamma = _solve_toeplitz(phase, rho, eta, tol, gamma).gamma
+            draw_means[i, draw] = np.mean(gamma)
+        del phase  # before the next draw's table is built
 
     columns = {
         "rho": rho_grid.copy(),
         "gamma_exp_even": even_col,
-        "gamma_exp_random_avg": random_avg_col,
-        "gamma_exp_random_single_draw": random_single_col,
+        "gamma_exp_random_avg": draw_means.mean(axis=1),
+        "gamma_exp_random_single_draw": draw_means[:, 0],
         "gamma_exp_common": common_col,
         "gamma_uncorrelated": np.full(rho_grid.size, ref),
     }

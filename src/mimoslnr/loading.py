@@ -14,14 +14,11 @@ form just below the threshold and a Lambert-W form for small ``eta``.
 Rates are natural-log throughout; a positive constant factor does not move
 the maximizer, and callers wanting bits divide by ``log(2)``.
 
-Scalar inputs given as Python floats (``np.float64`` included) run on
-``math`` and plain float arithmetic rather than on 0-d numpy arrays: the
-root finder evaluates the derivative about 30 times per SNR point, and one
-evaluation on 0-d arrays costs more than ten times as much as on floats.
-It calls the float kernel of :func:`dfdx` directly, having checked ``eta``
-once.
-Arrays keep the numpy form, which is also the fallback for any scalar that
-``math`` would reject (``x = 0``).
+The root finder evaluates the derivative about 30 times per SNR point,
+and one evaluation on 0-d numpy arrays costs more than ten times as much
+as on floats. So the bisection calls ``_dfdx_float``, the derivative on
+``math`` and plain float arithmetic, having checked ``eta`` once;
+:func:`dfdx` is the numpy form, for arrays and scalars alike.
 """
 
 import math
@@ -109,19 +106,10 @@ def dfdx(x, eta):
 
     The log argument equals ``1 + gamma`` and is positive for any
     ``eta > 0``, so the expression is defined on the whole region of
-    interest.
-
-    Python floats are evaluated with ``math`` (see the module docstring).
-    Where ``math`` raises instead of answering (``x = 0``, or a log
-    argument that rounds to 0) the numpy form answers, with its ``nan`` or
-    ``inf``.
+    interest. A scalar ``x`` and ``eta`` give a ``float``; the bisection's
+    float kernel is ``_dfdx_float`` (see the module docstring).
     """
     check_positive_finite(eta, "eta")
-    if isinstance(x, float) and isinstance(eta, float):
-        try:
-            return _dfdx_float(x, eta)
-        except (ZeroDivisionError, ValueError):
-            pass
     x_arr = np.asarray(x, dtype=float)
     eta_arr = np.asarray(eta, dtype=float)
     u = x_arr + eta_arr - 1.0
@@ -133,7 +121,7 @@ def dfdx(x, eta):
 
 
 def _dfdx_float(x, eta):
-    """:func:`dfdx` on Python floats, unchecked; the bisection's inner call.
+    """:func:`dfdx` on Python floats with ``math``, unchecked; the bisection's inner call.
 
     For ``x >= 1`` and a positive finite ``eta`` every operation is defined:
     ``s > 0``, the log argument is positive, and an overflow gives ``inf``

@@ -27,6 +27,9 @@ __all__ = ["MetricsPerUser", "DegenerateUserError", "compute_metrics"]
 # q_k < 1 analytically but can round to 1; keep the ratio finite.
 _Q_CLAMP = 1.0 - 1e-12
 
+# The smallest double whose reciprocal is finite is the next one above this.
+_TINY = 1.0 / np.finfo(float).max
+
 
 class DegenerateUserError(ValueError):
     """A user's precoding column has zero norm (only possible for h_k = 0)."""
@@ -81,8 +84,12 @@ def compute_metrics(H, eta):
     ``q_k`` is read off ``G W^{-1}``, not ``I - K eta W^{-1}``, which
     cancels at low SNR. For ``K > N`` the precoder is
     ``F = (H H* + K eta I)^{-1} H`` from the N x N inverse, and ``C = H* F``.
-    A zero precoding column raises :class:`DegenerateUserError`, which for a
-    stack names the realization.
+    A zero channel column, and so a zero precoding column, raises
+    :class:`DegenerateUserError`. A nonzero user whose power normalization
+    ``1 / (K ||f_k||^2)`` is past the double range (``eta`` above about
+    1e154 on a unit-variance channel, where ``||f_k||^2`` falls toward
+    ``1 / (K eta)^2``) raises ``numpy.linalg.LinAlgError``, with no numpy
+    warning. Either message names the user, and for a stack the realization.
     """
     H = _as_channels(H)
     check_positive_finite(eta, "eta")
@@ -100,11 +107,20 @@ def compute_metrics(H, eta):
         F = W_inv @ H
         C = H.conj().swapaxes(-1, -2) @ F
         norms_sq = np.sum(np.abs(F) ** 2, axis=-2)
-    zero = norms_sq <= 0.0
-    if zero.any():
-        b, bad = divmod(int(np.flatnonzero(zero)[0]), K)
-        raise DegenerateUserError(f"{_realization(H, b)}user {bad} has a zero precoding column")
-    power_sq = 1.0 / (K * norms_sq)
+    scale = K * norms_sq
+    out_of_range = scale <= _TINY
+    if out_of_range.any():
+        # A zero channel column is degenerate at any eta; otherwise ||f_k||^2 underflowed.
+        zero = ~H.any(axis=-2)
+        degenerate = zero.any()
+        b, bad = divmod(int(np.flatnonzero(zero if degenerate else out_of_range)[0]), K)
+        user = f"{_realization(H, b)}user {bad}"
+        if degenerate:
+            raise DegenerateUserError(f"{user} has a zero precoding column")
+        raise np.linalg.LinAlgError(
+            f"{user}: power normalization 1/(K ||f_k||^2) is past the double range"
+        )
+    power_sq = 1.0 / scale
     # Row k of |C|^2 p^2 holds |h_k* f_i p_i|^2 over all i; the i = k term is the signal.
     weighted = np.abs(C)
     weighted *= weighted

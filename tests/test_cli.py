@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -543,11 +544,39 @@ class TestErrorPaths:
             assert name in err, (name, err)
 
     @pytest.mark.parametrize("where", ["directory", "missing-parent"])
-    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, where):
+    def test_unwritable_out_is_usage_error(self, capsys, monkeypatch, tmp_path, where):
+        # Checked before the sweep runs: the sweep used to run to the end first.
+        calls = []
+        monkeypatch.setattr(cli, "run_loading_sweep", lambda grid: calls.append(grid))
         out = tmp_path if where == "directory" else tmp_path / "missing" / "x.csv"
         code, _, err = run_cli(capsys, "sweep-loading", "--snr-grid", "0:1:3", "--out", str(out))
         assert code == EXIT_USAGE
         self.assert_one_error_line(err, f"cannot write {out}")
+        assert calls == []
+
+    def test_failing_sweep_leaves_an_existing_out_as_it_was(self, capsys, tmp_path):
+        out = tmp_path / "cdf.csv"
+        out.write_bytes(b"an earlier run\n")
+        code, _, err = run_cli(capsys, "sweep-cdf", "--snr-db", "-1600", "--trials", "2",
+                               "--out", str(out))
+        assert code == EXIT_NUMERICAL
+        assert err.startswith("numerical failure: ")
+        assert out.read_bytes() == b"an earlier run\n"
+
+    @pytest.mark.parametrize("command", ["metrics", "sweep-cdf"])
+    def test_power_normalization_past_the_double_range_is_numerical_failure(
+        self, capsys, tmp_path, command
+    ):
+        # At -1600 dB 1/(K ||f_k||^2) overflows: both commands exited 0 with
+        # inf and nan in every row, after overflow and invalid warnings.
+        out = tmp_path / "cdf.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(capsys, command, "--snr-db", "-1600", "--trials", "2",
+                                   "--out", str(out))
+        assert code == EXIT_NUMERICAL
+        assert err.count("\n") == 1 and "user 0: power normalization" in err, err
+        assert not out.exists()
 
     def test_broken_pipe_while_writing_out_is_not_a_usage_error(self, capsys, monkeypatch):
         # --out /dev/stdout whose reader stopped: console_main exits 141 on it.

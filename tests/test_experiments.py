@@ -296,6 +296,35 @@ def test_correlation_sweep_reversed_grid_gives_same_columns():
         assert np.all(np.abs(column - back) <= 2.0 * DEFAULT_TOL * (1.0 + np.abs(column))), name
 
 
+def test_correlation_sweep_single_draw_column_does_not_depend_on_draw_count():
+    # Draw 0 is one continuation in rho whatever the other draws do.
+    kwargs = dict(N=32, alpha=0.75, snr_db=20.0, rho_grid=SWEEP_RHO, seed=2)
+    one = run_correlation_sweep(trials_for_random_theta=1, **kwargs).columns
+    five = run_correlation_sweep(trials_for_random_theta=5, **kwargs).columns
+    name = "gamma_exp_random_single_draw"
+    assert np.array_equal(one[name], five[name])
+    assert np.array_equal(one[name], one["gamma_exp_random_avg"])
+
+
+def test_correlation_sweep_holds_one_phase_table_at_a_time():
+    # Eight draws of a 128 x 256 phase table. With every draw's table built
+    # before the rho loop the traced peak read 9.17 tables; with one draw's
+    # table alive at a time (and the solve's conjugate of it) it reads
+    # 2.13. The bound of 4 was set before the first run.
+    N, alpha, draws = 256, 0.5, 8
+    table = int(round(alpha * N)) * N * np.dtype(complex).itemsize
+    kwargs = dict(N=N, alpha=alpha, snr_db=10.0, rho_grid=[0.0, 0.5],
+                  trials_for_random_theta=draws)
+    run_correlation_sweep(**kwargs)  # warm-up: LAPACK and scipy load once
+    tracemalloc.start()
+    try:
+        run_correlation_sweep(**kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * table, f"traced peak {peak / table:.2f} phase tables"
+
+
 class TestLoadingSweep:
     @pytest.fixture
     def sweep(self, loading_sweep):

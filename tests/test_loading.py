@@ -15,6 +15,7 @@ from mimoslnr.loading import (
     EXACT_ROOT_FIND,
     LOADING_TOL,
     X_UPPER_LOOSE,
+    _dfdx_float,
     dfdx,
     eta_threshold,
     lambert_w0,
@@ -131,20 +132,29 @@ class TestDerivative:
 
 
 class TestDerivativeFloatPath:
-    """Python floats run dfdx on ``math``; its numpy form is the reference."""
+    """The bisection's float kernel ``_dfdx_float``; dfdx's numpy form is the reference."""
 
     @pytest.mark.parametrize("eta", [1e-30, 1e-6, 0.01, eta_threshold(), 0.5, 1e6])
-    @pytest.mark.parametrize("x", [0.0, -0.0, 0.5, 1, 1.2, X_UPPER_LOOSE, 1e300, math.nan, math.inf])
+    @pytest.mark.parametrize("x", [1, 1.2, X_UPPER_LOOSE, 1e300])
     def test_matches_array_path(self, x, eta):
         with np.errstate(all="ignore"):
-            got = dfdx(float(x), eta)
+            got = _dfdx_float(float(x), eta)
             ref = dfdx(np.array(x), eta)
-        assert type(got) is float
+        assert type(got) is float and type(ref) is float
         if math.isfinite(ref):
             assert abs(got - ref) <= 4.0 * math.ulp(ref)
         else:
             # The same nan, or an inf of the same sign.
             assert repr(got) == repr(ref)
+
+    @pytest.mark.parametrize("eta", [1e-30, 1e-6, 0.01, eta_threshold(), 0.5, 1e6])
+    @pytest.mark.parametrize("x", [0.0, -0.0, 0.5, 1, 1.2, X_UPPER_LOOSE, 1e300, math.nan, math.inf])
+    def test_scalar_is_the_array_form(self, x, eta):
+        # dfdx has one form: a Python float gives a float with the 0-d array's bits.
+        with np.errstate(all="ignore"):
+            got = dfdx(float(x), eta)
+            ref = dfdx(np.array(x), eta)
+        assert type(got) is float and repr(got) == repr(ref)
 
     @pytest.mark.parametrize("grid", [(0.0, 40.0, 81), (-10.0, 60.0, 141), (55.0, 120.0, 14)])
     def test_root_bit_equal_to_array_path(self, monkeypatch, grid):

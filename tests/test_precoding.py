@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -429,6 +430,43 @@ class TestMetrics:
         m = compute_metrics(sample_channel(config, 0).H, config.eta)
         for arr in (m.slnr, m.sinr, m.power_sq):
             assert np.all(np.isfinite(arr)) and np.all(arr > 0)
+
+    @staticmethod
+    def default_channel():
+        config = SystemConfig.make(N=64, K=32, snr_db=20.0)
+        return sample_channel(config, 0).H
+
+    def test_finite_at_extreme_low_snr(self):
+        # -1500 dB: ||f_k||^2 ~ 1e-300, so 1/(K ||f_k||^2) ~ 1e299 is still a double.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = compute_metrics(self.default_channel(), 1e150)
+        for arr in (m.slnr, m.sinr, m.power_sq):
+            assert np.all(np.isfinite(arr)) and np.all(arr > 0)
+
+    @pytest.mark.parametrize("eta", [1e155, 1e300])
+    def test_power_normalization_past_the_double_range_is_linalg_error(self, eta):
+        # At 1e155 power_sq read inf and sinr nan, with overflow and invalid
+        # warnings; at 1e300 ||f_k||^2 underflowed to 0 and the nonzero user
+        # was reported as a zero precoding column.
+        H = self.default_channel()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="^user 0: power normalization"):
+                compute_metrics(H, eta)
+            with pytest.raises(np.linalg.LinAlgError, match="^realization 0: user 0: power"):
+                compute_metrics(np.stack([H, H]), eta)
+
+    @pytest.mark.parametrize("eta", [0.1, 1e300])
+    def test_zero_channel_column_stays_degenerate_at_any_eta(self, eta):
+        H = self.default_channel()
+        H[:, 5] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateUserError, match="^user 5 has a zero precoding column$"):
+                compute_metrics(H, eta)
+            with pytest.raises(DegenerateUserError, match="^realization 1: user 5 has a zero"):
+                compute_metrics(np.stack([self.default_channel(), H]), eta)
 
     @settings(max_examples=50, deadline=None, database=None)
     @given(
