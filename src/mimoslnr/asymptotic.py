@@ -188,15 +188,24 @@ def solve_exponential_fixed_point(N, rho, theta, eta, tol=DEFAULT_TOL):
 
 
 def _phase_table(N, theta):
-    """The (K, N) table ``exp(1j d theta_k)`` over the lags ``d`` and the users' phases."""
-    return np.exp(1j * np.outer(theta, np.arange(N)))
+    """The (K, N) table ``exp(1j d theta_k)`` over the lags ``d`` and the users' phases.
+
+    The exponent is built complex and exponentiated in place, so only one
+    K x N table is ever alive: it is the route's one O(KN) array, which
+    :func:`_solve_toeplitz` reads both ways.
+    """
+    table = np.multiply.outer(theta, 1j * np.arange(N))
+    return np.exp(table, out=table)
 
 
 def _solve_toeplitz(phase, rho, eta, tol, start):
     """:func:`solve_exponential_fixed_point` on checked inputs and the users' phase table.
 
     ``phase`` is :func:`_phase_table` of the phases, which does not depend
-    on ``rho``: the correlation sweep builds it once per draw. ``start`` is
+    on ``rho``: the correlation sweep builds it once per draw. The step
+    reads that one table both ways, forward for the lags ``t`` and, as
+    ``Re(conj(P) w) = Re(P conj(w))``, backward for ``gamma``, so a solve
+    allocates no K x N array. ``start`` is
     the first iterate, K nonnegative numbers such as the solution at a
     nearby ``rho``, or ``None`` for the uncorrelated closed form.
     """
@@ -205,7 +214,6 @@ def _solve_toeplitz(phase, rho, eta, tol, start):
         start = np.full(K, gamma_uncorrelated(N / K, eta))
     lags = np.arange(N)
     decay = rho ** lags
-    unphase = phase.conj()
     fold = np.where(lags > 0, 2.0, 1.0) * decay
     fold_total = float(fold.sum())
     inverse_sums = _toeplitz_inverse_sums(N)
@@ -220,9 +228,9 @@ def _solve_toeplitz(phase, rho, eta, tol, start):
         # of it (NaN fails) the product cannot overflow. Above, gamma_k may:
         # the caller finds it not finite, and numpy is kept from warning.
         if float(s[0].real) * fold_total < _HALF_MAX:
-            return (unphase @ (fold * s)).real
+            return (phase @ (fold * s).conj()).real
         with np.errstate(over="ignore", invalid="ignore"):
-            return (unphase @ (fold * s)).real
+            return (phase @ (fold * s).conj()).real
 
     return _anderson(step, start, tol, DEFAULT_MAX_ITER)
 
@@ -425,8 +433,8 @@ def gamma_uncorrelated(x, eta):
     low, high = x_arr.min(initial=0.0), x_arr.max(initial=0.0)
     if x_arr.dtype == bool or not (low >= 0.0 and high < math.inf):
         raise ValueError(f"x must be nonnegative and finite, got {x!r}")
-    eta_arr = np.asarray(eta, dtype=float)
     check_positive_finite(eta, "eta")
+    eta_arr = np.asarray(eta, dtype=float)
     b = eta_arr + (1.0 - x_arr)
     disc = np.sqrt(b * b + 4.0 * eta_arr * x_arr)
     # Where b > 0 the direct numerator -b + disc cancels; multiply through

@@ -45,14 +45,17 @@ def check_positive_finite(value, name):
     The one check for an inverse SNR ``eta`` and a solver tolerance ``tol``.
     A Python float (``np.float64`` included) is tested with plain
     comparisons, because callers such as ``gamma_uncorrelated``'s float path run in tight loops; any
-    other scalar or array must hold only positive finite entries. A ``bool``
-    of any kind would pass for 1, so it is rejected.
+    other scalar or array must be of a real number kind (integer or float,
+    the test of :func:`check_vector`) and hold only positive finite entries.
+    A ``bool`` of any kind would pass for 1, and a complex, string or
+    ``None`` fails the comparisons with a ``TypeError`` that does not name
+    the input, so each is rejected before any conversion.
     """
     if isinstance(value, float):
         ok = 0.0 < value < math.inf
     else:
         arr = np.asarray(value)
-        ok = arr.dtype != bool and bool(np.all((arr > 0.0) & (arr < np.inf)))
+        ok = arr.dtype.kind in "iuf" and bool(np.all((arr > 0.0) & (arr < np.inf)))
     if not ok:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
     return value
@@ -136,11 +139,13 @@ def eta_from_snr_db(snr_db):
     """Inverse SNR ``eta = 10**(-snr_db/10)`` of a scalar or an array of dB values.
 
     A scalar gives a Python float, an array an array of the same shape.
-    Raises ``ValueError`` when ``snr_db`` is a ``bool`` (or holds them) or
-    is not finite, or its ``eta`` overflows or underflows to zero.
+    Raises ``ValueError`` when ``snr_db`` is not of a real number kind (a
+    ``bool``, complex, string or ``None``, or an array of them) or is not
+    finite, or its ``eta`` overflows or underflows to zero.
     """
-    if np.asarray(snr_db).dtype == bool:
-        eta = math.nan  # a bool would pass for 0 or 1 dB and print as True
+    if np.asarray(snr_db).dtype.kind not in "iuf":
+        # A bool would pass for 0 or 1 dB and print as True, a string as its text.
+        eta = math.nan
     elif np.ndim(snr_db) == 0:
         try:
             eta = 10.0 ** (-float(snr_db) / 10.0)

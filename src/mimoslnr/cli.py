@@ -39,7 +39,8 @@ EXIT_NUMERICAL = 2
 EXIT_BROKEN_PIPE = 141
 
 _NUMERICAL_ERRORS = (
-    FixedPointError, BracketError, NotPsdError, EigConvergenceError, np.linalg.LinAlgError
+    FixedPointError, BracketError, NotPsdError, EigConvergenceError, np.linalg.LinAlgError,
+    OverflowError,
 )
 
 # Every resolvable key: type, default, help text and allowed choices (None

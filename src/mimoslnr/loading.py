@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .asymptotic import EPS, _newton_root, gamma_uncorrelated
-from .channel import check_positive_finite, check_positive_number
+from .channel import _is_number, check_positive_finite, check_positive_number
 
 __all__ = [
     "LoadingSolution",
@@ -60,6 +60,11 @@ LOADING_TOL = 1e-10
 
 _INV_E = math.exp(-1.0)
 
+# Below this inverse SNR (past about 3081 dB) 1 + gamma, about (x - 1) / eta,
+# passes the largest double for some x in [1, X_UPPER_LOOSE], so the rate and
+# its derivative on the bisection's bracket do too.
+_ETA_MIN = X_UPPER_LOOSE / float(np.finfo(float).max)
+
 
 class BracketError(RuntimeError):
     """Root bracketing failed; indicates an internal inconsistency."""
@@ -87,9 +92,17 @@ class LoadingConstants:
 
 
 def objective_f(x, eta):
-    """Rate per antenna ``log(1 + gamma(x, eta)) / x`` in nats."""
+    """Rate per antenna ``log(1 + gamma(x, eta)) / x`` in nats.
+
+    A loading ratio ``x`` that is not positive and finite (at 0 the rate is
+    0/0) raises ``ValueError`` naming it, for scalars and arrays alike.
+    """
     if isinstance(x, float) and isinstance(eta, float):
+        # One comparison here; gamma_uncorrelated rejects an infinite x.
+        if not x > 0.0:
+            raise ValueError(f"x must be positive and finite, got {x!r}")
         return float(np.log1p(gamma_uncorrelated(x, eta)) / x)
+    check_positive_finite(x, "x")
     x_arr = np.asarray(x, dtype=float)
     out = np.log1p(gamma_uncorrelated(x_arr, eta)) / x_arr
     if out.ndim == 0:
@@ -105,10 +118,13 @@ def dfdx(x, eta):
         df/dx = 1 / (x s) - log((u + s) / (2 eta)) / x^2.
 
     The log argument equals ``1 + gamma`` and is positive for any
-    ``eta > 0``, so the expression is defined on the whole region of
-    interest. A scalar ``x`` and ``eta`` give a ``float``; the bisection's
-    float kernel is ``_dfdx_float`` (see the module docstring).
+    ``eta > 0``, so the expression is defined for every ``x > 0``; an ``x``
+    that is not positive and finite raises ``ValueError`` naming it, for
+    scalars and arrays alike. A scalar ``x`` and ``eta`` give a ``float``;
+    the bisection's float kernel is ``_dfdx_float`` (see the module
+    docstring).
     """
+    check_positive_finite(x, "x")
     check_positive_finite(eta, "eta")
     x_arr = np.asarray(x, dtype=float)
     eta_arr = np.asarray(eta, dtype=float)
@@ -162,9 +178,17 @@ def optimal_x_exact(eta, tol=LOADING_TOL):
     ``[1, 3*(2*sqrt(3) - 3)]``, giving a guaranteed sign bracket; bisection
     runs until the interval is shorter than ``tol`` or, for a ``tol`` below
     the float spacing there, until the midpoint rounds onto an endpoint.
+    An ``eta`` below about 7.7e-309 (past about 3081 dB), where
+    ``1 + gamma`` can pass the largest double on that bracket, raises
+    ``OverflowError``.
     """
     eta = float(check_positive_number(eta, "eta"))
     check_positive_finite(tol, "tol")
+    if eta < _ETA_MIN:
+        raise OverflowError(
+            f"eta={eta!r} is below {_ETA_MIN!r}, past which 1 + gamma overflows on the loading "
+            f"bracket [1, {X_UPPER_LOOSE!r}]"
+        )
     if eta >= eta_threshold():
         return LoadingSolution(
             x_star=1.0,
@@ -220,12 +244,18 @@ def optimal_x_high_snr(eta):
 
     ``x_star = 1 - eta + eta * exp(1 + W((1 - eta) / (eta e)))`` with W the
     principal branch. Tends to 1 as ``eta -> 0`` and increases with ``eta``.
+    Where the argument ``z`` of W overflows (``eta`` below about 2e-309),
+    W comes from ``log z``, and ``e^W = z / W`` turns the last term into
+    ``(1 - eta) / W``, so the value is finite for every ``eta`` in (0, 1).
     """
     check_positive_number(eta, "eta")
     if not eta < 1.0:
         raise ValueError(f"eta must lie in (0, 1), got {eta!r}")
-    w = lambert_w0((1.0 - eta) / (eta * math.e))
-    return 1.0 - eta + eta * math.exp(1.0 + w)
+    z = (1.0 - eta) / (eta * math.e)
+    if z < math.inf:
+        return 1.0 - eta + eta * math.exp(1.0 + lambert_w0(z))
+    w = _lambert_w0_of_log(math.log1p(-eta) - math.log(eta) - 1.0)
+    return 1.0 - eta + (1.0 - eta) / w
 
 
 def lambert_w0(z):
@@ -234,11 +264,17 @@ def lambert_w0(z):
     Halley iteration on ``w e^w = z``, started from ``log z - log log z``
     for large ``z``, a series guess near zero, and the branch-point
     expansion near ``-1/e``. Converges to residual
-    ``|w e^w - z| <= 1e-12 * max(1, |z|)``.
+    ``|w e^w - z| <= 1e-12 * max(1, |z|)``. From about ``z = 2.76e307``
+    Halley's step overflows (its ``(w + 2) err`` term) and stops moving
+    ``w``; there :func:`_lambert_w0_of_log` takes over once the steps are
+    spent. A ``z`` that is not a real number (a ``bool`` included), not
+    finite or below ``-1/e`` raises ``ValueError`` naming ``z``.
     """
-    z = float(z)
-    if z < -_INV_E:
-        raise ValueError(f"lambert_w0 requires z >= -1/e, got {z!r}")
+    if not isinstance(z, float) and not _is_number(z):
+        raise ValueError(f"lambert_w0 requires a finite real z >= -1/e, got {z!r}")
+    z = float(z)  # a numpy scalar would warn where the Halley step overflows
+    if not -_INV_E <= z < math.inf:
+        raise ValueError(f"lambert_w0 requires a finite real z >= -1/e, got {z!r}")
     if z == 0.0:
         return 0.0
     if z > math.e:
@@ -260,7 +296,25 @@ def lambert_w0(z):
             w = -1.0 + 1e-12
             continue
         w -= err / (ew * wp1 - (w + 2.0) * err / (2.0 * wp1))
+    if z > math.e:
+        return _lambert_w0_of_log(math.log(z))
     raise RuntimeError(f"lambert_w0 failed to reach residual {target:.1e} for z={z!r}")
+
+
+def _lambert_w0_of_log(log_z):
+    """``W(z)`` for ``z > e`` from ``log z`` alone, so ``z`` may pass the largest double.
+
+    Newton on ``w + log w = log z``, concave and increasing in ``w``, from
+    ``log z - log log z``, where its excess is negative, climbs to the root
+    from below; the run stops once a step no longer raises ``w``. The excess
+    there is a few ulps of ``log z``, the relative residual of ``w e^w = z``.
+    """
+    w = log_z - math.log(log_z)
+    while True:
+        nxt = w - (w + math.log(w) - log_z) * w / (w + 1.0)
+        if not nxt > w:
+            return w
+        w = nxt
 
 
 @lru_cache(maxsize=1)

@@ -47,6 +47,9 @@ _GRID = BRUTE_LO + BRUTE_STEP * np.arange(int(round((BRUTE_HI - BRUTE_LO) / BRUT
 _ONE_MINUS_GRID, _TWO_GRID = 1.0 - _GRID, 2.0 * _GRID
 for _terms in (_GRID, _ONE_MINUS_GRID, _TWO_GRID):
     _terms.flags.writeable = False
+# Below this eta (past about 3081 dB) 1 + gamma, about (x - 1) / eta, passes
+# the largest double on the grid, and the grid objective would overflow.
+_BRUTE_ETA_MIN = BRUTE_HI / float(np.finfo(float).max)
 
 
 @one_blas_thread
@@ -264,9 +267,15 @@ def brute_force_optimal_x(eta):
     Exhaustively evaluates the objective on ``[BRUTE_LO, BRUTE_HI]`` in
     steps of ``BRUTE_STEP`` and returns the best grid point, with no
     derivative information and no assumption of a single maximum. The grid
-    is built once, at import.
+    is built once, at import. An ``eta`` below about 8.3e-309, where the
+    grid objective would overflow, raises ``OverflowError``.
     """
     eta = float(check_positive_number(eta, "eta"))
+    if eta < _BRUTE_ETA_MIN:
+        raise OverflowError(
+            f"eta={eta!r} is below {_BRUTE_ETA_MIN!r}, past which 1 + gamma overflows on the "
+            f"brute-force grid [{BRUTE_LO!r}, {BRUTE_HI!r}]"
+        )
     return float(_GRID[int(np.argmax(_grid_objective(eta)))])
 
 

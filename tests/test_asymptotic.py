@@ -481,6 +481,25 @@ def _cases_n_k():
             yield N, K
 
 
+class TestPhaseTable:
+    # The table is exponentiated in place from a complex exponent. Formed as
+    # (1j * theta_k) * d instead, that exponent has -0.0 where the reference
+    # has +0.0 (at d = 0 for a negative phase), and so does the table; float64
+    # equality forgives a zero's sign, so the bits are compared as integers.
+    @pytest.mark.parametrize("theta", [
+        [0.0, -0.0, 1.0, -1.0, 2.0 * np.pi, -2.0 * np.pi, 5e-324, -5e-324],
+        [1e6, -1e6, 1e15, -1e15, 1e300, -1e300],
+        np.random.default_rng(3).uniform(-50.0, 50.0, 40),
+    ], ids=["signs-and-zeros", "large", "random"])
+    def test_bits_of_the_outer_product_form(self, theta):
+        theta = np.asarray(theta, dtype=float)
+        ref = np.exp(1j * np.outer(theta, np.arange(33)))
+        got = _phase_table(33, theta)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert np.array_equal(got.view(np.float64).view(np.int64),
+                              ref.view(np.float64).view(np.int64))
+
+
 class TestStructuredKernels:
     @pytest.mark.parametrize("N,K", list(_cases_n_k()))
     @pytest.mark.parametrize("rho", [0.0, 0.3, 0.9, 0.99])

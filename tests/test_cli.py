@@ -51,6 +51,29 @@ class TestLoadingCommand:
         assert "x_star = 1.000000" in out
         assert "method = clamped-at-one" in out
 
+    # From 3078.8 dB lambert_w0 raised RuntimeError, so loading printed a
+    # traceback (after objective_nats = inf from 3111.6 dB) and so did
+    # sweep-loading. A fresh process under -W error, so a numpy warning
+    # would end it in a traceback too.
+    @pytest.mark.parametrize("snr_db", ["3080", "3236"])
+    @pytest.mark.parametrize("command", ["loading", "sweep-loading"])
+    def test_extreme_snr_exits_0_or_2_without_traceback(self, tmp_path, command, snr_db):
+        argv = ["--snr-db", snr_db] if command == "loading" else [
+            "--snr-grid", f"{snr_db}:{snr_db}:1", "--out", str(tmp_path / "loading.csv")]
+        run = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "mimoslnr", command, *argv],
+            env=child_env(), capture_output=True, text=True, timeout=300,
+        )
+        assert run.returncode in (EXIT_OK, EXIT_NUMERICAL)
+        assert "Traceback" not in run.stderr
+        if run.returncode == EXIT_OK:
+            assert run.stderr == ""
+            text = run.stdout if command == "loading" else (tmp_path / "loading.csv").read_text()
+            assert "inf" not in text and "nan" not in text
+        else:
+            assert run.stderr.startswith("numerical failure: ")
+            assert run.stderr.count("\n") == 1
+
     def test_interior_at_high_snr(self, capsys):
         code, out, _ = run_cli(capsys, "loading", "--snr-db", "20")
         assert code == EXIT_OK

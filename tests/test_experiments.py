@@ -306,23 +306,38 @@ def test_correlation_sweep_single_draw_column_does_not_depend_on_draw_count():
     assert np.array_equal(one[name], one["gamma_exp_random_avg"])
 
 
-def test_correlation_sweep_holds_one_phase_table_at_a_time():
-    # Eight draws of a 128 x 256 phase table. With every draw's table built
-    # before the rho loop the traced peak read 9.17 tables; with one draw's
-    # table alive at a time (and the solve's conjugate of it) it reads
-    # 2.13. The bound of 4 was set before the first run.
-    N, alpha, draws = 256, 0.5, 8
-    table = int(round(alpha * N)) * N * np.dtype(complex).itemsize
-    kwargs = dict(N=N, alpha=alpha, snr_db=10.0, rho_grid=[0.0, 0.5],
-                  trials_for_random_theta=draws)
-    run_correlation_sweep(**kwargs)  # warm-up: LAPACK and scipy load once
+def _traced_peak_in_phase_tables(run):
+    """The traced peak of a warm ``run()`` in 128 x 256 complex phase tables."""
+    run()  # warm-up: LAPACK and scipy load once
     tracemalloc.start()
     try:
-        run_correlation_sweep(**kwargs)
+        run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * table, f"traced peak {peak / table:.2f} phase tables"
+    return peak / (128 * 256 * np.dtype(complex).itemsize)
+
+
+def test_correlation_sweep_holds_one_phase_table_at_a_time():
+    # Eight draws of a 128 x 256 phase table. With every draw's table built
+    # before the rho loop the traced peak read 9.17 tables; with one draw's
+    # table alive at a time, 2.13, as each solve built a conjugate copy of
+    # it (and two tables were alive while one was built). With the step
+    # reading the one table both ways it reads about 1.5.
+    tables = _traced_peak_in_phase_tables(lambda: run_correlation_sweep(
+        N=256, alpha=0.5, snr_db=10.0, rho_grid=[0.0, 0.5], trials_for_random_theta=8
+    ))
+    assert tables < 1.8, f"traced peak {tables:.2f} phase tables"
+
+
+def test_public_toeplitz_solve_holds_one_phase_table():
+    # The public solver builds its own table: 2.13 tables with the
+    # conjugate copy, about 1.5 without it.
+    theta = np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, 128)
+    tables = _traced_peak_in_phase_tables(
+        lambda: solve_exponential_fixed_point(256, 0.5, theta, 0.1)
+    )
+    assert tables < 1.8, f"traced peak {tables:.2f} phase tables"
 
 
 class TestLoadingSweep:

@@ -26,6 +26,7 @@ from mimoslnr.loading import (
     optimal_x_low_snr,
     x_upper_tight,
 )
+from mimoslnr.oracles import BRUTE_STEP, brute_force_optimal_x
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -150,7 +151,13 @@ class TestDerivativeFloatPath:
     @pytest.mark.parametrize("eta", [1e-30, 1e-6, 0.01, eta_threshold(), 0.5, 1e6])
     @pytest.mark.parametrize("x", [0.0, -0.0, 0.5, 1, 1.2, X_UPPER_LOOSE, 1e300, math.nan, math.inf])
     def test_scalar_is_the_array_form(self, x, eta):
-        # dfdx has one form: a Python float gives a float with the 0-d array's bits.
+        # dfdx has one form: a Python float gives a float with the 0-d array's
+        # bits, and an x outside (0, inf), which gave NaN or a number, raises in both.
+        if not 0.0 < x < math.inf:
+            for arg in (float(x), np.array(x)):
+                with pytest.raises(ValueError, match="x must be"):
+                    dfdx(arg, eta)
+            return
         with np.errstate(all="ignore"):
             got = dfdx(float(x), eta)
             ref = dfdx(np.array(x), eta)
@@ -322,3 +329,70 @@ class TestLambertW:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             lambert_w0(-0.5)
+
+    # lambert_w0(nan) and lambert_w0(inf) ran 100 Halley steps and raised
+    # RuntimeError; a complex z raised TypeError and a string one ran.
+    @pytest.mark.parametrize("z", [
+        math.nan, math.inf, -math.inf, 1.0 + 0j, "1.0", True, None, np.array([1.0]),
+    ], ids=["nan", "inf", "-inf", "complex", "str", "bool", "None", "array"])
+    def test_rejects_what_is_not_a_finite_real(self, z):
+        with pytest.raises(ValueError, match="z"):
+            lambert_w0(z)
+
+    # From about z = 2.76e307 Halley's (w + 2) err term overflowed, the step
+    # stopped moving w, and lambert_w0 raised RuntimeError up to the largest double.
+    @pytest.mark.parametrize("z", [2.7e307, 2.76e307, 1e308, float(np.finfo(float).max)])
+    def test_past_halley_overflow(self, z):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = lambert_w0(z)
+            w_np = lambert_w0(np.float64(z))
+        # w e^w = z in logs, which keeps the check finite.
+        assert abs(w + math.log(w) - math.log(z)) <= 1e-12
+        assert w_np == w
+
+    def test_log_form_matches_halley_where_both_run(self):
+        for z in [10.0, 1e3, 1e8, 1e100, 1e300]:
+            assert loading._lambert_w0_of_log(math.log(z)) == pytest.approx(
+                lambert_w0(z), rel=4 * EPS
+            )
+
+
+class TestExtremeSnr:
+    """The loading path from 3078.8 dB, where Halley's step in ``lambert_w0``
+    first overflowed, to 3236 dB, the last SNR that ``eta_from_snr_db`` accepts.
+    Past about 3081 dB ``1 + gamma`` can pass the largest double on the
+    bisection's bracket and on the brute-force grid, so those two raise
+    ``OverflowError``; the closed forms stay finite."""
+
+    @pytest.mark.parametrize("snr_db", [3078.8, 3236.0])
+    def test_closed_forms_are_finite(self, snr_db):
+        eta = eta_from_snr_db(snr_db)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            high = optimal_x_high_snr(eta)
+            low = optimal_x_low_snr(eta)
+        # 1 - eta + 1 / W(1 / (eta e)) to first order: about 1 + 1 / log(1 / eta).
+        assert 1.0 < high < 1.0 + 1.1 / -math.log(eta)
+        assert math.isfinite(low)
+
+    def test_exact_and_brute_force_at_3078_8_db(self):
+        eta = eta_from_snr_db(3078.8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = optimal_x_exact(eta)
+            brute = brute_force_optimal_x(eta)
+        assert math.isfinite(sol.objective)
+        assert sol.x_star == pytest.approx(optimal_x_high_snr(eta), rel=1e-6)
+        assert abs(brute - sol.x_star) <= BRUTE_STEP
+
+    def test_exact_and_brute_force_raise_at_3236_db(self):
+        # The exact optimizer printed x_star = 1.000000 (the true one is
+        # about 1.00136) and objective_nats = inf; the oracle warned of overflow.
+        eta = eta_from_snr_db(3236.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="eta"):
+                optimal_x_exact(eta)
+            with pytest.raises(OverflowError, match="eta"):
+                brute_force_optimal_x(eta)

@@ -12,6 +12,8 @@ trials, draws) that is not an integer of at least 1, and a seed or trial
 number that is not an integer of at least 0 (or, for a trial, not below the
 trial count)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -121,16 +123,19 @@ INDEX_ENTRY_POINTS = {
 
 
 # A Python float takes check_positive_finite's isinstance branch; a numpy
-# float32 scalar and a 0-d array take its np.ndim branch.
+# float32 scalar and a 0-d array take its np.ndim branch. A complex eta
+# raised a TypeError that did not name it, and a string one numpy's
+# UFuncTypeError (compute_metrics named its internal beta instead).
 @pytest.mark.parametrize("eta", [
     np.nan, np.inf, -np.inf, 0.0, -1.0,
     pytest.param(np.float64(np.nan), id="float64-nan"),
     pytest.param(np.float32(0), id="float32-0"),
     pytest.param(np.array(-1.0), id="0d-array--1.0"),
+    0.1 + 0j, "0.1",
 ])
 @pytest.mark.parametrize("entry", ETA_ENTRY_POINTS)
 def test_eta_must_be_positive_and_finite(entry, eta):
-    with pytest.raises(ValueError, match="eta"):
+    with pytest.raises(ValueError, match=r"\beta\b"):  # the word eta, not beta
         ETA_ENTRY_POINTS[entry](eta)
 
 
@@ -176,7 +181,7 @@ def test_scalar_eta_takes_a_0d_array(entry):
 
 
 @pytest.mark.parametrize("tol", [
-    np.nan, 0.0, -1.0, True, pytest.param(np.bool_(True), id="np.bool_-True"),
+    np.nan, 0.0, -1.0, True, pytest.param(np.bool_(True), id="np.bool_-True"), 0.1 + 0j, "0.1",
 ])
 @pytest.mark.parametrize("entry", TOL_ENTRY_POINTS)
 def test_tol_must_be_positive_and_finite(entry, tol):
@@ -185,15 +190,35 @@ def test_tol_must_be_positive_and_finite(entry, tol):
 
 
 # A bool SNR, rho or theta passed for 0 or 1 and reached the CSV header as
-# "True" or "False".
+# "True" or "False". A string SNR passed too (SystemConfig(4, 2, "20").snr_db
+# was "20", which a CSV echoed as 20, not 20.0); a complex one raised a TypeError.
 @pytest.mark.parametrize("snr_db", [
     np.nan, np.inf, -4000.0, True, False, pytest.param(np.bool_(True), id="np.bool_-True"),
-    pytest.param(np.array([True, False]), id="bool-array"),
+    pytest.param(np.array([True, False]), id="bool-array"), 0.1 + 0j, "0.1",
 ])
 @pytest.mark.parametrize("entry", SNR_ENTRY_POINTS)
 def test_snr_must_be_a_finite_number(entry, snr_db):
     with pytest.raises(ValueError, match="snr_db"):
         SNR_ENTRY_POINTS[entry](snr_db)
+
+
+# dfdx(-1.0, 0.1) returned 0.169 for a loading ratio outside the domain,
+# and at x = 0 dfdx and objective_f returned NaN with RuntimeWarnings.
+@pytest.mark.parametrize("x", [
+    -1.0, 0.0, -0.0, np.nan, np.inf,
+    pytest.param(np.array(0.0), id="0d-array-0.0"),
+    pytest.param(np.array([1.2, 0.0]), id="array-0.0"),
+    pytest.param(np.array([1.2, -1.0]), id="array--1.0"),
+    pytest.param(np.array([np.nan, 1.2]), id="array-nan"),
+    pytest.param(np.array([1.2, np.inf]), id="array-inf"),
+    1.2 + 0j, "1.2",
+])
+@pytest.mark.parametrize("entry", [objective_f, dfdx], ids=["objective_f", "dfdx"])
+def test_loading_ratio_must_be_positive_and_finite(entry, x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="x must be"):
+            entry(x, 0.1)
 
 
 # A bool grid ran as 0 and 1 dB and wrote snr_db_min = 0.0, snr_db_max = 1.0.
